@@ -25,8 +25,6 @@ from .treespace import (
     PhyloTree,
     cophenetic_vector,
     default_leaf_names,
-    enumerate_extreme_clades,
-    extreme_clade_vector,
     is_ultrametric,
     leaf_count_from_dim,
     load_newick_file,
@@ -68,8 +66,6 @@ __all__ = [
     "PhyloTree",
     "cophenetic_vector",
     "default_leaf_names",
-    "enumerate_extreme_clades",
-    "extreme_clade_vector",
     "is_ultrametric",
     "leaf_count_from_dim",
     "load_newick_file",

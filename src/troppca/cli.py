@@ -59,24 +59,17 @@ def _load_sample(path, project_inputs: bool = False, normalize_height: bool = Fa
         trees = rescaled
 
     line_numbers = [ln for ln, _ in trees]
-    vectors = [tree.cophenetic_vector() for _, tree in trees]
-    offenders = [
-        ln
-        for (ln, _), vec in zip(trees, vectors)
-        if ultrametric_violation(vec) > default_tolerance(vec)
-    ]
-    if offenders:
+    vectors = np.array([tree.cophenetic_vector() for _, tree in trees])
+    bad = ultrametric_violation(vectors) > default_tolerance(vectors)
+    if bad.any():
         if not project_inputs:
+            offenders = ", ".join(str(ln) for ln, b in zip(line_numbers, bad) if b)
             raise CliError(
-                f"non-ultrametric input trees at lines {', '.join(map(str, offenders))};"
+                f"non-ultrametric input trees at lines {offenders};"
                 " rerun with --project-inputs to project them onto tree space"
             )
-        bad = set(offenders)
-        vectors = [
-            project_to_treespace(vec) if ln in bad else vec
-            for ln, vec in zip(line_numbers, vectors)
-        ]
-    return labels, line_numbers, np.array(vectors)
+        vectors[bad] = project_to_treespace(vectors[bad])
+    return labels, line_numbers, vectors
 
 
 def _load_model_and_sample(args):
@@ -207,29 +200,30 @@ def cmd_check(args) -> int:
     trees, errors = load_newick_file(args.input)
     if not trees and not errors:
         raise CliError(f"no trees found in {args.input}")
-    rows = [(ln, "error", err) for ln, err in errors] + [(ln, "tree", t) for ln, t in trees]
-    rows.sort(key=lambda item: item[0])
+    vectors = [tree.cophenetic_vector() for _, tree in trees]
+    violations = np.empty(len(trees))
+    for m in {tree.m for _, tree in trees}:  # one batched check per leaf count
+        idx = [i for i, (_, tree) in enumerate(trees) if tree.m == m]
+        violations[idx] = ultrametric_violation(np.array([vectors[i] for i in idx]))
+    report = [(ln, f"parse error: {err}") for ln, err in errors]
     n_equidistant = 0
     n_ultrametric = 0
-    for ln, kind, payload in rows:
-        if kind == "error":
-            print(f"line {ln}: parse error: {payload}")
-            continue
-        tree = payload
-        vec = tree.cophenetic_vector()
+    for (ln, tree), vec, violation in zip(trees, vectors, violations):
         gap = tree.equidistance_gap()
-        violation = ultrametric_violation(vec)
         tol_eq = args.tol if args.tol is not None else default_tolerance(tree.leaf_depths())
         tol_um = args.tol if args.tol is not None else default_tolerance(vec)
         equidistant = gap <= tol_eq
         ultrametric = violation <= tol_um
         n_equidistant += equidistant
         n_ultrametric += ultrametric
-        print(
-            f"line {ln}: m={tree.m} height={tree.height():.6g}"
+        report.append((
+            ln,
+            f"m={tree.m} height={tree.height():.6g}"
             f" equidistant={'yes' if equidistant else 'no'} (gap={gap:.3g})"
-            f" ultrametric={'yes' if ultrametric else 'no'} (violation={violation:.3g})"
-        )
+            f" ultrametric={'yes' if ultrametric else 'no'} (violation={violation:.3g})",
+        ))
+    for ln, text in sorted(report, key=lambda item: item[0]):
+        print(f"line {ln}: {text}")
     print(
         f"checked {len(trees)} trees: {n_equidistant} equidistant,"
         f" {n_ultrametric} ultrametric, {len(errors)} parse errors"

@@ -63,21 +63,35 @@ def load_model(path) -> Model:
     """Read and validate a model document; raises ValueError on a bad file."""
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
+    if not isinstance(doc, dict):
+        raise ValueError("model file must hold a JSON object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format_version {version!r}")
-    labels = doc["leaf_labels"]
-    m = doc["m"]
-    if len(labels) != m or len(set(labels)) != m:
+    missing = [key for key in ("m", "s", "leaf_labels", "vertices") if key not in doc]
+    if missing:
+        raise ValueError(f"model file lacks the {missing[0]!r} field")
+    m, s, labels = doc["m"], doc["s"], doc["leaf_labels"]
+    if type(m) is not int or type(s) is not int:
+        raise ValueError("model fields 'm' and 's' must be integers")
+    if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+            and len(labels) == len(set(labels)) == m):
         raise ValueError(f"leaf label table must hold {m} distinct labels")
-    vertices = np.asarray(doc["vertices"], dtype=float)
-    if vertices.ndim != 2 or vertices.shape[0] != doc["s"]:
+    rows = doc["vertices"]
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and all(type(x) in (int, float) for x in row) for row in rows
+    ):
+        raise ValueError("vertices must be lists of numbers")
+    vertices = np.array(rows, dtype=float)
+    if vertices.ndim != 2 or vertices.shape[0] != s:
         raise ValueError("vertex array does not match the declared s")
     if leaf_count_from_dim(vertices.shape[1]) != m:
         raise ValueError("vertex dimension does not match the declared m")
-    for k, vertex in enumerate(vertices):
-        if not is_ultrametric(vertex, tol=LOAD_TOLERANCE):
-            raise ValueError(f"vertex {k + 1} fails the three-point condition")
+    if not np.all(np.isfinite(vertices)):
+        raise ValueError("vertex coordinates must be finite")
+    bad = np.flatnonzero(~is_ultrametric(vertices, tol=LOAD_TOLERANCE))
+    if bad.size:
+        raise ValueError(f"vertex {bad[0] + 1} fails the three-point condition")
     return Model(
         leaf_labels=list(labels),
         polytope=TropicalPolytope(vertices),

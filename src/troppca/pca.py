@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .treespace import (
-    default_tolerance,
     is_ultrametric,
     leaf_count_from_dim,
     project_to_treespace,
@@ -268,8 +267,8 @@ class FitTrace:
 
 
 def _validate_ultrametric_rows(u: np.ndarray, what: str) -> None:
-    bad = [i for i in range(u.shape[0]) if not is_ultrametric(u[i])]
-    if bad:
+    bad = np.flatnonzero(~is_ultrametric(u))
+    if bad.size:
         shown = ", ".join(map(str, bad[:10]))
         more = "" if len(bad) <= 10 else f" (+{len(bad) - 10} more)"
         raise ValueError(f"{what} at indices {shown}{more} fail the three-point condition")
@@ -312,11 +311,10 @@ def fit(sample, cfg: FitConfig) -> tuple[TropicalPolytope, FitTrace]:
     alpha = cfg.lr0
     for t in range(cfg.max_iters):
         g = subgradient(u, polytope)
-        updated = polytope.vertices.copy()
         if cfg.update_mode == "simultaneous":
-            for k in range(cfg.s):
-                updated[k] = project_to_treespace(updated[k] - alpha * g[k])
+            updated = project_to_treespace(polytope.vertices - alpha * g)
         else:
+            updated = polytope.vertices.copy()
             k = t % cfg.s
             updated[k] = project_to_treespace(updated[k] - alpha * g[k])
         polytope = TropicalPolytope(updated)

@@ -33,8 +33,6 @@ __all__ = [
     "is_ultrametric",
     "ultrametric_violation",
     "default_tolerance",
-    "enumerate_extreme_clades",
-    "extreme_clade_vector",
     "project_to_treespace",
     "reconstruct_tree",
     "random_ultrametric",
@@ -81,13 +79,6 @@ def leaf_count_from_dim(e: int) -> int:
 def default_leaf_names(m: int) -> list[str]:
     """Leaf names "1".."m", used when a vector has no labels of its own."""
     return [str(i + 1) for i in range(m)]
-
-
-def _as_vector(u) -> tuple[np.ndarray, int]:
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 1:
-        raise ValueError("expected a 1-D pairwise-distance vector")
-    return u, leaf_count_from_dim(u.size)
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +295,8 @@ class _Parser:
         if match is None:
             raise self.error("malformed branch length")
         value = float(match.group())
+        if not math.isfinite(value):
+            raise self.error("non-finite branch length")
         if value < 0:
             raise self.error("negative branch length")
         self.pos = match.end()
@@ -392,71 +385,73 @@ def load_newick_file(path) -> tuple[list[tuple[int, PhyloTree]], list[tuple[int,
 # ultrametric vectors
 
 
-def default_tolerance(u) -> float:
-    """Scale-aware comparison tolerance: 1e-8 times the largest magnitude."""
+# Rows per kernel chunk are chosen so that each temporary holds about this
+# many elements; chunks of 2^17 elements and up run 2-3x slower at m=60.
+_CHUNK_ELEMENTS = 1 << 15
+
+
+def _as_rows(u) -> tuple[np.ndarray, int, bool]:
+    """(2-D float rows, leaf count, whether u was a batch) for one vector or an (n, e) batch."""
     u = np.asarray(u, dtype=float)
-    return 1e-8 * float(np.max(np.abs(u), initial=0.0))
+    if u.ndim not in (1, 2):
+        raise ValueError("expected a pairwise-distance vector or an (n, e) batch of them")
+    rows = np.atleast_2d(u)
+    return rows, leaf_count_from_dim(rows.shape[1]), u.ndim == 2
+
+
+def _chunks(n: int, row_elements: int):
+    """Row slices covering range(n), each about _CHUNK_ELEMENTS / row_elements rows."""
+    step = max(1, _CHUNK_ELEMENTS // row_elements)
+    return (slice(lo, lo + step) for lo in range(0, n, step))
+
+
+def default_tolerance(u):
+    """Scale-aware tolerance: 1e-8 times the largest magnitude (per row for 2-D input)."""
+    scale = np.max(np.abs(np.asarray(u, dtype=float)), axis=-1, initial=0.0)
+    return 1e-8 * scale if np.ndim(u) == 2 else 1e-8 * float(scale)
 
 
 @lru_cache(maxsize=None)
 def _triple_pair_indices(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pair positions (ij, ik, jk) for every leaf triple i < j < k."""
     mat = _pair_index_matrix(m)
-    triples = list(itertools.combinations(range(m), 3))
-    ij = np.array([mat[i, j] for i, j, k in triples], dtype=np.intp)
-    ik = np.array([mat[i, k] for i, j, k in triples], dtype=np.intp)
-    jk = np.array([mat[j, k] for i, j, k in triples], dtype=np.intp)
-    return ij, ik, jk
+    i, j, k = np.array(list(itertools.combinations(range(m), 3)), dtype=np.intp).T
+    return mat[i, j], mat[i, k], mat[j, k]
 
 
-def ultrametric_violation(u) -> float:
+def ultrametric_violation(u):
     """Worst three-point defect: max over triples of (largest - second largest).
 
-    Zero exactly when u is ultrametric.  Computed by sorting, not by
-    arithmetic, so exact ties stay exact.
+    Zero exactly when u is ultrametric.  u is one vector (the result is a
+    float) or an (n, e) batch with one vector per row (the result is an
+    array of n defects).  Each triple's largest and middle values are
+    selected with maximum/minimum, not computed, so exact ties stay exact.
+    Rows are processed in chunks of about _CHUNK_ELEMENTS triples.
     """
-    u, m = _as_vector(u)
+    rows, m, batched = _as_rows(u)
     ij, ik, jk = _triple_pair_indices(m)
-    vals = np.sort(np.stack((u[ij], u[ik], u[jk])), axis=0)
-    return float(np.max(vals[2] - vals[1]))
+    out = np.empty(len(rows))
+    for part in _chunks(len(rows), ij.size):
+        x = rows[part]
+        a, b, c = x[:, ij], x[:, ik], x[:, jk]
+        top = np.maximum(a, b)
+        np.minimum(a, b, out=a)
+        np.minimum(top, c, out=b)
+        np.maximum(top, c, out=top)  # max(max(a, b), c)
+        np.maximum(a, b, out=a)  # middle: max(min(a, b), min(max(a, b), c))
+        out[part] = np.max(top - a, axis=1)
+    return out if batched else float(out[0])
 
 
-def is_ultrametric(u, tol: float | None = None) -> bool:
+def is_ultrametric(u, tol=None):
     """Three-point condition check: the top two of every triple agree within tol.
 
-    tol=None uses the scale-aware default; pass 0 for an exact check.
+    tol=None uses the scale-aware default; pass 0 for an exact check.  For
+    an (n, e) batch the result is one boolean per row.
     """
-    u, _ = _as_vector(u)
     if tol is None:
         tol = default_tolerance(u)
     return ultrametric_violation(u) <= tol
-
-
-def enumerate_extreme_clades(m: int) -> list[tuple[int, ...]]:
-    """All clade leaf sets sigma with 2 <= |sigma| <= m-1, by size then lexicographic.
-
-    These index the generating rays of tree space: the ray for sigma has
-    -inf on pairs inside sigma and 0 elsewhere.  There are 2^m - m - 2.
-    """
-    if not 3 <= m <= 16:
-        raise ValueError(f"m must be between 3 and 16, got {m}")
-    out = []
-    for size in range(2, m):
-        out.extend(itertools.combinations(range(m), size))
-    assert len(out) == 2**m - m - 2
-    return out
-
-
-def extreme_clade_vector(sigma: Sequence[int], m: int) -> np.ndarray:
-    """Coordinates of the extreme clade ray: -inf on pairs inside sigma, 0 elsewhere."""
-    members = set(sigma)
-    if not 2 <= len(members) <= m - 1 or not members <= set(range(m)):
-        raise ValueError(f"invalid clade {sorted(members)} for m={m}")
-    out = np.zeros(m * (m - 1) // 2)
-    mat = _pair_index_matrix(m)
-    for i, j in itertools.combinations(sorted(members), 2):
-        out[mat[i, j]] = -np.inf
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -466,43 +461,44 @@ def extreme_clade_vector(sigma: Sequence[int], m: int) -> np.ndarray:
 def project_to_treespace(x) -> np.ndarray:
     """Subdominant ultrametric of x: the closest point of tree space.
 
-    Entry (i, j) of the result is the minimax path weight between i and j in
-    the complete graph with edge weights x, obtained here by single-linkage
-    merging (Kruskal order): when an edge first connects two clusters, every
-    pair across them receives that edge's weight.  The output satisfies the
-    three-point condition exactly, is <= x coordinatewise, fixes ultrametric
-    inputs, and minimizes the tropical distance to x over tree space.
+    Entry (i, j) is the minimax path weight between i and j in the complete
+    graph with edge weights x: the largest edge on their path in a minimum
+    spanning tree (Gower & Ross 1969).  Prim's algorithm grows that tree one
+    leaf at a time; a leaf v joining through tree leaf p by an edge of
+    weight w gets max(result[p, t], w) to every leaf t already in it.  The
+    output is exactly ultrametric, <= x coordinatewise, fixes ultrametric
+    inputs, minimizes the tropical distance to x over tree space, and holds
+    only entries of x.  x is one vector or an (n, e) batch, one vector per
+    row, and the result has its shape; rows go in chunks of about
+    _CHUNK_ELEMENTS matrix entries.
     """
-    x, m = _as_vector(x)
-    if not np.all(np.isfinite(x)):
+    rows, m, batched = _as_rows(x)
+    if not np.all(np.isfinite(rows)):
         raise ValueError("coordinates must be finite")
-    pairs = pair_order(m)
-    mat = _pair_index_matrix(m)
-    out = np.empty_like(x)
-    parent = list(range(m))
-    members: list[list[int]] = [[i] for i in range(m)]
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for idx in np.argsort(x, kind="stable"):
-        i, j = pairs[idx]
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            continue
-        weight = x[idx]
-        if len(members[ri]) < len(members[rj]):
-            ri, rj = rj, ri
-        for a in members[ri]:
-            for b in members[rj]:
-                out[mat[a, b]] = weight
-        parent[rj] = ri
-        members[ri].extend(members[rj])
-        members[rj] = []
-    return out
+    iu, ju = np.triu_indices(m, 1)  # the pair order, as row and column indices
+    out = np.empty_like(rows)
+    for part in _chunks(len(rows), m * m):
+        r = len(rows[part])
+        at = np.arange(r)
+        dist = np.empty((r, m, m))
+        dist[:, iu, ju] = dist[:, ju, iu] = rows[part]
+        ultra = np.full((r, m, m), -np.inf)  # -inf on the diagonal and off the tree
+        outside = np.ones((r, m), dtype=bool)
+        outside[:, 0] = False
+        key = np.where(outside, dist[:, 0], np.inf)  # lightest edge into the tree
+        via = np.zeros((r, m), dtype=np.intp)  # the tree end of that edge
+        for _ in range(m - 1):
+            v = np.argmin(key, axis=1)
+            row = np.where(outside, -np.inf, np.maximum(ultra[at, via[at, v]], key[at, v][:, None]))
+            ultra[at, v] = ultra[at, :, v] = row
+            outside[at, v] = False
+            key[at, v] = np.inf
+            d = dist[at, v]
+            closer = outside & (d < key)
+            key = np.where(closer, d, key)
+            via = np.where(closer, v[:, None], via)
+        out[part] = ultra[:, iu, ju]
+    return out if batched else out[0]
 
 
 def random_ultrametric(m: int, seed: int) -> np.ndarray:
@@ -520,8 +516,7 @@ def random_ultrametrics(m: int, n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     rng = np.random.default_rng(seed)
-    draws = rng.random((n, m * (m - 1) // 2))
-    return np.stack([project_to_treespace(row) for row in draws])
+    return project_to_treespace(rng.random((n, m * (m - 1) // 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +533,10 @@ def reconstruct_tree(u, names: Sequence[str] | None = None, tol: float | None = 
     preserves coordinates.  Raises ValueError when u violates the
     three-point condition beyond tol or has a nonpositive entry.
     """
-    u, m = _as_vector(u)
+    rows, m, batched = _as_rows(u)
+    if batched:
+        raise ValueError("expected a 1-D pairwise-distance vector")
+    u = rows[0]
     if tol is None:
         tol = default_tolerance(u)
     violation = ultrametric_violation(u)

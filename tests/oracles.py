@@ -1,20 +1,72 @@
 """Independent brute-force oracles used by the tests.
 
-These deliberately avoid the library's algorithms: the projection oracle
-enumerates generating rays instead of running single linkage, the distance
-oracle walks tree paths instead of using depth arithmetic, and the
-subgradient oracle enumerates tied selections one by one instead of
-averaging over tied sets in closed form.
+These deliberately avoid the library's algorithms: the projection oracles
+enumerate generating rays or merge clusters by single linkage instead of
+growing a minimum spanning tree, the three-point oracle sorts each triple
+instead of selecting its top two, the distance oracle walks tree paths
+instead of using depth arithmetic, and the subgradient oracle enumerates
+tied selections one by one instead of averaging over tied sets in closed
+form.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 import numpy as np
 
-from troppca.treespace import pair_order
+from troppca.treespace import leaf_count_from_dim, pair_order
+
+
+def single_linkage_projection(x: np.ndarray) -> np.ndarray:
+    """Subdominant ultrametric of one vector by single-linkage merging (Kruskal order).
+
+    When an edge first connects two clusters, found by union-find, every
+    pair across them receives that edge's weight.
+    """
+    x = np.asarray(x, dtype=float)
+    m = leaf_count_from_dim(x.size)
+    pairs = pair_order(m)
+    index = {pair: idx for idx, pair in enumerate(pairs)}
+    out = np.empty_like(x)
+    parent = list(range(m))
+    members = [[i] for i in range(m)]
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for idx in np.argsort(x, kind="stable"):
+        ri, rj = find(pairs[idx][0]), find(pairs[idx][1])
+        if ri == rj:
+            continue
+        for a in members[ri]:
+            for b in members[rj]:
+                out[index[min(a, b), max(a, b)]] = x[idx]
+        parent[rj] = ri
+        members[ri].extend(members[rj])
+        members[rj] = []
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _triple_columns(m: int) -> np.ndarray:
+    """(3, triples) positions of the pairs ij, ik, jk of every leaf triple i < j < k."""
+    index = {pair: idx for idx, pair in enumerate(pair_order(m))}
+    triples = itertools.combinations(range(m), 3)
+    cols = [[index[i, j], index[i, k], index[j, k]] for i, j, k in triples]
+    return np.array(cols, dtype=np.intp).T
+
+
+def sorted_triple_violation(u: np.ndarray) -> float:
+    """Worst three-point defect of one vector, by sorting the values of every leaf triple."""
+    u = np.asarray(u, dtype=float)
+    vals = np.sort(u[_triple_columns(leaf_count_from_dim(u.size))], axis=0)
+    return float(np.max(vals[2] - vals[1]))
 
 
 def split_rays(m: int) -> list[np.ndarray]:
@@ -50,14 +102,36 @@ def project_by_ray_enumeration(x: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
+def enumerate_extreme_clades(m: int) -> list[tuple[int, ...]]:
+    """All clade leaf sets sigma with 2 <= |sigma| <= m-1, by size then lexicographic.
+
+    The ray for sigma has -inf on pairs inside sigma and 0 elsewhere.
+    There are 2^m - m - 2.
+    """
+    if not 3 <= m <= 16:
+        raise ValueError(f"m must be between 3 and 16, got {m}")
+    out = []
+    for size in range(2, m):
+        out.extend(itertools.combinations(range(m), size))
+    assert len(out) == 2**m - m - 2
+    return out
+
+
+def extreme_clade_vector(sigma, m: int) -> np.ndarray:
+    """Coordinates of the extreme clade ray: -inf on pairs inside sigma, 0 elsewhere."""
+    members = set(sigma)
+    if not 2 <= len(members) <= m - 1 or not members <= set(range(m)):
+        raise ValueError(f"invalid clade {sorted(members)} for m={m}")
+    inside = [i in members and j in members for i, j in pair_order(m)]
+    return np.where(inside, -np.inf, 0.0)
+
+
 def clade_ray_combination(x: np.ndarray, m: int) -> np.ndarray:
     """Same formula over the clade-interior rays (-inf inside a leaf subset).
 
     Kept as a negative control: these rays span only part of tree space, so
     the result can fall strictly below the true projection for m >= 4.
     """
-    from troppca.treespace import enumerate_extreme_clades, extreme_clade_vector
-
     out = np.full(x.size, -np.inf)
     for sigma in enumerate_extreme_clades(m):
         ray = extreme_clade_vector(sigma, m)

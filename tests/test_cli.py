@@ -75,11 +75,29 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "line 2" in out and "equidistant=no" in out and "gap=7" in out
 
+    def test_mixed_leaf_counts_each_checked(self, tmp_path, capsys):
+        path = tmp_path / "trees.nwk"
+        path.write_text("((1:1,2:1):1,3:2);\n((1:1,2:1):1,(3:1,4:1):1);\n(1:1,(2:1,3:3):1);\n")
+        assert main(["check", "--input", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("line 1: m=3") and "ultrametric=yes (violation=0)" in lines[0]
+        assert lines[1].startswith("line 2: m=4") and "ultrametric=yes (violation=0)" in lines[1]
+        assert lines[2].startswith("line 3: m=3") and "ultrametric=no (violation=1)" in lines[2]
+        assert lines[3] == "checked 3 trees: 2 equidistant, 2 ultrametric, 0 parse errors"
+
     def test_parse_errors_fail_with_line_numbers(self, tmp_path, capsys):
         path = tmp_path / "trees.nwk"
         path.write_text("(1:1,2:1,3:1);\n(1:1,2:1;\n")
         assert main(["check", "--input", str(path)]) == 1
         assert "line 2: parse error" in capsys.readouterr().out
+
+    def test_non_finite_branch_length_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "trees.nwk"
+        path.write_text("((a:1e400,b:1):1,c:2);\n((a:1,b:1):1,c:2);\n")
+        assert main(["check", "--input", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "line 1: parse error: non-finite branch length at offset 4" in out
+        assert "inf" not in out and "nan" not in out
 
     def test_empty_file(self, tmp_path, capsys):
         path = tmp_path / "empty.nwk"
@@ -161,6 +179,15 @@ class TestFit:
         assert code == 1
         err = capsys.readouterr().err
         assert "leaf set differs" in err and "4" in err
+
+
+    def test_non_finite_branch_length_fails_with_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "trees.nwk"
+        path.write_text("((a:1,b:1):1,c:2);\n((a:1e400,b:1):1,c:2);\n(a:2,b:2,c:2);\n")
+        code = main(["fit", "--input", str(path), "--s", "2", "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: line 2: non-finite branch length at offset 4"]
 
 
 class TestEval:
@@ -320,6 +347,42 @@ class TestModelFile:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="three-point"):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            *(f"drop {key}" for key in ("m", "s", "leaf_labels", "vertices")),
+            "string coordinate",
+            "null coordinate",
+            "boolean vertex",
+            "string m",
+            "object document",
+        ],
+    )
+    def test_broken_model_file_ends_in_one_line_error(self, tmp_path, sample_file, capsys, edit):
+        model_path, _ = fit_model(tmp_path, sample_file)
+        doc = json.loads(model_path.read_text())
+        if edit.startswith("drop "):
+            del doc[edit[5:]]
+        elif edit == "string coordinate":
+            doc["vertices"][1][2] = "0.5"
+        elif edit == "null coordinate":
+            doc["vertices"][0][3] = None
+        elif edit == "boolean vertex":
+            doc["vertices"][2] = [True] * len(doc["vertices"][2])
+        elif edit == "string m":
+            doc["m"] = "5"
+        else:
+            doc = [doc]
+        model_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["eval", "--model", str(model_path), "--input", str(sample_file)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+        with pytest.raises(ValueError):
+            load_model(model_path)
 
     def test_stored_vertices_are_canonical(self, tmp_path):
         vertices = random_ultrametrics(4, 2, seed=54)

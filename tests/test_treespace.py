@@ -1,15 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oracles import clade_ray_combination, path_weight, project_by_ray_enumeration
+from oracles import (
+    clade_ray_combination,
+    enumerate_extreme_clades,
+    extreme_clade_vector,
+    path_weight,
+    project_by_ray_enumeration,
+    single_linkage_projection,
+    sorted_triple_violation,
+)
 from troppca.tropical import trop_dist
 from troppca.treespace import (
+    _CHUNK_ELEMENTS,
     NewickError,
     PhyloTree,
     default_leaf_names,
-    enumerate_extreme_clades,
-    extreme_clade_vector,
+    default_tolerance,
     is_ultrametric,
     leaf_count_from_dim,
     load_newick_file,
@@ -71,6 +82,13 @@ class TestNewickParsing:
     def test_negative_branch_length(self):
         with pytest.raises(NewickError, match="negative"):
             parse_newick("((a:1,b:-1):1,c:2);")
+
+    @pytest.mark.parametrize("number", ["1e400", "-1e400", "1e309"])
+    def test_non_finite_branch_length(self, number):
+        text = f"((a:{number},b:1):1,c:2);"
+        with pytest.raises(NewickError, match="non-finite branch length") as info:
+            parse_newick(text)
+        assert info.value.offset == text.index(number)
 
     def test_missing_length_defaults_to_zero(self):
         tree = parse_newick("((a,b):1,c:1);")
@@ -373,3 +391,87 @@ class TestTreeScaling:
         unit = tree.scaled(0.5)
         assert unit.height() == 1.0
         assert_array_equal(unit.cophenetic_vector(), [1.0, 2.0, 2.0])
+
+
+@st.composite
+def batches(draw, m=st.integers(3, 12), n=st.integers(1, 10)) -> np.ndarray:
+    """An (n, e) batch of negative, shifted and rounded (tied) coordinates.
+
+    Drawn by numpy from a seed hypothesis picks, so that wide rows stay cheap.
+    """
+    m, n = draw(m), draw(n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, m * (m - 1) // 2)) - 0.5
+    decimals = draw(st.sampled_from([None, 0, 1]))
+    if decimals is not None:
+        x = np.round(x, decimals)
+    return x * draw(st.sampled_from([1.0, 1e3])) + draw(st.sampled_from([0.0, -7.25, 1e6]))
+
+
+@st.composite
+def small_batches(draw) -> np.ndarray:
+    """An (n, e) batch for m <= 6 whose coordinates hypothesis draws one by one."""
+    m, n = draw(st.integers(3, 6)), draw(st.integers(1, 4))
+    values = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3, allow_nan=False))
+    return draw(hnp.arrays(np.float64, (n, m * (m - 1) // 2), elements=values))
+
+
+class TestBatchedKernels:
+    """The batched kernels against the per-row single-linkage and sorting oracles."""
+
+    def assert_matches_oracles(self, x):
+        projected = project_to_treespace(x)
+        assert projected.shape == x.shape
+        assert np.array_equal(projected, np.stack([single_linkage_projection(row) for row in x]))
+        assert np.array_equal(project_to_treespace(x[0]), projected[0])
+        for batch in (x, projected):
+            violation = ultrametric_violation(batch)
+            assert violation.shape == (len(batch),)
+            assert np.array_equal(violation, [sorted_triple_violation(row) for row in batch])
+            assert ultrametric_violation(batch[-1]) == violation[-1]
+        assert not np.any(ultrametric_violation(projected))
+
+    @given(batches())
+    def test_equal_to_oracles(self, x):
+        self.assert_matches_oracles(x)
+
+    @given(small_batches())
+    def test_equal_to_oracles_on_drawn_coordinates(self, x):
+        self.assert_matches_oracles(x)
+
+    @settings(max_examples=10)
+    @given(batches(m=st.just(60), n=st.integers(1, 4)))
+    def test_equal_to_oracles_at_m60(self, x):
+        self.assert_matches_oracles(x)
+
+    @pytest.mark.parametrize("m,n", [(12, 700), (60, 20)])
+    def test_batches_spanning_several_chunks(self, m, n):
+        e = m * (m - 1) // 2
+        # two chunks of the projection at least; the check's chunks hold fewer rows
+        assert n >= 2 * (_CHUNK_ELEMENTS // (m * m))
+        rng = np.random.default_rng(1600 + m)
+        x = np.round(rng.normal(size=(n, e)), 1) - 0.5
+        self.assert_matches_oracles(x)
+
+    def test_single_row_batch(self):
+        x = np.array([[1.0, 3.0, 2.0]])
+        assert_array_equal(project_to_treespace(x), [[1.0, 2.0, 2.0]])
+        assert_array_equal(ultrametric_violation(x), [1.0])
+        assert isinstance(ultrametric_violation(x[0]), float)
+
+    def test_row_wise_tolerance_and_check(self):
+        x = np.array([[1.0, 2.0, 2.0], [100.0, 200.0, 300.0]])
+        assert_array_equal(default_tolerance(x), [2e-8, 3e-6])
+        assert_array_equal(is_ultrametric(x), [True, False])
+
+    @given(st.one_of(batches(), small_batches()))
+    def test_projection_idempotent_and_exactly_ultrametric(self, x):
+        projected = project_to_treespace(x)
+        assert np.array_equal(project_to_treespace(projected), projected)
+        assert np.all(ultrametric_violation(projected) == 0.0)
+        assert np.all(projected <= x)
+
+    @given(st.one_of(batches(n=st.just(2)), small_batches().filter(lambda x: len(x) >= 2)))
+    def test_projection_non_expansive(self, x):
+        px, py = project_to_treespace(x[:2])
+        assert trop_dist(px, py) <= trop_dist(x[0], x[1])
