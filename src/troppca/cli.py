@@ -11,7 +11,9 @@ from .model import Model, load_model, save_model
 from .pca import FitConfig, TropicalPolytope, fit, objective, project_to_polytope
 from .svgplot import scatter_svg
 from .treespace import (
+    cophenetic_vector,
     default_tolerance,
+    leaf_depths,
     load_newick_file,
     project_to_treespace,
     random_ultrametrics,
@@ -49,17 +51,16 @@ def _load_sample(path, project_inputs: bool = False, normalize_height: bool = Fa
                 f" (missing: {', '.join(missing) or 'none'}; extra: {', '.join(extra) or 'none'})"
             )
 
+    batch = [tree for _, tree in trees]
     if normalize_height:
-        rescaled = []
-        for ln, tree in trees:
-            h = tree.height()
+        heights = leaf_depths(batch).max(axis=1).tolist()
+        for (ln, _), h in zip(trees, heights):
             if h <= 0:
                 raise CliError(f"line {ln}: cannot normalize a tree of height 0")
-            rescaled.append((ln, tree.scaled(1.0 / h)))
-        trees = rescaled
+        batch = [tree.scaled(1.0 / h) for tree, h in zip(batch, heights)]
 
     line_numbers = [ln for ln, _ in trees]
-    vectors = np.array([tree.cophenetic_vector() for _, tree in trees])
+    vectors = cophenetic_vector(batch)
     bad = ultrametric_violation(vectors) > default_tolerance(vectors)
     if bad.any():
         if not project_inputs:
@@ -200,28 +201,29 @@ def cmd_check(args) -> int:
     trees, errors = load_newick_file(args.input)
     if not trees and not errors:
         raise CliError(f"no trees found in {args.input}")
-    vectors = [tree.cophenetic_vector() for _, tree in trees]
-    violations = np.empty(len(trees))
-    for m in {tree.m for _, tree in trees}:  # one batched check per leaf count
-        idx = [i for i, (_, tree) in enumerate(trees) if tree.m == m]
-        violations[idx] = ultrametric_violation(np.array([vectors[i] for i in idx]))
     report = [(ln, f"parse error: {err}") for ln, err in errors]
     n_equidistant = 0
     n_ultrametric = 0
-    for (ln, tree), vec, violation in zip(trees, vectors, violations):
-        gap = tree.equidistance_gap()
-        tol_eq = args.tol if args.tol is not None else default_tolerance(tree.leaf_depths())
-        tol_um = args.tol if args.tol is not None else default_tolerance(vec)
-        equidistant = gap <= tol_eq
-        ultrametric = violation <= tol_um
-        n_equidistant += equidistant
-        n_ultrametric += ultrametric
-        report.append((
-            ln,
-            f"m={tree.m} height={tree.height():.6g}"
-            f" equidistant={'yes' if equidistant else 'no'} (gap={gap:.3g})"
-            f" ultrametric={'yes' if ultrametric else 'no'} (violation={violation:.3g})",
-        ))
+    for m in {tree.m for _, tree in trees}:  # one batch per leaf count
+        lines, batch = zip(*[(ln, tree) for ln, tree in trees if tree.m == m])
+        depths = leaf_depths(batch)
+        vectors = cophenetic_vector(batch)
+        heights = depths.max(axis=1)
+        gaps = heights - depths.min(axis=1)
+        violations = ultrametric_violation(vectors)
+        equidistant = gaps <= (default_tolerance(depths) if args.tol is None else args.tol)
+        ultrametric = violations <= (default_tolerance(vectors) if args.tol is None else args.tol)
+        n_equidistant += int(equidistant.sum())
+        n_ultrametric += int(ultrametric.sum())
+        rows = zip(lines, heights.tolist(), gaps.tolist(), equidistant.tolist(),
+                   violations.tolist(), ultrametric.tolist())
+        for ln, height, gap, eq, violation, um in rows:
+            report.append((
+                ln,
+                f"m={m} height={height:.6g}"
+                f" equidistant={'yes' if eq else 'no'} (gap={gap:.3g})"
+                f" ultrametric={'yes' if um else 'no'} (violation={violation:.3g})",
+            ))
     for ln, text in sorted(report, key=lambda item: item[0]):
         print(f"line {ln}: {text}")
     print(

@@ -26,6 +26,7 @@ __all__ = [
     "parse_newick",
     "load_newick_file",
     "cophenetic_vector",
+    "leaf_depths",
     "pair_order",
     "pair_index",
     "leaf_count_from_dim",
@@ -54,9 +55,8 @@ def pair_order(m: int) -> tuple[tuple[int, int], ...]:
 @lru_cache(maxsize=None)
 def _pair_index_matrix(m: int) -> np.ndarray:
     mat = np.zeros((m, m), dtype=np.intp)
-    for idx, (i, j) in enumerate(pair_order(m)):
-        mat[i, j] = idx
-        mat[j, i] = idx
+    i, j = np.triu_indices(m, 1)
+    mat[i, j] = mat[j, i] = np.arange(len(i))
     mat.setflags(write=False)
     return mat
 
@@ -87,7 +87,11 @@ def default_leaf_names(m: int) -> list[str]:
 
 @dataclass
 class Node:
-    """Tree node; length is the weight of the edge to the parent (0 at the root)."""
+    """Tree node; length is the weight of the edge to the parent (0 at the root).
+
+    A nested view of a tree: ``PhyloTree`` stores trees flat, flattens a
+    Node tree given to it, and builds this view on demand.
+    """
 
     name: str | None = None
     length: float = 0.0
@@ -101,6 +105,13 @@ class Node:
 class PhyloTree:
     """Rooted phylogenetic tree with weighted edges and uniquely labeled leaves.
 
+    The tree is a flat preorder record: per node, the index of its parent
+    (-1 at the root) and the length of the edge to it; the node and the
+    label of each leaf, in leaf (left-to-right) order; and, per pair of
+    consecutive leaves, the node whose ',' separates them, which is their
+    lowest common ancestor.  Depths are summed root-down once, when the
+    record is made.  No method recurses, so trees may nest arbitrarily deep.
+
     ``leaf_names`` fixes the label-to-index assignment for vectorization.
     When omitted, labels are sorted lexicographically, which is the
     convention applied to parsed files; pass an explicit order to keep an
@@ -108,54 +119,71 @@ class PhyloTree:
     """
 
     def __init__(self, root: Node, leaf_names: Sequence[str] | None = None):
-        self.root = root
-        found = [node.name for node in self._walk() if node.is_leaf]
-        if any(name is None for name in found):
+        parent: list[int] = []
+        length: list[float] = []
+        leaves: list[int] = []
+        labels: list[str | None] = []
+        stack = [(root, -1)]
+        while stack:
+            node, up = stack.pop()
+            here = len(parent)
+            parent.append(up)
+            length.append(node.length)
+            if node.children:
+                stack.extend((child, here) for child in reversed(node.children))
+            else:
+                leaves.append(here)
+                labels.append(node.name)
+        if any(name is None for name in labels):
             raise ValueError("every leaf must carry a label")
-        if len(set(found)) != len(found):
-            dupes = sorted({n for n in found if found.count(n) > 1})
-            raise ValueError(f"duplicate leaf labels: {', '.join(dupes)}")
-        if len(found) < 3:
-            raise ValueError(f"need at least 3 leaves, got {len(found)}")
-        if leaf_names is None:
-            leaf_names = sorted(found)
-        elif set(leaf_names) != set(found) or len(leaf_names) != len(found):
+        if not all(value >= 0 for value in length):  # depths must not decrease away from the root
+            raise ValueError("branch lengths must be nonnegative")
+        problem = _label_problem(labels)
+        if problem:
+            raise ValueError(problem)
+        if leaf_names is not None and (set(leaf_names) != set(labels) or len(leaf_names) != len(labels)):
             raise ValueError("leaf_names must be exactly the tree's leaf labels")
-        self.leaf_names: list[str] = list(leaf_names)
-        self._index = {name: i for i, name in enumerate(self.leaf_names)}
+        self._set_record(parent, length, leaves, labels, leaf_names)
+
+    @classmethod
+    def _from_record(cls, parent, length, leaves, labels, leaf_names=None) -> "PhyloTree":
+        """Tree from a preorder record whose leaf labels are already validated."""
+        tree = cls.__new__(cls)
+        tree._set_record(parent, length, leaves, labels, leaf_names)
+        return tree
+
+    def _set_record(self, parent, length, leaves, labels, leaf_names) -> None:
+        self._parent = parent
+        self._length = length
+        self._leaves = leaves
+        self._labels = labels
+        # the node after leaf k in preorder is a child of the separating node
+        self._seps = [parent[leaf + 1] for leaf in leaves[:-1]]
+        depth = [0.0] * len(parent)
+        for i in range(1, len(parent)):  # parents precede their children
+            depth[i] = depth[parent[i]] + length[i]
+        self._depth = depth
+        self.leaf_names: list[str] = sorted(labels) if leaf_names is None else list(leaf_names)
+        position = {name: k for k, name in enumerate(labels)}
+        self._order = [position[name] for name in self.leaf_names]  # leaf position of each index
 
     @property
     def m(self) -> int:
         return len(self.leaf_names)
 
-    def _walk(self):
-        """Iterative preorder traversal (children in given order)."""
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
-
-    def _depths(self) -> dict[int, float]:
-        """Depth (total weight from the root) per node id."""
-        depths = {id(self.root): 0.0}
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            d = depths[id(node)]
-            for child in node.children:
-                depths[id(child)] = d + child.length
-                stack.append(child)
-        return depths
+    @property
+    def root(self) -> Node:
+        """The tree as nested Nodes; a new view, built from the record, on each access."""
+        nodes = [Node(None, length) for length in self._length]
+        for leaf, name in zip(self._leaves, self._labels):
+            nodes[leaf].name = name
+        for i in range(1, len(nodes)):
+            nodes[self._parent[i]].children.append(nodes[i])
+        return nodes[0]
 
     def leaf_depths(self) -> np.ndarray:
         """Root-to-leaf path weights, ordered by leaf index."""
-        depths = self._depths()
-        out = np.zeros(self.m)
-        for node in self._walk():
-            if node.is_leaf:
-                out[self._index[node.name]] = depths[id(node)]
-        return out
+        return leaf_depths(self)
 
     def height(self) -> float:
         return float(self.leaf_depths().max())
@@ -172,72 +200,114 @@ class PhyloTree:
 
     def cophenetic_vector(self) -> np.ndarray:
         """Pairwise leaf-to-leaf path weights in the fixed pair order."""
-        m = self.m
-        mat = _pair_index_matrix(m)
-        depths = self._depths()
-        leaf_depth = self.leaf_depths()
-        out = np.zeros(m * (m - 1) // 2)
-
-        def visit(node: Node) -> list[int]:
-            if node.is_leaf:
-                return [self._index[node.name]]
-            groups = [visit(child) for child in node.children]
-            d_node = depths[id(node)]
-            for ga, gb in itertools.combinations(groups, 2):
-                for i in ga:
-                    for j in gb:
-                        out[mat[i, j]] = leaf_depth[i] + leaf_depth[j] - 2.0 * d_node
-            merged = groups[0]
-            for g in groups[1:]:
-                merged.extend(g)
-            return merged
-
-        visit(self.root)
-        return out
+        return cophenetic_vector(self)
 
     def clades(self) -> list[frozenset[str]]:
-        """Leaf-label set below each internal node, root included."""
+        """Leaf-label set below each internal node, root included, in preorder."""
+        below = [0] * len(self._parent)  # leaves below each node
+        for leaf in self._leaves:
+            below[leaf] = 1
+        for i in range(len(below) - 1, 0, -1):
+            below[self._parent[i]] += below[i]
         out = []
-
-        def visit(node: Node) -> frozenset[str]:
-            if node.is_leaf:
-                return frozenset([node.name])
-            below = frozenset().union(*(visit(c) for c in node.children))
-            out.append(below)
-            return below
-
-        visit(self.root)
+        seen = 0  # leaves before the node; its own leaves follow them in leaf order
+        leaves = set(self._leaves)
+        for i, count in enumerate(below):
+            if i in leaves:
+                seen += 1
+            else:
+                out.append(frozenset(self._labels[seen:seen + count]))
         return out
 
     def scaled(self, factor: float) -> "PhyloTree":
         """Copy of the tree with every branch length multiplied by factor."""
-
-        def copy(node: Node) -> Node:
-            return Node(node.name, node.length * factor, [copy(c) for c in node.children])
-
-        return PhyloTree(copy(self.root), self.leaf_names)
+        if not factor >= 0:
+            raise ValueError(f"scale factor must be nonnegative, got {factor}")
+        length = [value * factor for value in self._length]
+        return PhyloTree._from_record(self._parent, length, self._leaves, self._labels, self.leaf_names)
 
     def to_newick(self) -> str:
         """Newick text with branch lengths at 12 significant digits."""
-
-        def fmt(node: Node, is_root: bool) -> str:
-            if node.is_leaf:
-                body = node.name
+        length = self._length
+        names = dict(zip(self._leaves, self._labels))
+        out: list[str] = []
+        open_nodes: list[int] = []  # internal nodes whose ')' is still to come
+        for i, up in enumerate(self._parent):
+            while open_nodes and open_nodes[-1] != up:
+                out.append(f"):{length[open_nodes.pop()]:.12g}")
+            if i != up + 1:  # not the first child
+                out.append(",")
+            if i in names:
+                out.append(f"{names[i]}:{length[i]:.12g}")
             else:
-                body = "(" + ",".join(fmt(c, False) for c in node.children) + ")"
-            if is_root:
-                return body
-            return f"{body}:{node.length:.12g}"
-
-        return fmt(self.root, True) + ";"
+                out.append("(")
+                open_nodes.append(i)
+        while len(open_nodes) > 1:
+            out.append(f"):{length[open_nodes.pop()]:.12g}")
+        return "".join(out) + ");"
 
     def __repr__(self) -> str:
         return f"PhyloTree(m={self.m}, height={self.height():.6g})"
 
 
-def cophenetic_vector(tree: PhyloTree) -> np.ndarray:
-    """Pairwise leaf-to-leaf path weights of a tree (module-level alias)."""
-    return tree.cophenetic_vector()
+def _label_problem(labels: list[str]) -> str | None:
+    """Why labels cannot name the leaves of a tree (duplicates, fewer than 3), or None."""
+    if len(set(labels)) != len(labels):
+        dupes = sorted({n for n in labels if labels.count(n) > 1})
+        return f"duplicate leaf labels: {', '.join(dupes)}"
+    if len(labels) < 3:
+        return f"need at least 3 leaves, got {len(labels)}"
+    return None
+
+
+def _tree_batch(trees) -> tuple[list[PhyloTree], int, bool]:
+    """(trees as a list, their shared leaf count, whether trees was a batch) for one tree or a sequence."""
+    batched = not isinstance(trees, PhyloTree)
+    batch = list(trees) if batched else [trees]
+    if not batch:
+        raise ValueError("expected at least one tree")
+    m = batch[0].m
+    if any(tree.m != m for tree in batch):
+        raise ValueError("every tree of a batch must have the same number of leaves")
+    return batch, m, batched
+
+
+def leaf_depths(trees) -> np.ndarray:
+    """Root-to-leaf path weights by leaf index: an (m,) vector for one tree, (n, m) for a sequence."""
+    batch, _, batched = _tree_batch(trees)
+    out = np.array([[tree._depth[tree._leaves[k]] for k in tree._order] for tree in batch])
+    return out if batched else out[0]
+
+
+def cophenetic_vector(trees) -> np.ndarray:
+    """Pairwise leaf-to-leaf path weights in the fixed pair order.
+
+    trees is one tree (the result is a vector) or a sequence of trees on
+    the same number of leaves (an (n, e) batch, one row per tree).  The
+    weight of leaves i and j is d_i + d_j - 2 l, with d the root-to-leaf
+    depths and l the depth of their lowest common ancestor.  The ancestor
+    of the leaves at positions a < b in leaf order is the shallowest of the
+    nodes separating consecutive leaves a..b-1 (Bender & Farach-Colton
+    2000), and no depth falls below an ancestor's, so l is a running
+    minimum over separator depths that selects the ancestor's own depth.
+    Every entry is thus the same sum of the same floats as a walk over the
+    tree gives.  Rows go in chunks of about _CHUNK_ELEMENTS entries.
+    """
+    batch, m, batched = _tree_batch(trees)
+    iu, ju = np.triu_indices(m, 1)  # the pair order, as leaf indices
+    by_position = _pair_index_matrix(m)
+    out = np.empty((len(batch), len(iu)))
+    for part in _chunks(len(batch), len(iu)):
+        chunk = batch[part]
+        order = np.array([tree._order for tree in chunk])
+        depth = np.array([[tree._depth[k] for k in tree._leaves] for tree in chunk])
+        sep = np.array([[tree._depth[k] for k in tree._seps] for tree in chunk])
+        # ancestor depths of the leaves at positions (a, b), a < b, in the pair order
+        lca = np.concatenate([np.minimum.accumulate(sep[:, a:], axis=1) for a in range(m - 1)], axis=1)
+        lca = np.take_along_axis(lca, by_position[order[:, iu], order[:, ju]], axis=1)
+        depth = np.take_along_axis(depth, order, axis=1)
+        out[part] = depth[:, iu] + depth[:, ju] - 2.0 * lca
+    return out if batched else out[0]
 
 
 def topology_signature(tree: PhyloTree) -> str:
@@ -254,8 +324,14 @@ def topology_signature(tree: PhyloTree) -> str:
 # ---------------------------------------------------------------------------
 # Newick parsing
 
-_LABEL_RE = re.compile(r"[A-Za-z0-9_.]+")
-_NUMBER_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
+_LABEL = r"[A-Za-z0-9_.]+"
+_NUMBER = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+# One token after blanks: (1) a leaf label, or a ')' with the internal label
+# right after it, each with its optional (2) ':' and (3) branch length; or
+# (4) any other character; or the end of the text, where no group is set.
+_TOKEN_RE = re.compile(
+    rf"[ \t]*(?:({_LABEL}|\)(?:{_LABEL})?)(?:[ \t]*(:)[ \t]*({_NUMBER})?)?|(.)|\Z)", re.DOTALL
+)
 
 
 class NewickError(ValueError):
@@ -266,63 +342,14 @@ class NewickError(ValueError):
         self.offset = offset
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def peek(self) -> str:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def error(self, message: str) -> NewickError:
-        return NewickError(message, self.pos)
-
-    def parse_label(self) -> str | None:
-        match = _LABEL_RE.match(self.text, self.pos)
-        if match is None:
-            return None
-        self.pos = match.end()
-        return match.group()
-
-    def parse_length(self) -> float:
-        if self.peek() != ":":
-            return 0.0
-        self.pos += 1
-        self.peek()
-        match = _NUMBER_RE.match(self.text, self.pos)
-        if match is None:
-            raise self.error("malformed branch length")
-        value = float(match.group())
-        if not math.isfinite(value):
-            raise self.error("non-finite branch length")
-        if value < 0:
-            raise self.error("negative branch length")
-        self.pos = match.end()
-        return value
-
-    def parse_element(self) -> Node:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            children = [self.parse_element()]
-            while True:
-                ch = self.peek()
-                if ch == ",":
-                    self.pos += 1
-                    children.append(self.parse_element())
-                elif ch == ")":
-                    self.pos += 1
-                    break
-                else:
-                    raise self.error("expected ',' or ')'")
-            self.parse_label()  # internal labels are ignored
-            return Node(None, self.parse_length(), children)
-        label = self.parse_label()
-        if label is None:
-            raise self.error("expected a leaf label or '('")
-        return Node(label, self.parse_length(), [])
+def _token_error(text: str, k: int, message: str, at_length: bool = False) -> NewickError:
+    """Error at the k-th token of text, past its blanks, or at its branch length (or where one should be)."""
+    match = next(itertools.islice(_TOKEN_RE.finditer(text), k, None))
+    if at_length:
+        offset = match.start(3) if match.group(3) else match.end()
+    else:
+        offset = match.end() - len(match.group().lstrip(" \t"))
+    return NewickError(message, offset)
 
 
 def parse_newick(text: str) -> PhyloTree:
@@ -330,35 +357,63 @@ def parse_newick(text: str) -> PhyloTree:
 
     Missing branch lengths default to 0; internal node labels are dropped.
     Leaf indices are assigned by sorting labels lexicographically.  Raises
-    NewickError with a character offset on malformed input, duplicate leaf
-    labels, or fewer than 3 leaves.
+    NewickError with a character offset on malformed input, a negative or
+    non-finite branch length, duplicate leaf labels, fewer than 3 leaves,
+    or a root-to-leaf depth that overflows to infinity.  One pass over the
+    tokens, with an explicit stack, so nesting depth is unlimited.
     """
-    parser = _Parser(text)
-    root = parser.parse_element()
-    if parser.peek() != ";":
-        raise parser.error("expected ';'")
-    terminator = parser.pos
-    parser.pos += 1
-    if parser.peek() != "":
-        raise parser.error("trailing characters after ';'")
+    parent: list[int] = []
+    length: list[float] = []
+    leaves: list[int] = []
+    labels: list[str] = []
+    open_nodes: list[int] = []  # internal nodes whose ')' is still to come
+    expect_element = True  # after '(' or ','; otherwise after a complete element
+    tokens = _TOKEN_RE.findall(text)
+    # the loop ends at the ';' that closes the root: the end token is an error in every state
+    for terminator, (head, colon, number, char) in enumerate(tokens):
+        if expect_element:
+            node = len(parent)
+            if char == "(":
+                parent.append(open_nodes[-1] if open_nodes else -1)
+                length.append(0.0)
+                open_nodes.append(node)
+                continue
+            if not head or head[0] == ")":
+                raise _token_error(text, terminator, "expected a leaf label or '('")
+            parent.append(open_nodes[-1] if open_nodes else -1)
+            length.append(0.0)
+            leaves.append(node)
+            labels.append(head)
+            expect_element = False
+        elif char == "," and open_nodes:
+            expect_element = True
+            continue
+        elif head[:1] == ")" and open_nodes:
+            node = open_nodes.pop()
+        elif char == ";" and not open_nodes:
+            break
+        else:
+            raise _token_error(text, terminator, "expected ',' or ')'" if open_nodes else "expected ';'")
+        if colon:
+            if not number:
+                raise _token_error(text, terminator, "malformed branch length", at_length=True)
+            value = float(number)
+            if not math.isfinite(value):
+                raise _token_error(text, terminator, "non-finite branch length", at_length=True)
+            if value < 0:
+                raise _token_error(text, terminator, "negative branch length", at_length=True)
+            length[node] = value
+    head, _, _, char = tokens[terminator + 1]  # the end of the text, or what follows the ';'
+    if head or char:
+        raise _token_error(text, terminator + 1, "trailing characters after ';'")
 
-    names = [n.name for n in _walk_nodes(root) if not n.children]
-    if any(name is None for name in names):
-        raise NewickError("leaf without a label", terminator)
-    if len(set(names)) != len(names):
-        dupes = sorted({n for n in names if names.count(n) > 1})
-        raise NewickError(f"duplicate leaf labels: {', '.join(dupes)}", terminator)
-    if len(names) < 3:
-        raise NewickError(f"need at least 3 leaves, got {len(names)}", terminator)
-    return PhyloTree(root)
-
-
-def _walk_nodes(root: Node):
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(node.children)
+    problem = _label_problem(labels)
+    if problem:
+        raise _token_error(text, terminator, problem)
+    tree = PhyloTree._from_record(parent, length, leaves, labels)
+    if max(tree._depth) == math.inf:
+        raise _token_error(text, terminator, "non-finite root-to-leaf depth")
+    return tree
 
 
 def load_newick_file(path) -> tuple[list[tuple[int, PhyloTree]], list[tuple[int, NewickError]]]:
@@ -546,17 +601,17 @@ def reconstruct_tree(u, names: Sequence[str] | None = None, tol: float | None = 
         )
     if np.min(u) <= 0:
         raise ValueError("all entries must be positive to realize a tree")
-    if names is None:
-        names = default_leaf_names(m)
+    names = default_leaf_names(m) if names is None else [str(name) for name in names]
     if len(names) != m or len(set(names)) != m:
         raise ValueError(f"need {m} distinct leaf names")
 
     pairs = pair_order(m)
+    values = u.tolist()
     height_tol = tol / 2.0
-    nodes: list[Node] = [Node(str(name)) for name in names]
-    heights: dict[int, float] = {id(node): 0.0 for node in nodes}
-    parent = list(range(m))
-    roots: list[Node] = list(nodes)
+    children: list[list[int]] = [[] for _ in range(m)]  # per cluster: leaves 0..m-1, then merges
+    heights = [0.0] * m
+    parent = list(range(m))  # union-find over leaves
+    cluster = list(range(m))  # the cluster each union-find root stands for
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -564,26 +619,37 @@ def reconstruct_tree(u, names: Sequence[str] | None = None, tol: float | None = 
             a = parent[a]
         return a
 
-    for idx in np.argsort(u, kind="stable"):
+    for idx in np.argsort(u, kind="stable").tolist():
         i, j = pairs[idx]
         ri, rj = find(i), find(j)
         if ri == rj:
             continue
-        h = u[idx] / 2.0
-        children: list[Node] = []
+        h = values[idx] / 2.0
+        merged: list[int] = []
         for r in (ri, rj):
-            top = roots[r]
-            if not top.is_leaf and h - heights[id(top)] <= height_tol:
-                children.extend(top.children)  # same merge height: flatten
+            top = cluster[r]
+            if children[top] and h - heights[top] <= height_tol:
+                merged.extend(children[top])  # same merge height: flatten
             else:
-                children.append(top)
-        merged = Node(None, 0.0, children)
-        heights[id(merged)] = h
+                merged.append(top)
+        children.append(merged)
+        heights.append(h)
         parent[rj] = ri
-        roots[ri] = merged
+        cluster[ri] = len(children) - 1
 
-    root = roots[find(0)]
-    for node in _walk_nodes(root):
-        for child in node.children:
-            child.length = heights[id(node)] - heights[id(child)]
-    return PhyloTree(root, list(names))
+    record_parent: list[int] = []
+    record_length: list[float] = []
+    leaves: list[int] = []
+    labels: list[str] = []
+    stack = [(cluster[find(0)], -1, 0.0)]
+    while stack:
+        top, up, edge = stack.pop()
+        here = len(record_parent)
+        record_parent.append(up)
+        record_length.append(edge)
+        if children[top]:
+            stack.extend((c, here, heights[top] - heights[c]) for c in reversed(children[top]))
+        else:
+            leaves.append(here)
+            labels.append(names[top])
+    return PhyloTree._from_record(record_parent, record_length, leaves, labels, names)

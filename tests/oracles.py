@@ -4,9 +4,11 @@ These deliberately avoid the library's algorithms: the projection oracles
 enumerate generating rays or merge clusters by single linkage instead of
 growing a minimum spanning tree, the three-point oracle sorts each triple
 instead of selecting its top two, the distance oracle walks tree paths
-instead of using depth arithmetic, and the subgradient oracle enumerates
-tied selections one by one instead of averaging over tied sets in closed
-form.
+instead of using depth arithmetic, the Newick oracle is a recursive-descent
+parser building nested nodes and its cophenetic oracle a recursive walk
+over them instead of one flat scan and a range-minimum kernel, and the
+subgradient oracle enumerates tied selections one by one instead of
+averaging over tied sets in closed form.
 """
 
 from __future__ import annotations
@@ -14,10 +16,143 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 
-from troppca.treespace import leaf_count_from_dim, pair_order
+from troppca.treespace import NewickError, Node, leaf_count_from_dim, pair_order
+
+_LABEL_RE = re.compile(r"[A-Za-z0-9_.]+")
+_NUMBER_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
+
+
+class _RecursiveNewickParser:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def peek(self) -> str:
+        while self.pos < len(self.text) and self.text[self.pos] in " \t":
+            self.pos += 1
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def error(self, message: str) -> NewickError:
+        return NewickError(message, self.pos)
+
+    def parse_label(self) -> str | None:
+        match = _LABEL_RE.match(self.text, self.pos)
+        if match is None:
+            return None
+        self.pos = match.end()
+        return match.group()
+
+    def parse_length(self) -> float:
+        if self.peek() != ":":
+            return 0.0
+        self.pos += 1
+        self.peek()
+        match = _NUMBER_RE.match(self.text, self.pos)
+        if match is None:
+            raise self.error("malformed branch length")
+        value = float(match.group())
+        if not math.isfinite(value):
+            raise self.error("non-finite branch length")
+        if value < 0:
+            raise self.error("negative branch length")
+        self.pos = match.end()
+        return value
+
+    def parse_element(self) -> Node:
+        ch = self.peek()
+        if ch == "(":
+            self.pos += 1
+            children = [self.parse_element()]
+            while True:
+                ch = self.peek()
+                if ch == ",":
+                    self.pos += 1
+                    children.append(self.parse_element())
+                elif ch == ")":
+                    self.pos += 1
+                    break
+                else:
+                    raise self.error("expected ',' or ')'")
+            self.parse_label()  # internal labels are ignored
+            return Node(None, self.parse_length(), children)
+        label = self.parse_label()
+        if label is None:
+            raise self.error("expected a leaf label or '('")
+        return Node(label, self.parse_length(), [])
+
+
+def recursive_parse_newick(text: str) -> tuple[Node, list[str]]:
+    """(root, sorted leaf labels) of one Newick expression, by recursive descent.
+
+    Raises NewickError with the same messages and offsets the library
+    parser gives, except that it does not check depths for overflow.
+    """
+    parser = _RecursiveNewickParser(text)
+    root = parser.parse_element()
+    if parser.peek() != ";":
+        raise parser.error("expected ';'")
+    terminator = parser.pos
+    parser.pos += 1
+    if parser.peek() != "":
+        raise parser.error("trailing characters after ';'")
+    names = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            names.append(node.name)
+        stack.extend(node.children)
+    if len(set(names)) != len(names):
+        dupes = sorted({n for n in names if names.count(n) > 1})
+        raise NewickError(f"duplicate leaf labels: {', '.join(dupes)}", terminator)
+    if len(names) < 3:
+        raise NewickError(f"need at least 3 leaves, got {len(names)}", terminator)
+    return root, sorted(names)
+
+
+def recursive_cophenetic_vector(root: Node, leaf_names: list[str], factor: float | None = None) -> np.ndarray:
+    """Cophenetic vector by a recursive walk that merges leaf groups at each node.
+
+    With factor, every branch length is multiplied by it first.  Depths are
+    summed root-down and each pair across two child groups gets
+    d_i + d_j - 2 d(node), as the library's kernel must reproduce bit for bit.
+    """
+    index = {name: i for i, name in enumerate(leaf_names)}
+    m = len(leaf_names)
+    position = {pair: k for k, pair in enumerate(pair_order(m))}
+    depths = {id(root): 0.0}
+    leaf_depth = np.zeros(m)
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        for child in node.children:
+            length = child.length if factor is None else child.length * factor
+            depths[id(child)] = depths[id(node)] + length
+            stack.append(child)
+        if node.is_leaf:
+            leaf_depth[index[node.name]] = depths[id(node)]
+    out = np.zeros(m * (m - 1) // 2)
+
+    def visit(node: Node) -> list[int]:
+        if node.is_leaf:
+            return [index[node.name]]
+        groups = [visit(child) for child in node.children]
+        d_node = depths[id(node)]
+        for ga, gb in itertools.combinations(groups, 2):
+            for i in ga:
+                for j in gb:
+                    out[position[min(i, j), max(i, j)]] = leaf_depth[i] + leaf_depth[j] - 2.0 * d_node
+        merged = groups[0]
+        for g in groups[1:]:
+            merged.extend(g)
+        return merged
+
+    visit(root)
+    return out
 
 
 def single_linkage_projection(x: np.ndarray) -> np.ndarray:
@@ -141,18 +276,39 @@ def clade_ray_combination(x: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
+def nested_clades(root: Node) -> list[tuple[str, ...]]:
+    """Sorted leaf labels below each internal node of a Node tree, each subtree collected on its own."""
+    out = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        stack.extend(node.children)
+        if node.children:
+            below, todo = [], [node]
+            while todo:
+                item = todo.pop()
+                todo.extend(item.children)
+                if item.is_leaf:
+                    below.append(item.name)
+            out.append(tuple(sorted(below)))
+    return sorted(out)
+
+
 def path_weight(tree, name_a: str, name_b: str) -> float:
     """Leaf-to-leaf path weight by explicit path walking (no depth formula)."""
     parents = {}
+    leaves = {}
     stack = [tree.root]
     while stack:
         node = stack.pop()
+        if node.is_leaf:
+            leaves[node.name] = node
         for child in node.children:
             parents[id(child)] = node
             stack.append(child)
 
     def path_to_root(name):
-        node = next(n for n in tree._walk() if n.is_leaf and n.name == name)
+        node = leaves[name]
         path = [node]
         while id(node) in parents:
             node = parents[id(node)]

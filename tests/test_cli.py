@@ -18,6 +18,10 @@ from troppca.treespace import (
 )
 
 
+# finite lengths whose root-to-leaf sums overflow; the ';' is at offset 35
+OVERFLOWING_TREE = "((a:1e308,b:1e308):1e308,c:1.5e308);"
+
+
 @pytest.fixture
 def sample_file(tmp_path):
     path = tmp_path / "sample.nwk"
@@ -98,6 +102,25 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "line 1: parse error: non-finite branch length at offset 4" in out
         assert "inf" not in out and "nan" not in out
+
+    def test_overflowing_depth_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "trees.nwk"
+        path.write_text(f"{OVERFLOWING_TREE}\n((a:1,b:1):1,c:2);\n")
+        assert main(["check", "--input", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "line 1: parse error: non-finite root-to-leaf depth at offset 35" in out
+        assert "inf" not in out and "nan" not in out
+
+    def test_deeply_nested_tree(self, tmp_path, capsys):
+        path = tmp_path / "deep.nwk"
+        path.write_text("(" * 1500 + "((a:1,b:1):1,c:2)" + ")" * 1500 + ";\n")
+        assert main(["check", "--input", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "line 1: m=3 height=2 equidistant=yes (gap=0) ultrametric=yes (violation=0)",
+            "checked 1 trees: 1 equidistant, 1 ultrametric, 0 parse errors",
+        ]
+        assert captured.err == ""
 
     def test_empty_file(self, tmp_path, capsys):
         path = tmp_path / "empty.nwk"
@@ -189,6 +212,14 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: line 2: non-finite branch length at offset 4"]
 
+    def test_overflowing_depth_fails_with_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "trees.nwk"
+        path.write_text(f"((a:1,b:1):1,c:2);\n{OVERFLOWING_TREE}\n")
+        code = main(["fit", "--input", str(path), "--s", "2", "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: line 2: non-finite root-to-leaf depth at offset 35"]
+
 
 class TestEval:
     def test_eval_matches_fit_output(self, tmp_path, sample_file, capsys):
@@ -229,6 +260,15 @@ class TestEval:
         main(["eval", "--model", str(model_path), "--input", str(permuted)])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_overflowing_depth_fails_with_one_line_error(self, tmp_path, sample_file, capsys):
+        model_path, _ = fit_model(tmp_path, sample_file)
+        path = tmp_path / "trees.nwk"
+        path.write_text(f"{OVERFLOWING_TREE}\n")
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model_path), "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: line 1: non-finite root-to-leaf depth at offset 35"]
 
     def test_leaf_set_mismatch_names_difference(self, tmp_path, sample_file, capsys):
         model_path, _ = fit_model(tmp_path, sample_file)

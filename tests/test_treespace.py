@@ -9,8 +9,11 @@ from oracles import (
     clade_ray_combination,
     enumerate_extreme_clades,
     extreme_clade_vector,
+    nested_clades,
     path_weight,
     project_by_ray_enumeration,
+    recursive_cophenetic_vector,
+    recursive_parse_newick,
     single_linkage_projection,
     sorted_triple_violation,
 )
@@ -18,7 +21,9 @@ from troppca.tropical import trop_dist
 from troppca.treespace import (
     _CHUNK_ELEMENTS,
     NewickError,
+    Node,
     PhyloTree,
+    cophenetic_vector,
     default_leaf_names,
     default_tolerance,
     is_ultrametric,
@@ -112,6 +117,17 @@ class TestNewickParsing:
         tree = parse_newick("( (1:1, 2:1) :1, 3:2 );")
         assert_array_equal(tree.cophenetic_vector(), [2.0, 4.0, 4.0])
 
+    def test_overflowing_depth_is_an_error_at_the_terminator(self):
+        text = "((a:1e308,b:1e308):1e308,c:1.5e308);"
+        with pytest.raises(NewickError, match="non-finite root-to-leaf depth") as info:
+            parse_newick(text)
+        assert info.value.offset == text.index(";")
+
+    def test_large_lengths_off_any_single_path_are_accepted(self):
+        # the lengths sum to inf, but no root-to-leaf path does; the root's own length is on no path
+        tree = parse_newick("(a:1e308,b:1e308,c:1.7e308):1.7e308;")
+        assert tree.height() == 1.7e308
+
 
 class TestNewickSerialization:
     def test_round_trip_is_exact(self):
@@ -132,6 +148,58 @@ class TestNewickSerialization:
     def test_twelve_significant_digits(self):
         tree = reconstruct_tree(np.array([0.123456789012345, 0.9, 0.9]))
         assert "0.0617283945062" in tree.to_newick()
+
+
+class TestDeepTrees:
+    """Trees nested far beyond the interpreter's recursion limit."""
+
+    M = 1500
+
+    def caterpillar(self) -> str:
+        """(((t0000:1,t0001:1):1,t0002:2):1,...): leaf k joins at height k, so it is equidistant."""
+        text = "(t0000:1,t0001:1)"
+        for k in range(2, self.M):
+            text = f"({text}:1,t{k:04d}:{k})"
+        return text + ";"
+
+    def test_caterpillar(self):
+        text = self.caterpillar()
+        tree = parse_newick(text)
+        assert tree.m == self.M and tree.height() == self.M - 1
+        # leaves i < j meet at height max(j, 1)
+        expected = np.concatenate([2.0 * np.maximum(np.arange(i + 1, self.M), 1) for i in range(self.M - 1)])
+        assert np.array_equal(tree.cophenetic_vector(), expected)
+        assert tree.to_newick() == text
+        assert np.array_equal(parse_newick(tree.to_newick()).cophenetic_vector(), expected)
+        signature = topology_signature(tree)
+        assert signature.count("{") == self.M - 1
+        assert signature.startswith("{t0000,t0001}|{t0000,t0001,t0002}|")
+
+    def test_unary_chain(self):
+        text = "(" * 1500 + "((a:1,b:1):1,c:2)" + ")" * 1500 + ";"
+        tree = parse_newick(text)
+        assert_array_equal(tree.cophenetic_vector(), [2.0, 4.0, 4.0])
+        assert len(tree.clades()) == 1502
+        assert tree.scaled(0.5).height() == 1.0
+        assert parse_newick(tree.to_newick()).to_newick() == tree.to_newick()
+        assert tree.root.children[0].children[0].length == 0.0
+
+
+class TestPhyloTreeFromNodes:
+    def test_flattens_and_views_back(self):
+        root = Node(None, 0.0, [Node(None, 1.0, [Node("b", 1.0), Node("a", 1.0)]), Node("c", 2.0)])
+        tree = PhyloTree(root)
+        assert tree.leaf_names == ["a", "b", "c"]
+        assert tree.to_newick() == "((b:1,a:1):1,c:2);"
+        assert tree.root == root
+        assert_array_equal(tree.cophenetic_vector(), [2.0, 4.0, 4.0])
+
+    @pytest.mark.parametrize("length", [-1.0, float("nan")])
+    def test_rejects_negative_and_nan_lengths(self, length):
+        with pytest.raises(ValueError, match="nonnegative"):
+            PhyloTree(Node(None, 0.0, [Node("a", length), Node("b"), Node("c")]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            parse_newick("(a,b,c);").scaled(length)
 
 
 class TestLoadFile(object):
@@ -174,6 +242,126 @@ class TestCopheneticVector:
         skewed = parse_newick("((1:1,2:1):1,3:5);")
         assert skewed.equidistance_gap() == pytest.approx(3.0)
         assert not skewed.is_equidistant()
+
+
+BLANKS = st.sampled_from(["", "", " ", "\t", " \t "])
+LABELS = st.lists(st.from_regex(r"[A-Za-z0-9_.]{1,3}", fullmatch=True), min_size=3, max_size=9, unique=True)
+LENGTHS = st.one_of(
+    st.none(),
+    st.just(0),
+    st.just(0.0),
+    st.integers(0, 1000),
+    st.floats(0, 100, allow_nan=False, allow_infinity=False),
+)
+SHORT_LENGTHS = st.one_of(st.none(), st.just(0), st.integers(0, 10**6).map(lambda k: k / 1000))
+
+
+@st.composite
+def newick_texts(draw, labels, lengths=LENGTHS) -> str:
+    """Newick text of a random multifurcating tree on labels.
+
+    Blanks go wherever the format allows them, lengths may be missing or
+    zero, internal nodes may carry labels or have one child, and the root
+    may carry a length.
+    """
+
+    def length() -> str:
+        value = draw(lengths)
+        return "" if value is None else f"{draw(BLANKS)}:{draw(BLANKS)}{value!r}"
+
+    def node(children: list[str]) -> str:
+        text = ",".join(draw(BLANKS) + child + draw(BLANKS) for child in children)
+        internal = draw(st.one_of(st.just(""), st.from_regex(r"[A-Za-z0-9_.]{1,3}", fullmatch=True)))
+        return f"({text}){internal}{length()}"
+
+    def maybe_unary(text: str) -> str:
+        return node([text]) if draw(st.integers(0, 4)) == 0 else text
+
+    items = [maybe_unary(label + length()) for label in labels]
+    while len(items) > 1:
+        k = draw(st.integers(2, min(4, len(items))))
+        start = draw(st.integers(0, len(items) - k))
+        items[start:start + k] = [maybe_unary(node(items[start:start + k]))]
+    return draw(BLANKS) + items[0] + draw(BLANKS) + ";" + draw(BLANKS)
+
+
+def oracle_vector(text: str, factor=None) -> tuple[list[str], np.ndarray]:
+    root, names = recursive_parse_newick(text)
+    return names, recursive_cophenetic_vector(root, names, factor)
+
+
+def assert_parses_like_the_oracle(text: str) -> None:
+    """Same leaf names and vector, or the same NewickError message and offset."""
+    try:
+        names, expected = oracle_vector(text)
+    except NewickError as err:
+        with pytest.raises(NewickError) as info:
+            parse_newick(text)
+        assert (str(info.value), info.value.offset) == (str(err), err.offset)
+    else:
+        tree = parse_newick(text)
+        assert tree.leaf_names == names
+        assert np.array_equal(tree.cophenetic_vector(), expected)
+
+
+class TestNewickAgainstRecursiveOracle:
+    """The flat scanner and the batched kernel against the recursive parser and walk."""
+
+    @given(st.data())
+    def test_trees_vectorize_like_the_recursive_walk(self, data):
+        labels = data.draw(LABELS)
+        texts = data.draw(st.lists(newick_texts(labels), min_size=1, max_size=4))
+        factors = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=len(texts), max_size=len(texts)))
+        trees = [parse_newick(text) for text in texts]
+        for tree, text, factor in zip(trees, texts, factors):
+            names, expected = oracle_vector(text)
+            assert tree.leaf_names == names
+            assert sorted(tuple(sorted(c)) for c in tree.clades()) == nested_clades(recursive_parse_newick(text)[0])
+            assert np.array_equal(tree.cophenetic_vector(), expected)
+            assert np.array_equal(cophenetic_vector(tree.scaled(factor)), oracle_vector(text, factor)[1])
+        batch = cophenetic_vector(trees)
+        assert batch.shape == (len(trees), len(labels) * (len(labels) - 1) // 2)
+        assert np.array_equal(batch, [oracle_vector(text)[1] for text in texts])
+        rescaled = cophenetic_vector([tree.scaled(f) for tree, f in zip(trees, factors)])
+        assert np.array_equal(rescaled, [oracle_vector(t, f)[1] for t, f in zip(texts, factors)])
+
+    @given(st.data())
+    def test_one_character_edits_fail_like_the_recursive_parser(self, data):
+        text = data.draw(newick_texts(data.draw(LABELS)))
+        at = data.draw(st.integers(0, len(text)))
+        if data.draw(st.booleans()) or at == len(text):
+            text = text[:at] + data.draw(st.sampled_from("(),:;a1-")) + text[at:]
+        else:
+            text = text[:at] + text[at + 1:]
+        assert_parses_like_the_oracle(text)
+
+    @given(st.data())
+    def test_newick_round_trip_keeps_the_vector(self, data):
+        labels = data.draw(LABELS)
+        tree = parse_newick(data.draw(newick_texts(labels, SHORT_LENGTHS)))
+        again = parse_newick(tree.to_newick())
+        assert again.leaf_names == tree.leaf_names
+        assert np.array_equal(again.cophenetic_vector(), tree.cophenetic_vector())
+        assert again.to_newick() == tree.to_newick()
+        assert topology_signature(again) == topology_signature(tree)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "", " \t", ";", "(", "()", "(a)", "(a,b);", "(a,b,c)", "(a,b,c);;", "(a,b,c); x",
+            "(a,b,c) x;", "(a,b,c)x;", "(a,,b,c);", "(a b,c,d);", "(a:,b,c);", "(a: x,b,c);",
+            "(a:-1,b,c);", "(a:-0,b,c);", "(a:+1e3,b:.5,c:1.);", "(a:1e400,b,c);", "(a:1.5.2,b,c);",
+            "(a:1e,b,c);", "(a,b,a);", "((a,b)\t:\t2 ,c) :1 ;", "(a,b,c)\n;", "(a,b,(c,d)e:1);",
+        ],
+    )
+    def test_fixed_cases_parse_like_the_recursive_parser(self, text):
+        assert_parses_like_the_oracle(text)
+
+    def test_batch_needs_one_leaf_count(self):
+        with pytest.raises(ValueError, match="same number of leaves"):
+            cophenetic_vector([parse_newick("(a,b,c);"), parse_newick("(a,b,c,d);")])
+        with pytest.raises(ValueError, match="at least one tree"):
+            cophenetic_vector([])
 
 
 class TestIsUltrametric:
@@ -375,6 +563,9 @@ class TestTopologySignature:
         a = parse_newick("((1:1,2:1):1,3:2);")
         b = parse_newick("((1:3,2:3):1,3:4);")
         assert topology_signature(a) == topology_signature(b)
+
+    def test_clade_away_from_the_first_leaf(self):
+        assert topology_signature(parse_newick("(1:2,(2:1,3:1):1);")) == "{2,3}|{1,2,3}"
 
     def test_label_order_does_not_matter(self):
         a = parse_newick("((b:1,a:1):1,c:2);")
