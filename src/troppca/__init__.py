@@ -1,10 +1,10 @@
 """Best-fit tropical polytopes for samples of equidistant phylogenetic trees.
 
-The package covers the full pipeline: max-plus arithmetic and the tropical
-metric (``tropical``), Newick ingestion, ultrametric vectors and the
-projection onto tree space (``treespace``), the polytope objective with its
-analytic subgradients and the projected subgradient fit (``pca``), model
-persistence (``model``), and a command-line front end (``cli``).
+The package covers the full pipeline: tropical linear combinations, sectors
+and the tropical metric (``tropical``), Newick ingestion, ultrametric vectors
+and the projection onto tree space (``treespace``), the polytope objective
+with its analytic subgradient and the projected subgradient fit (``pca``),
+model persistence (``model``), and a command-line front end (``cli``).
 """
 
 __version__ = "0.1.0"
@@ -14,10 +14,8 @@ from .tropical import (
     canonicalize,
     sector_of,
     torus_equal,
-    trop_add,
     trop_combine,
     trop_dist,
-    trop_mul,
 )
 from .treespace import (
     NewickError,
@@ -43,9 +41,8 @@ from .pca import (
     FitTrace,
     TropicalPolytope,
     baseline_random_search,
+    evaluate,
     fit,
-    grad_dist,
-    jacobian_w,
     objective,
     project_to_polytope,
     subgradient,
@@ -57,10 +54,8 @@ __all__ = [
     "canonicalize",
     "sector_of",
     "torus_equal",
-    "trop_add",
     "trop_combine",
     "trop_dist",
-    "trop_mul",
     "NewickError",
     "Node",
     "PhyloTree",
@@ -82,9 +77,8 @@ __all__ = [
     "FitTrace",
     "TropicalPolytope",
     "baseline_random_search",
+    "evaluate",
     "fit",
-    "grad_dist",
-    "jacobian_w",
     "objective",
     "project_to_polytope",
     "subgradient",

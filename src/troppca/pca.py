@@ -26,8 +26,7 @@ __all__ = [
     "FitTrace",
     "project_to_polytope",
     "objective",
-    "grad_dist",
-    "jacobian_w",
+    "evaluate",
     "subgradient",
     "fit",
     "baseline_random_search",
@@ -111,72 +110,18 @@ def objective(sample, polytope: TropicalPolytope) -> float:
     return float(np.sum(d.max(axis=1) - d.min(axis=1)))
 
 
-def grad_dist(p, x) -> np.ndarray:
-    """Gradient at x of the tropical distance to p.
+def evaluate(sample, polytope: TropicalPolytope) -> tuple[float, np.ndarray]:
+    """Objective and subgradient at one polytope, from one attribution pass.
 
-    Equals e_t - e_t' with t the first argmax and t' the first argmin of
-    x - p; at a tie-free x this is the exact gradient, at ties it is one
-    valid subgradient, and for x = p (up to a constant) it is zero.
-    Ties keep the lowest index here; subgradient averages over them instead.
-    """
-    p = np.asarray(p, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if p.shape != x.shape or p.ndim != 1:
-        raise ValueError(f"dimension mismatch: {p.shape} vs {x.shape}")
-    d = x - p
-    t = int(np.argmax(d))
-    t_min = int(np.argmin(d))
-    g = np.zeros_like(d)
-    if t != t_min:
-        g[t] = 1.0
-        g[t_min] = -1.0
-    return g
+    Returns (se, g): se equals objective(sample, polytope) exactly, and g
+    holds the subgradient with respect to every vertex, one row per vertex.
 
-
-def _attribution(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-vertex lambda, per-vertex first argmin of u - D_k, per-coordinate winning vertex."""
-    diff = u[None, :] - v
-    lam = diff.min(axis=1)
-    jstar = diff.argmin(axis=1)
-    kstar = (lam[:, None] + v).argmax(axis=0)
-    return lam, jstar, kstar
-
-
-def jacobian_w(u, polytope: TropicalPolytope) -> dict[tuple[int, int, int], float]:
-    """Nonzero partial derivatives of the projection w with respect to the vertices.
-
-    Key (k, l, l2) holds d w[l2] / d D_k[l].  Vertex k contributes to output
-    coordinate l2 only when it wins the max there; within a winning row the
-    entry is +1 on the diagonal l == l2 and -1 in the column of vertex k's
-    minimizing coordinate, and the (l == l2 == argmin) cell stays 0.
-    All argmax/argmin ties break to the lowest index; subgradient averages
-    over tied selections instead, so it equals the composition of this
-    Jacobian with grad_dist only at tie-free points.
-    """
-    v = polytope.vertices
-    u = np.asarray(u, dtype=float)
-    if u.shape != (polytope.e,):
-        raise ValueError(f"dimension mismatch: point has shape {u.shape}, expected ({polytope.e},)")
-    _, jstar, kstar = _attribution(u, v)
-    entries: dict[tuple[int, int, int], float] = {}
-    for l2 in range(polytope.e):
-        k = int(kstar[l2])
-        j = int(jstar[k])
-        if l2 == j:
-            continue
-        entries[(k, j, l2)] = -1.0
-        entries[(k, l2, l2)] = 1.0
-    return entries
-
-
-def subgradient(sample, polytope: TropicalPolytope) -> np.ndarray:
-    """Subgradient of the objective with respect to every vertex, one row per vertex.
-
-    Chains the distance gradient through the projection map by direct
-    accumulation (the sparse Jacobian is never materialized).  Observation i
-    contributes +1 at the largest and -1 at the smallest coordinate t of
-    w_i - u_i; each goes to the vertex k* that wins the max in w_i[t], as +1
-    at t and -1 at k*'s minimizing coordinate j* of u_i - D_k*.
+    The subgradient chains the distance gradient through the projection map
+    by direct accumulation (the sparse Jacobian is never materialized).
+    Observation i contributes +1 at the largest and -1 at the smallest
+    coordinate t of w_i - u_i; each goes to the vertex k* that wins the max
+    in w_i[t], as +1 at t and -1 at k*'s minimizing coordinate j* of
+    u_i - D_k*.
 
     Tie rule: each of these selections (largest t, smallest t, k* and j*)
     is averaged over its tied set instead of taken at the lowest index.
@@ -195,17 +140,24 @@ def subgradient(sample, polytope: TropicalPolytope) -> np.ndarray:
     diff = u[:, None, :] - v[None, :, :]
     lam = diff.min(axis=2)
     jtied = diff <= (lam + tol)[:, :, None]
-    contrib = lam[:, :, None] + v[None, :, :]
-    w = contrib.max(axis=1)
+    w = lam[:, 0, None] + v[0]
+    for k in range(1, s):
+        np.maximum(w, lam[:, k, None] + v[k], out=w)
     d = w - u
-    top = d >= (d.max(axis=1) - tol)[:, None]
-    bottom = d <= (d.min(axis=1) + tol)[:, None]
-    # c[i, t]: averaged distance gradient; zero off the tied sets and for
-    # observations on the polytope
-    c = top / top.sum(axis=1, keepdims=True) - bottom / bottom.sum(axis=1, keepdims=True)
-    rows, cols = np.nonzero(c)
-    ktied = contrib[rows, :, cols] >= (w[rows, cols] - tol)[:, None]
-    a = ktied * (c[rows, cols] / ktied.sum(axis=1))[:, None]  # a[p, k]: share routed to vertex k
+    dmax = d.max(axis=1)
+    dmin = d.min(axis=1)
+    # d is the exact negation of objective's u - w, so this sum is its value
+    se = float(np.sum(dmax - dmin))
+    top = d >= (dmax - tol)[:, None]
+    bottom = d <= (dmin + tol)[:, None]
+    # c: averaged distance gradient at the cells where it is nonzero; it
+    # vanishes off the tied sets and for observations on the polytope
+    rows, cols = np.nonzero(top | bottom)
+    c = top[rows, cols] / top.sum(axis=1)[rows] - bottom[rows, cols] / bottom.sum(axis=1)[rows]
+    keep = c != 0
+    rows, cols, c = rows[keep], cols[keep], c[keep]
+    ktied = lam[rows, :] + v[:, cols].T >= (w[rows, cols] - tol)[:, None]
+    a = ktied * (c / ktied.sum(axis=1))[:, None]  # a[p, k]: share routed to vertex k
     g = np.empty_like(v)
     routed = np.empty((n, s))  # total share each observation routes to each vertex
     for k in range(s):
@@ -213,7 +165,12 @@ def subgradient(sample, polytope: TropicalPolytope) -> np.ndarray:
         routed[:, k] = np.bincount(rows, a[:, k], minlength=n)
     # the -1 at j* is spread over the tied minimizers; when t itself is j*
     # the two entries cancel, so that cell needs no special case
-    return g - np.einsum("nse,ns->se", jtied, routed / jtied.sum(axis=2))
+    return se, g - np.einsum("nse,ns->se", jtied, routed / jtied.sum(axis=2))
+
+
+def subgradient(sample, polytope: TropicalPolytope) -> np.ndarray:
+    """Subgradient of the objective with respect to every vertex, one row per vertex (see evaluate)."""
+    return evaluate(sample, polytope)[1]
 
 
 @dataclass(frozen=True)
@@ -234,8 +191,8 @@ class FitConfig:
             raise ValueError(f"s must be at least 2, got {self.s}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.lr0 <= 0:
-            raise ValueError("lr0 must be positive")
+        if not (np.isfinite(self.lr0) and self.lr0 > 0):
+            raise ValueError(f"lr0 must be positive and finite, got {self.lr0}")
         if not 0 < self.decay <= 1:
             raise ValueError("decay must lie in (0, 1]")
         if self.init not in ("sample-points", "user-supplied"):
@@ -281,9 +238,11 @@ def fit(sample, cfg: FitConfig) -> tuple[TropicalPolytope, FitTrace]:
     user-supplied vertices), then iterates t = 0..max_iters-1 with step
     alpha_t = lr0 * decay**t: every vertex (simultaneous mode) or one
     round-robin vertex (cyclic mode) moves to
-    project_to_treespace(D_k - alpha_t * g_k).  The returned polytope is the
-    best iterate by objective value, which for a subgradient method is not
-    necessarily the last.  Runs are deterministic given (sample, cfg).
+    project_to_treespace(D_k - alpha_t * g_k).  Each iterate is evaluated
+    once: evaluate gives its objective for the trace and its subgradient g
+    for the next step.  The returned polytope is the best iterate by
+    objective value, which for a subgradient method is not necessarily the
+    last.  Runs are deterministic given (sample, cfg).
     """
     u = _sample_matrix(sample)
     n, e = u.shape
@@ -304,13 +263,12 @@ def fit(sample, cfg: FitConfig) -> tuple[TropicalPolytope, FitTrace]:
         _validate_ultrametric_rows(vertices, "initial vertices")
 
     polytope = TropicalPolytope(vertices)
-    best_se = objective(u, polytope)
+    best_se, g = evaluate(u, polytope)
     best_vertices = polytope.vertices.copy()
     trace = FitTrace(initial_se=best_se, best_se=best_se, best_iteration=-1)
 
     alpha = cfg.lr0
     for t in range(cfg.max_iters):
-        g = subgradient(u, polytope)
         if cfg.update_mode == "simultaneous":
             updated = project_to_treespace(polytope.vertices - alpha * g)
         else:
@@ -318,7 +276,7 @@ def fit(sample, cfg: FitConfig) -> tuple[TropicalPolytope, FitTrace]:
             k = t % cfg.s
             updated[k] = project_to_treespace(updated[k] - alpha * g[k])
         polytope = TropicalPolytope(updated)
-        se = objective(u, polytope)
+        se, g = evaluate(u, polytope)
         improved = se < best_se
         if improved:
             best_se = se

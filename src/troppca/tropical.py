@@ -1,9 +1,9 @@
-"""Max-plus arithmetic on the tropical projective torus.
+"""Tropical linear combinations, sectors and the metric on the tropical projective torus.
 
-Points of the torus R^e / R*1 are plain 1-D float64 arrays; two arrays
-describe the same point when they differ by a constant vector.  Torus
-points keep all coordinates finite; the scalar operations additionally
-accept -inf (the additive identity of the semiring).
+Points of the torus R^e / R*1 are plain 1-D float64 arrays with finite
+coordinates; two arrays describe the same point when they differ by a
+constant vector.  Tropical linear combinations additionally accept -inf
+scalars (the additive identity of the max-plus semiring).
 """
 
 from __future__ import annotations
@@ -11,16 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 NEG_INF = float("-inf")
-
-
-def trop_add(a: float, b: float) -> float:
-    """Tropical addition: max(a, b).  -inf is the identity."""
-    return max(a, b)
-
-
-def trop_mul(a: float, b: float) -> float:
-    """Tropical multiplication: a + b.  0 is the identity, -inf absorbs."""
-    return a + b
 
 
 def _as_point(x, name: str = "point") -> np.ndarray:

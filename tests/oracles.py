@@ -8,7 +8,9 @@ instead of using depth arithmetic, the Newick oracle is a recursive-descent
 parser building nested nodes and its cophenetic oracle a recursive walk
 over them instead of one flat scan and a range-minimum kernel, and the
 subgradient oracle enumerates tied selections one by one instead of
-averaging over tied sets in closed form.
+averaging over tied sets in closed form.  The lowest-index distance
+gradient and projection Jacobian are the finite-difference references for
+the pieces that subgradient chains together.
 """
 
 from __future__ import annotations
@@ -414,3 +416,61 @@ def tie_averaged_subgradient(sample, vertices, rtol: float) -> np.ndarray:
                             g[k, t] += sign * weight
                             g[k, j] -= sign * weight
     return g
+
+
+def grad_dist(p, x) -> np.ndarray:
+    """Gradient at x of the tropical distance to p.
+
+    Equals e_t - e_t' with t the first argmax and t' the first argmin of
+    x - p; at a tie-free x this is the exact gradient, at ties it is one
+    valid subgradient, and for x = p (up to a constant) it is zero.
+    Ties keep the lowest index here; the library averages over them instead.
+    """
+    p = np.asarray(p, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if p.shape != x.shape or p.ndim != 1:
+        raise ValueError(f"dimension mismatch: {p.shape} vs {x.shape}")
+    d = x - p
+    t = int(np.argmax(d))
+    t_min = int(np.argmin(d))
+    g = np.zeros_like(d)
+    if t != t_min:
+        g[t] = 1.0
+        g[t_min] = -1.0
+    return g
+
+
+def _attribution(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-vertex lambda, per-vertex first argmin of u - D_k, per-coordinate winning vertex."""
+    diff = u[None, :] - v
+    lam = diff.min(axis=1)
+    jstar = diff.argmin(axis=1)
+    kstar = (lam[:, None] + v).argmax(axis=0)
+    return lam, jstar, kstar
+
+
+def jacobian_w(u, polytope) -> dict[tuple[int, int, int], float]:
+    """Nonzero partial derivatives of the projection w with respect to the vertices.
+
+    Key (k, l, l2) holds d w[l2] / d D_k[l].  Vertex k contributes to output
+    coordinate l2 only when it wins the max there; within a winning row the
+    entry is +1 on the diagonal l == l2 and -1 in the column of vertex k's
+    minimizing coordinate, and the (l == l2 == argmin) cell stays 0.
+    All argmax/argmin ties break to the lowest index, so the composition of
+    this Jacobian with grad_dist equals the library's subgradient only at
+    tie-free points.
+    """
+    v = polytope.vertices
+    u = np.asarray(u, dtype=float)
+    if u.shape != (polytope.e,):
+        raise ValueError(f"dimension mismatch: point has shape {u.shape}, expected ({polytope.e},)")
+    _, jstar, kstar = _attribution(u, v)
+    entries: dict[tuple[int, int, int], float] = {}
+    for l2 in range(polytope.e):
+        k = int(kstar[l2])
+        j = int(jstar[k])
+        if l2 == j:
+            continue
+        entries[(k, j, l2)] = -1.0
+        entries[(k, l2, l2)] = 1.0
+    return entries

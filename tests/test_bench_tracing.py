@@ -22,3 +22,5 @@ def test_every_per_layer_metric_names_a_bound_function():
     assert tracing.unbound() == []
     spans = {span for *_, span in tracing.targets()}
     assert {"treespace.load_newick_file", "treespace.cophenetic_vector"} <= spans
+    # fit's evaluation kernel reports as its own span, not as pca.fit self time
+    assert "pca.evaluate" in spans

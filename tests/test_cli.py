@@ -1,6 +1,7 @@
 import csv
 import json
 import time
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -194,6 +195,17 @@ class TestFit:
     def test_cyclic_update_mode(self, tmp_path, sample_file, capsys):
         model_path, _ = fit_model(tmp_path, sample_file, **{"--update-mode": "cyclic"})
         assert load_model(model_path).config["update_mode"] == "cyclic"
+
+    @pytest.mark.parametrize("lr0", ["nan", "inf"])
+    def test_non_finite_lr0_fails_with_one_line_error(self, tmp_path, sample_file, capsys, lr0):
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would be a second stderr line
+            code = main(["fit", "--input", str(sample_file), "--s", "2", "--lr0", lr0,
+                         "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: lr0 must be positive and finite, got {lr0}"]
 
     def test_mismatched_leaf_sets_rejected(self, tmp_path, capsys):
         path = tmp_path / "trees.nwk"

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oracles import instance_is_generic, tie_averaged_subgradient
+import troppca.pca
+from oracles import grad_dist, instance_is_generic, jacobian_w, tie_averaged_subgradient
 from troppca.pca import (
     TIE_RTOL,
     FitConfig,
     TropicalPolytope,
     baseline_random_search,
+    evaluate,
     fit,
-    grad_dist,
-    jacobian_w,
     objective,
     project_to_polytope,
     subgradient,
@@ -32,6 +34,32 @@ def finite_difference_gradient(sample, vertices, h=1e-6):
                 - objective(sample, TropicalPolytope(minus))
             ) / (2 * h)
     return fd
+
+
+@st.composite
+def instances(draw):
+    """(sample, vertices) in tree space, some sample rows on the polytope.
+
+    On a grid draw every value is a multiple of 1/16, so values tie exactly
+    well beyond the ties tree space has by construction; jitter far below
+    the tie tolerance then turns those ties into near-ties.
+    """
+    m, s, n = draw(st.integers(4, 5)), draw(st.integers(2, 3)), draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**16))
+    vertices = random_ultrametrics(m, s, seed=seed)
+    sample = random_ultrametrics(m, n, seed=seed + 1)
+    if draw(st.booleans()):
+        vertices, sample = np.round(16 * vertices) / 16, np.round(16 * sample) / 16
+        if draw(st.booleans()):
+            rng = np.random.default_rng(seed)
+            vertices = vertices + rng.uniform(-1e-12, 1e-12, vertices.shape)
+            sample = sample + rng.uniform(-1e-12, 1e-12, sample.shape)
+    on_polytope = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    for i in np.flatnonzero(on_polytope):
+        # dyadic coefficients keep the combination exact on a grid draw
+        coeffs = np.array(draw(st.lists(st.integers(-8, 8), min_size=s, max_size=s))) / 16
+        sample[i] = (coeffs[:, None] + vertices).max(axis=0)
+    return sample, vertices
 
 
 class TestPolytope:
@@ -132,6 +160,30 @@ class TestObjective:
         once = objective(sample, p)
         twice = objective(np.vstack([sample, sample]), p)
         assert twice == pytest.approx(2 * once, rel=1e-12)
+
+    @given(instances(), st.data())
+    def test_invariant_under_torus_shifts_of_rows(self, instance, data):
+        sample, vertices = instance
+        shifts = np.array(data.draw(st.lists(st.floats(-100, 100), min_size=len(sample), max_size=len(sample))))
+        p = TropicalPolytope(vertices)
+        assert objective(sample + shifts[:, None], p) == pytest.approx(objective(sample, p), rel=1e-9)
+
+    @given(instances(), st.data())
+    def test_invariant_under_a_common_shift_of_one_vertex(self, instance, data):
+        sample, vertices = instance
+        k = data.draw(st.integers(0, len(vertices) - 1))
+        shifted = vertices.copy()
+        shifted[k] += data.draw(st.floats(-100, 100))
+        expected = objective(sample, TropicalPolytope(vertices))
+        assert objective(sample, TropicalPolytope(shifted)) == pytest.approx(expected, rel=1e-9)
+
+    @given(instances(), st.randoms(use_true_random=False))
+    def test_invariant_under_row_permutations(self, instance, random):
+        sample, vertices = instance
+        order = list(range(len(sample)))
+        random.shuffle(order)
+        p = TropicalPolytope(vertices)
+        assert objective(sample[order], p) == pytest.approx(objective(sample, p), rel=1e-9)
 
     def test_pairwise_difference_form_matches_range_form(self):
         # max over pairs |u_k - w_k - u_l + w_l| equals max(u-w) - min(u-w)
@@ -261,6 +313,35 @@ class TestSubgradient:
             assert np.max(np.abs(g - fd) / np.maximum(1.0, np.abs(fd))) <= 1e-4
 
 
+class TestEvaluate:
+    @given(instances())
+    def test_objective_exactly_and_the_tie_averaged_subgradient(self, instance):
+        sample, vertices = instance
+        p = TropicalPolytope(vertices)
+        se, g = evaluate(sample, p)
+        assert se == objective(sample, p)
+        assert_allclose(g, tie_averaged_subgradient(sample, vertices, TIE_RTOL), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["simultaneous", "cyclic"])
+    def test_fit_evaluates_each_iterate_once(self, monkeypatch, mode):
+        calls = {"evaluate": 0, "objective": 0, "subgradient": 0}
+
+        def counted(name):
+            inner = getattr(troppca.pca, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(troppca.pca, name, counted(name))
+        sample = random_ultrametrics(5, 20, seed=50)
+        fit(sample, FitConfig(s=3, max_iters=7, seed=10, update_mode=mode))
+        assert calls == {"evaluate": 8, "objective": 0, "subgradient": 0}
+
+
 class TestFit:
     def test_perfect_sample_is_a_fixed_point(self):
         sample = random_ultrametrics(5, 3, seed=35)
@@ -362,6 +443,9 @@ class TestFit:
             FitConfig(s=1)
         with pytest.raises(ValueError):
             FitConfig(s=2, decay=0.0)
+        for lr0 in (0.0, -0.01, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="lr0 must be positive and finite"):
+                FitConfig(s=2, lr0=lr0)
         with pytest.raises(ValueError):
             FitConfig(s=2, init="user-supplied")
         with pytest.raises(ValueError):

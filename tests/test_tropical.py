@@ -7,33 +7,9 @@ from troppca.tropical import (
     canonicalize,
     sector_of,
     torus_equal,
-    trop_add,
     trop_combine,
     trop_dist,
-    trop_mul,
 )
-
-
-class TestScalarOps:
-    def test_trop_add(self):
-        assert trop_add(3, 5) == 5
-        assert trop_add(NEG_INF, 7) == 7
-        assert trop_add(2, 2) == 2
-
-    def test_trop_mul(self):
-        assert trop_mul(3, 5) == 8
-        assert trop_mul(NEG_INF, 5) == NEG_INF
-        rng = np.random.default_rng(0)
-        for x in rng.normal(size=20):
-            assert trop_mul(0.0, x) == x
-
-    def test_semiring_laws_on_random_triples(self):
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            a, b, c = rng.normal(scale=10, size=3)
-            assert trop_add(a, b) == trop_add(b, a)
-            # a + max(b, c) picks the same summand as max(a+b, a+c): exact
-            assert trop_mul(a, trop_add(b, c)) == trop_add(trop_mul(a, b), trop_mul(a, c))
 
 
 class TestCombine:
