@@ -19,7 +19,6 @@ from .tropical import (
 )
 from .treespace import (
     NewickError,
-    Node,
     PhyloTree,
     cophenetic_vector,
     default_leaf_names,
@@ -57,7 +56,6 @@ __all__ = [
     "trop_combine",
     "trop_dist",
     "NewickError",
-    "Node",
     "PhyloTree",
     "cophenetic_vector",
     "default_leaf_names",

@@ -152,42 +152,36 @@ def cmd_eval(args) -> int:
 
 
 def cmd_project(args) -> int:
-    model, lines, vectors = _load_model_and_sample(args)
-    s = model.s
+    model, _, vectors = _load_model_and_sample(args)
+    w, lam = project_to_polytope(vectors, model.polytope)
+    dist = trop_dist(vectors, w)
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("id," + ",".join(f"lambda_{k + 1}" for k in range(s)) + ",dist\n")
-        for i, u in enumerate(vectors):
-            w, lam = project_to_polytope(u, model.polytope)
-            row = [str(i + 1)] + [_fmt(v) for v in lam] + [_fmt(trop_dist(u, w))]
-            handle.write(",".join(row) + "\n")
+        handle.write("id," + ",".join(f"lambda_{k + 1}" for k in range(model.s)) + ",dist\n")
+        for i, (coords, d) in enumerate(zip(lam.tolist(), dist.tolist()), start=1):
+            handle.write(",".join([str(i), *map(_fmt, coords), _fmt(d)]) + "\n")
     return 0
 
 
-def _positive_representative(u: np.ndarray) -> np.ndarray:
-    """Torus-equivalent vector with all entries positive (topology-preserving shift)."""
-    lowest = float(u.min())
-    if lowest > 0:
-        return u
-    spread = float(u.max()) - lowest
-    return u - lowest + 0.5 * (spread if spread > 0 else 1.0)
+def _positive_representatives(u: np.ndarray) -> np.ndarray:
+    """Torus-equivalent rows with all entries positive (a topology-preserving shift per row)."""
+    lowest = u.min(axis=1, keepdims=True)
+    spread = u.max(axis=1, keepdims=True) - lowest
+    shifted = u - lowest + 0.5 * np.where(spread > 0, spread, 1.0)
+    return np.where(lowest > 0, u, shifted)
 
 
 def cmd_plot(args) -> int:
     model, _, vectors = _load_model_and_sample(args)
     if model.s != 3:
         raise CliError("plotting requires s = 3")
-    xs, ys = [], []
-    groups = [] if args.color_by == "topology" else None
-    for u in vectors:
-        w, lam = project_to_polytope(u, model.polytope)
-        xs.append(lam[1] - lam[0])
-        ys.append(lam[2] - lam[0])
-        if groups is not None:
-            tree = reconstruct_tree(_positive_representative(w), names=model.leaf_labels)
-            groups.append(topology_signature(tree))
+    w, lam = project_to_polytope(vectors, model.polytope)
+    groups = None
+    if args.color_by == "topology":
+        trees = reconstruct_tree(_positive_representatives(w), names=model.leaf_labels)
+        groups = [topology_signature(tree) for tree in trees]
     svg = scatter_svg(
-        xs,
-        ys,
+        (lam[:, 1] - lam[:, 0]).tolist(),
+        (lam[:, 2] - lam[:, 0]).tolist(),
         groups=groups,
         xlabel="lambda_2 - lambda_1",
         ylabel="lambda_3 - lambda_1",
@@ -239,10 +233,10 @@ def cmd_gen(args) -> int:
     if args.n < 1:
         raise CliError(f"n must be positive, got {args.n}")
     vectors = random_ultrametrics(args.m, args.n, args.seed)
+    trees = reconstruct_tree(vectors)
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"# random equidistant trees: m={args.m} n={args.n} seed={args.seed}\n")
-        for vec in vectors:
-            handle.write(reconstruct_tree(vec).to_newick() + "\n")
+        handle.writelines(tree.to_newick() + "\n" for tree in trees)
     print(f"wrote {args.n} trees to {args.out}")
     return 0
 

@@ -92,9 +92,7 @@ def load_model(path) -> Model:
     bad = np.flatnonzero(~is_ultrametric(vertices, tol=LOAD_TOLERANCE))
     if bad.size:
         raise ValueError(f"vertex {bad[0] + 1} fails the three-point condition")
-    return Model(
-        leaf_labels=list(labels),
-        polytope=TropicalPolytope(vertices),
-        config=dict(doc.get("config", {})),
-        trace_summary=dict(doc.get("trace_summary", {})),
-    )
+    config, summary = doc.get("config", {}), doc.get("trace_summary", {})
+    if not (isinstance(config, dict) and isinstance(summary, dict)):
+        raise ValueError("model fields 'config' and 'trace_summary' must be JSON objects")
+    return Model(leaf_labels=list(labels), polytope=TropicalPolytope(vertices), config=config, trace_summary=summary)

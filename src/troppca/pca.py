@@ -15,10 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .treespace import (
+    _chunks,
     is_ultrametric,
     leaf_count_from_dim,
     project_to_treespace,
 )
+from .tropical import trop_dist
 
 __all__ = [
     "TropicalPolytope",
@@ -83,31 +85,34 @@ def _sample_matrix(sample, e: int | None = None) -> np.ndarray:
     return u
 
 
-def project_to_polytope(u, polytope: TropicalPolytope) -> tuple[np.ndarray, np.ndarray]:
-    """Projection of u onto the polytope and its coordinates over the vertices.
+def project_to_polytope(sample, polytope: TropicalPolytope) -> tuple[np.ndarray, np.ndarray]:
+    """Projection of each observation onto the polytope and its coordinates over the vertices.
 
     Returns (w, lam) with lam[k] = min(u - D_k) and w = max_k(lam[k] + D_k).
     w lies in the polytope, satisfies w <= u coordinatewise with equality at
     each vertex's minimizing coordinate, and is a closest polytope point to
-    u in the tropical metric.
+    u in the tropical metric.  sample is one vector (w has shape (e,) and
+    lam (s,)) or an (n, e) batch (w is (n, e) and lam (n, s), row by row);
+    rows go in chunks of about _CHUNK_ELEMENTS entries of u - D.
     """
     v = polytope.vertices
-    u = np.asarray(u, dtype=float)
-    if u.shape != (polytope.e,):
-        raise ValueError(f"dimension mismatch: point has shape {u.shape}, expected ({polytope.e},)")
-    lam = (u[None, :] - v).min(axis=1)
-    w = (lam[:, None] + v).max(axis=0)
-    return w, lam
+    u = np.asarray(sample, dtype=float)
+    if u.ndim not in (1, 2) or u.shape[-1] != polytope.e:
+        raise ValueError(f"dimension mismatch: sample has shape {u.shape}, expected ({polytope.e},) per row")
+    rows = np.atleast_2d(u)
+    lam = np.empty((len(rows), polytope.s))
+    w = np.empty_like(rows)
+    for part in _chunks(len(rows), v.size):
+        lam[part] = (rows[part, None, :] - v).min(axis=2)
+        w[part] = (lam[part, :, None] + v).max(axis=1)
+    return (w, lam) if u.ndim == 2 else (w[0], lam[0])
 
 
 def objective(sample, polytope: TropicalPolytope) -> float:
     """Sum of tropical distances from each observation to its projection."""
     u = _sample_matrix(sample, polytope.e)
-    v = polytope.vertices
-    lam = (u[:, None, :] - v[None, :, :]).min(axis=2)
-    w = (lam[:, :, None] + v[None, :, :]).max(axis=1)
-    d = u - w
-    return float(np.sum(d.max(axis=1) - d.min(axis=1)))
+    w, _ = project_to_polytope(u, polytope)
+    return float(np.sum(trop_dist(u, w)))
 
 
 def evaluate(sample, polytope: TropicalPolytope) -> tuple[float, np.ndarray]:
@@ -242,7 +247,8 @@ def fit(sample, cfg: FitConfig) -> tuple[TropicalPolytope, FitTrace]:
     once: evaluate gives its objective for the trace and its subgradient g
     for the next step.  The returned polytope is the best iterate by
     objective value, which for a subgradient method is not necessarily the
-    last.  Runs are deterministic given (sample, cfg).
+    last.  Runs are deterministic given (sample, cfg).  An iteration whose
+    step or evaluation overflows raises ValueError naming it and lr0.
     """
     u = _sample_matrix(sample)
     n, e = u.shape
@@ -269,14 +275,18 @@ def fit(sample, cfg: FitConfig) -> tuple[TropicalPolytope, FitTrace]:
 
     alpha = cfg.lr0
     for t in range(cfg.max_iters):
-        if cfg.update_mode == "simultaneous":
-            updated = project_to_treespace(polytope.vertices - alpha * g)
-        else:
-            updated = polytope.vertices.copy()
-            k = t % cfg.s
-            updated[k] = project_to_treespace(updated[k] - alpha * g[k])
-        polytope = TropicalPolytope(updated)
-        se, g = evaluate(u, polytope)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                if cfg.update_mode == "simultaneous":
+                    updated = project_to_treespace(polytope.vertices - alpha * g)
+                else:
+                    updated = polytope.vertices.copy()
+                    k = t % cfg.s
+                    updated[k] = project_to_treespace(updated[k] - alpha * g[k])
+                polytope = TropicalPolytope(updated)
+                se, g = evaluate(u, polytope)
+        except FloatingPointError:
+            raise ValueError(f"iteration {t} overflows: lr0={cfg.lr0:g} is too large") from None
         improved = se < best_se
         if improved:
             best_se = se

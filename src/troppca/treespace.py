@@ -13,14 +13,12 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "Node",
     "PhyloTree",
     "NewickError",
     "parse_newick",
@@ -85,23 +83,6 @@ def default_leaf_names(m: int) -> list[str]:
 # trees
 
 
-@dataclass
-class Node:
-    """Tree node; length is the weight of the edge to the parent (0 at the root).
-
-    A nested view of a tree: ``PhyloTree`` stores trees flat, flattens a
-    Node tree given to it, and builds this view on demand.
-    """
-
-    name: str | None = None
-    length: float = 0.0
-    children: list["Node"] = field(default_factory=list)
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-
 class PhyloTree:
     """Rooted phylogenetic tree with weighted edges and uniquely labeled leaves.
 
@@ -111,6 +92,8 @@ class PhyloTree:
     consecutive leaves, the node whose ',' separates them, which is their
     lowest common ancestor.  Depths are summed root-down once, when the
     record is made.  No method recurses, so trees may nest arbitrarily deep.
+    The constructor takes the record as is; ``parse_newick`` and
+    ``reconstruct_tree`` build valid ones.
 
     ``leaf_names`` fixes the label-to-index assignment for vectorization.
     When omitted, labels are sorted lexicographically, which is the
@@ -118,41 +101,7 @@ class PhyloTree:
     existing index assignment.
     """
 
-    def __init__(self, root: Node, leaf_names: Sequence[str] | None = None):
-        parent: list[int] = []
-        length: list[float] = []
-        leaves: list[int] = []
-        labels: list[str | None] = []
-        stack = [(root, -1)]
-        while stack:
-            node, up = stack.pop()
-            here = len(parent)
-            parent.append(up)
-            length.append(node.length)
-            if node.children:
-                stack.extend((child, here) for child in reversed(node.children))
-            else:
-                leaves.append(here)
-                labels.append(node.name)
-        if any(name is None for name in labels):
-            raise ValueError("every leaf must carry a label")
-        if not all(value >= 0 for value in length):  # depths must not decrease away from the root
-            raise ValueError("branch lengths must be nonnegative")
-        problem = _label_problem(labels)
-        if problem:
-            raise ValueError(problem)
-        if leaf_names is not None and (set(leaf_names) != set(labels) or len(leaf_names) != len(labels)):
-            raise ValueError("leaf_names must be exactly the tree's leaf labels")
-        self._set_record(parent, length, leaves, labels, leaf_names)
-
-    @classmethod
-    def _from_record(cls, parent, length, leaves, labels, leaf_names=None) -> "PhyloTree":
-        """Tree from a preorder record whose leaf labels are already validated."""
-        tree = cls.__new__(cls)
-        tree._set_record(parent, length, leaves, labels, leaf_names)
-        return tree
-
-    def _set_record(self, parent, length, leaves, labels, leaf_names) -> None:
+    def __init__(self, parent, length, leaves, labels, leaf_names: Sequence[str] | None = None):
         self._parent = parent
         self._length = length
         self._leaves = leaves
@@ -171,32 +120,8 @@ class PhyloTree:
     def m(self) -> int:
         return len(self.leaf_names)
 
-    @property
-    def root(self) -> Node:
-        """The tree as nested Nodes; a new view, built from the record, on each access."""
-        nodes = [Node(None, length) for length in self._length]
-        for leaf, name in zip(self._leaves, self._labels):
-            nodes[leaf].name = name
-        for i in range(1, len(nodes)):
-            nodes[self._parent[i]].children.append(nodes[i])
-        return nodes[0]
-
-    def leaf_depths(self) -> np.ndarray:
-        """Root-to-leaf path weights, ordered by leaf index."""
-        return leaf_depths(self)
-
     def height(self) -> float:
-        return float(self.leaf_depths().max())
-
-    def equidistance_gap(self) -> float:
-        """Spread of the root-to-leaf path weights (0 for an equidistant tree)."""
-        d = self.leaf_depths()
-        return float(d.max() - d.min())
-
-    def is_equidistant(self, tol: float | None = None) -> bool:
-        if tol is None:
-            tol = default_tolerance(self.leaf_depths())
-        return self.equidistance_gap() <= tol
+        return float(leaf_depths(self).max())
 
     def cophenetic_vector(self) -> np.ndarray:
         """Pairwise leaf-to-leaf path weights in the fixed pair order."""
@@ -224,7 +149,7 @@ class PhyloTree:
         if not factor >= 0:
             raise ValueError(f"scale factor must be nonnegative, got {factor}")
         length = [value * factor for value in self._length]
-        return PhyloTree._from_record(self._parent, length, self._leaves, self._labels, self.leaf_names)
+        return PhyloTree(self._parent, length, self._leaves, self._labels, self.leaf_names)
 
     def to_newick(self) -> str:
         """Newick text with branch lengths at 12 significant digits."""
@@ -410,7 +335,7 @@ def parse_newick(text: str) -> PhyloTree:
     problem = _label_problem(labels)
     if problem:
         raise _token_error(text, terminator, problem)
-    tree = PhyloTree._from_record(parent, length, leaves, labels)
+    tree = PhyloTree(parent, length, leaves, labels)
     if max(tree._depth) == math.inf:
         raise _token_error(text, terminator, "non-finite root-to-leaf depth")
     return tree
@@ -578,78 +503,132 @@ def random_ultrametrics(m: int, n: int, seed: int) -> np.ndarray:
 # tree reconstruction
 
 
-def reconstruct_tree(u, names: Sequence[str] | None = None, tol: float | None = None) -> PhyloTree:
+def _kruskal_order(x: np.ndarray) -> np.ndarray:
+    """Per row of x, the pair positions Kruskal's algorithm merges, in merge order.
+
+    Kruskal takes edges in the order of a stable sort of the row and keeps
+    each that joins two components.  Ranked by that sort, the edges are
+    totally ordered, so the kept edges form the unique minimum spanning
+    tree of the ranks.  A batched Prim's algorithm finds it in m - 1 steps
+    over (n, m) arrays, and sorting its ranks gives Kruskal's order.
+    """
+    r, e = x.shape
+    m = leaf_count_from_dim(e)
+    by_leaves = _pair_index_matrix(m)
+    at = np.arange(r)[:, None]
+    order = np.argsort(x, axis=1, kind="stable")
+    rank = np.empty_like(order)
+    rank[at, order] = np.arange(e)
+    outside = np.ones((r, m), dtype=bool)
+    outside[:, 0] = False
+    key = rank[:, by_leaves[0]]  # rank of the lightest edge into the tree
+    edges = np.empty((r, m - 1), dtype=np.intp)  # ranks of the spanning tree's edges
+    for t in range(m - 1):
+        v = np.argmin(np.where(outside, key, e), axis=1)[:, None]
+        edges[:, t] = key[at, v][:, 0]
+        outside[at, v] = False
+        d = rank[at, by_leaves[v[:, 0]]]
+        key = np.where(outside & (d < key), d, key)
+    return order[at, np.sort(edges, axis=1)]
+
+
+def _single_linkage(rows: np.ndarray, half_tol: np.ndarray) -> list[tuple[list, list, list, list]]:
+    """Single-linkage dendrogram of every row: (parent, length, leaves, leaf indices) preorder records.
+
+    Merge t of _kruskal_order is node m + t, at height u/2, over the
+    components of the pair's first and then its second leaf; an operand
+    merge within half_tol (per row) below it collapses into it.  The
+    collapsed tree's preorder is the binary tree's preorder without the
+    collapsed merges.  Rows go in chunks of about _CHUNK_ELEMENTS pairs.
+    """
+    n, e = rows.shape
+    m = leaf_count_from_dim(e)
+    size = 2 * m - 1  # leaves 0..m-1, then the merges
+    iu, ju = np.triu_indices(m, 1)
+    out = []
+    for part in _chunks(n, e):
+        x, r = rows[part], len(rows[part])
+        at = np.arange(r)[:, None]
+        edges = _kruskal_order(x)
+        comp = np.tile(np.arange(m), (r, 1))  # component of each leaf, named by one of its leaves
+        top = comp.copy()  # the node standing for each component
+        height = np.zeros((r, size))
+        height[:, m:] = x[at, edges] / 2.0
+        count = np.ones((r, size), dtype=np.intp)  # leaves below each node
+        operands = np.empty((r, m - 1, 2), dtype=np.intp)
+        for t in range(m - 1):
+            a, b = comp[at, iu[edges[:, t, None]]], comp[at, ju[edges[:, t, None]]]
+            operands[:, t] = pair = np.concatenate([top[at, a], top[at, b]], axis=1)
+            top[at, a] = m + t
+            count[:, m + t] = count[at, pair].sum(axis=1)
+            comp = np.where(comp == b, a, comp)
+        # root down: binary preorder position, collapse, nearest kept ancestor
+        position = np.zeros((r, size), dtype=np.intp)
+        kept = np.ones((r, size), dtype=bool)
+        above = np.zeros((r, size), dtype=np.intp)
+        for node in range(size - 1, m - 1, -1):
+            pair = operands[:, node - m]
+            first = position[:, node, None] + 1
+            position[at, pair] = np.concatenate([first, first + 2 * count[at, pair[:, :1]] - 1], axis=1)
+            kept[at, pair] = (pair < m) | (height[:, node, None] - height[at, pair] > half_tol[part, None])
+            above[at, pair] = np.where(kept[:, node], node, above[:, node])[:, None]
+        node = np.empty_like(position)  # node at each binary preorder position
+        node[at, position] = np.arange(size)
+        keep = kept[at, node]
+        index = np.cumsum(keep, axis=1) - 1  # record index of each kept position
+        index_of = np.empty_like(index)
+        index_of[at, node] = index
+        up = above[at, node]
+        parent = index_of[at, up]
+        parent[:, 0] = -1
+        length = height[at, up] - height[at, node]
+        length[:, 0] = 0.0
+        leaf = node < m
+        ends = np.cumsum(keep.sum(axis=1)).tolist()
+        starts = [0] + ends[:-1]
+        parent, length = parent[keep].tolist(), length[keep].tolist()
+        leaves, ids = index[leaf].reshape(r, m).tolist(), node[leaf].reshape(r, m).tolist()
+        out.extend(
+            (parent[lo:hi], length[lo:hi], leaf_row, id_row)
+            for lo, hi, leaf_row, id_row in zip(starts, ends, leaves, ids)
+        )
+    return out
+
+
+def reconstruct_tree(u, names: Sequence[str] | None = None, tol: float | None = None):
     """Unique equidistant tree whose cophenetic vector is u.
 
-    Clusters are merged bottom-up at height u/2 (single-linkage dendrogram);
-    merges whose heights agree within tol collapse into one multifurcating
-    node.  ``names`` assigns leaf labels by index (default "1".."m") and the
-    given order is kept, so the round trip through cophenetic_vector
-    preserves coordinates.  Raises ValueError when u violates the
-    three-point condition beyond tol or has a nonpositive entry.
+    u is one vector (the result is a PhyloTree) or an (n, e) batch with
+    one vector per row (a list of n trees).  Clusters are merged bottom-up
+    at height u/2 (single-linkage dendrogram); a merge whose height is
+    within tol/2 of an operand's merges with it into one multifurcating
+    node.  ``names`` assigns leaf labels by index (default "1".."m") and
+    the given order is kept, so the round trip through cophenetic_vector
+    preserves coordinates.  tol defaults to default_tolerance per row.
+    Raises ValueError, naming the first such row of a batch, when a vector
+    violates the three-point condition beyond tol or has a nonpositive
+    entry.
     """
     rows, m, batched = _as_rows(u)
-    if batched:
-        raise ValueError("expected a 1-D pairwise-distance vector")
-    u = rows[0]
-    if tol is None:
-        tol = default_tolerance(u)
-    violation = ultrametric_violation(u)
-    if violation > tol:
-        raise ValueError(
-            f"not ultrametric: worst three-point violation {violation:.3g} exceeds tolerance {tol:.3g}"
-        )
-    if np.min(u) <= 0:
-        raise ValueError("all entries must be positive to realize a tree")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("coordinates must be finite")
+    tol = default_tolerance(rows) if tol is None else np.full(len(rows), float(tol))
+    violation = ultrametric_violation(rows)
+    bad = np.flatnonzero((violation > tol) | (rows.min(axis=1) <= 0))
+    if bad.size:
+        r = bad[0]
+        where = f"row {r}: " if batched else ""
+        if violation[r] > tol[r]:
+            raise ValueError(
+                f"{where}not ultrametric: worst three-point violation {violation[r]:.3g}"
+                f" exceeds tolerance {tol[r]:.3g}"
+            )
+        raise ValueError(f"{where}all entries must be positive to realize a tree")
     names = default_leaf_names(m) if names is None else [str(name) for name in names]
     if len(names) != m or len(set(names)) != m:
         raise ValueError(f"need {m} distinct leaf names")
-
-    pairs = pair_order(m)
-    values = u.tolist()
-    height_tol = tol / 2.0
-    children: list[list[int]] = [[] for _ in range(m)]  # per cluster: leaves 0..m-1, then merges
-    heights = [0.0] * m
-    parent = list(range(m))  # union-find over leaves
-    cluster = list(range(m))  # the cluster each union-find root stands for
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for idx in np.argsort(u, kind="stable").tolist():
-        i, j = pairs[idx]
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            continue
-        h = values[idx] / 2.0
-        merged: list[int] = []
-        for r in (ri, rj):
-            top = cluster[r]
-            if children[top] and h - heights[top] <= height_tol:
-                merged.extend(children[top])  # same merge height: flatten
-            else:
-                merged.append(top)
-        children.append(merged)
-        heights.append(h)
-        parent[rj] = ri
-        cluster[ri] = len(children) - 1
-
-    record_parent: list[int] = []
-    record_length: list[float] = []
-    leaves: list[int] = []
-    labels: list[str] = []
-    stack = [(cluster[find(0)], -1, 0.0)]
-    while stack:
-        top, up, edge = stack.pop()
-        here = len(record_parent)
-        record_parent.append(up)
-        record_length.append(edge)
-        if children[top]:
-            stack.extend((c, here, heights[top] - heights[c]) for c in reversed(children[top]))
-        else:
-            leaves.append(here)
-            labels.append(names[top])
-    return PhyloTree._from_record(record_parent, record_length, leaves, labels, names)
+    trees = [
+        PhyloTree(parent, length, leaves, [names[k] for k in ids], names)
+        for parent, length, leaves, ids in _single_linkage(rows, tol / 2.0)
+    ]
+    return trees if batched else trees[0]

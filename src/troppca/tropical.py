@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .treespace import _chunks
+
 NEG_INF = float("-inf")
 
 
@@ -37,18 +39,27 @@ def trop_combine(scalars, points) -> np.ndarray:
     return np.max(a[:, None] + np.stack(pts), axis=0)
 
 
-def trop_dist(v, w) -> float:
+def trop_dist(v, w):
     """Tropical metric: max_i(v_i - w_i) - min_i(v_i - w_i).
 
     Symmetric, nonnegative, invariant under adding a constant to either
-    argument, and zero exactly when v and w agree on the torus.
+    argument, and zero exactly when v and w agree on the torus.  v and w
+    are two vectors (the result is a float) or two (n, e) batches of the
+    same shape (an array of n row-wise distances); rows go in chunks of
+    about _CHUNK_ELEMENTS coordinates.
     """
-    v = _as_point(v, "v")
-    w = _as_point(w, "w")
-    if v.size != w.size:
-        raise ValueError(f"dimension mismatch: {v.size} vs {w.size}")
-    d = v - w
-    return float(d.max() - d.min())
+    v = np.asarray(v, dtype=float)
+    w = np.asarray(w, dtype=float)
+    if v.ndim != 2:
+        v, w = _as_point(v, "v"), _as_point(w, "w")
+    if v.shape != w.shape:
+        raise ValueError(f"dimension mismatch: {v.shape} vs {w.shape}")
+    rows, other = np.atleast_2d(v), np.atleast_2d(w)
+    out = np.empty(len(rows))
+    for part in _chunks(len(rows), rows.shape[1]):
+        d = rows[part] - other[part]
+        out[part] = d.max(axis=1) - d.min(axis=1)
+    return out if v.ndim == 2 else float(out[0])
 
 
 def canonicalize(x) -> np.ndarray:

@@ -6,11 +6,15 @@ growing a minimum spanning tree, the three-point oracle sorts each triple
 instead of selecting its top two, the distance oracle walks tree paths
 instead of using depth arithmetic, the Newick oracle is a recursive-descent
 parser building nested nodes and its cophenetic oracle a recursive walk
-over them instead of one flat scan and a range-minimum kernel, and the
-subgradient oracle enumerates tied selections one by one instead of
-averaging over tied sets in closed form.  The lowest-index distance
-gradient and projection Jacobian are the finite-difference references for
-the pieces that subgradient chains together.
+over them instead of one flat scan and a range-minimum kernel, the
+reconstruction oracle merges one tree at a time over a sorted edge list
+with union-find instead of a batched spanning tree, and the subgradient
+oracle enumerates tied selections one by one instead of averaging over
+tied sets in closed form.  The lowest-index distance gradient and
+projection Jacobian are the finite-difference references for the pieces
+that subgradient chains together.  The nested ``Node`` view, its
+flattening into a ``PhyloTree`` and the equidistance helpers serve the
+tests alone.
 """
 
 from __future__ import annotations
@@ -19,13 +23,158 @@ import functools
 import itertools
 import math
 import re
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from troppca.treespace import NewickError, Node, leaf_count_from_dim, pair_order
+from troppca.treespace import (
+    NewickError,
+    _label_problem,
+    PhyloTree,
+    default_leaf_names,
+    default_tolerance,
+    leaf_count_from_dim,
+    leaf_depths,
+    pair_order,
+    ultrametric_violation,
+)
 
 _LABEL_RE = re.compile(r"[A-Za-z0-9_.]+")
 _NUMBER_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
+
+
+@dataclass
+class Node:
+    """Nested tree node; length is the weight of the edge to the parent (0 at the root)."""
+
+    name: str | None = None
+    length: float = 0.0
+    children: list["Node"] = field(default_factory=list)
+
+    @property
+    def is_leaf(self) -> bool:
+        return not self.children
+
+
+def tree_from_nodes(root: Node, leaf_names=None) -> PhyloTree:
+    """The flat PhyloTree record of a Node tree, built by one preorder walk.
+
+    Rejects unlabeled leaves, negative or NaN lengths (the cophenetic
+    kernel relies on depths never decreasing away from the root),
+    duplicate labels, fewer than 3 leaves, and leaf_names that are not the
+    tree's labels.
+    """
+    parent, length, leaves, labels = [], [], [], []
+    stack = [(root, -1)]
+    while stack:
+        node, up = stack.pop()
+        here = len(parent)
+        parent.append(up)
+        length.append(node.length)
+        if node.children:
+            stack.extend((child, here) for child in reversed(node.children))
+        else:
+            leaves.append(here)
+            labels.append(node.name)
+    if any(name is None for name in labels):
+        raise ValueError("every leaf must carry a label")
+    if not all(value >= 0 for value in length):
+        raise ValueError("branch lengths must be nonnegative")
+    problem = _label_problem(labels)
+    if problem:
+        raise ValueError(problem)
+    if leaf_names is not None and (set(leaf_names) != set(labels) or len(leaf_names) != len(labels)):
+        raise ValueError("leaf_names must be exactly the tree's leaf labels")
+    return PhyloTree(parent, length, leaves, labels, leaf_names)
+
+
+def node_view(tree: PhyloTree) -> Node:
+    """The tree as nested Nodes, built from its flat record."""
+    nodes = [Node(None, length) for length in tree._length]
+    for leaf, name in zip(tree._leaves, tree._labels):
+        nodes[leaf].name = name
+    for i in range(1, len(nodes)):
+        nodes[tree._parent[i]].children.append(nodes[i])
+    return nodes[0]
+
+
+def equidistance_gap(tree: PhyloTree) -> float:
+    """Spread of the root-to-leaf path weights (0 for an equidistant tree)."""
+    d = leaf_depths(tree)
+    return float(d.max() - d.min())
+
+
+def is_equidistant(tree: PhyloTree, tol: float | None = None) -> bool:
+    if tol is None:
+        tol = default_tolerance(leaf_depths(tree))
+    return equidistance_gap(tree) <= tol
+
+
+def union_find_reconstruct_tree(u, names=None, tol=None) -> PhyloTree:
+    """Equidistant tree of one ultrametric vector, by Kruskal merging over a stable sort with union-find.
+
+    Merge heights are u/2; a merge whose height is within tol/2 of an
+    operand merge's flattens that operand's children into its own list.
+    """
+    u = np.asarray(u, dtype=float)
+    m = leaf_count_from_dim(u.size)
+    if tol is None:
+        tol = default_tolerance(u)
+    violation = ultrametric_violation(u)
+    if violation > tol:
+        raise ValueError(f"not ultrametric: worst three-point violation {violation:.3g} exceeds tolerance {tol:.3g}")
+    if np.min(u) <= 0:
+        raise ValueError("all entries must be positive to realize a tree")
+    names = default_leaf_names(m) if names is None else [str(name) for name in names]
+
+    pairs = pair_order(m)
+    values = u.tolist()
+    height_tol = tol / 2.0
+    children: list[list[int]] = [[] for _ in range(m)]  # per cluster: leaves 0..m-1, then merges
+    heights = [0.0] * m
+    parent = list(range(m))  # union-find over leaves
+    cluster = list(range(m))  # the cluster each union-find root stands for
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for idx in np.argsort(u, kind="stable").tolist():
+        i, j = pairs[idx]
+        ri, rj = find(i), find(j)
+        if ri == rj:
+            continue
+        h = values[idx] / 2.0
+        merged: list[int] = []
+        for r in (ri, rj):
+            top = cluster[r]
+            if children[top] and h - heights[top] <= height_tol:
+                merged.extend(children[top])  # same merge height: flatten
+            else:
+                merged.append(top)
+        children.append(merged)
+        heights.append(h)
+        parent[rj] = ri
+        cluster[ri] = len(children) - 1
+
+    record_parent: list[int] = []
+    record_length: list[float] = []
+    leaves: list[int] = []
+    labels: list[str] = []
+    stack = [(cluster[find(0)], -1, 0.0)]
+    while stack:
+        top, up, edge = stack.pop()
+        here = len(record_parent)
+        record_parent.append(up)
+        record_length.append(edge)
+        if children[top]:
+            stack.extend((c, here, heights[top] - heights[c]) for c in reversed(children[top]))
+        else:
+            leaves.append(here)
+            labels.append(names[top])
+    return PhyloTree(record_parent, record_length, leaves, labels, names)
 
 
 class _RecursiveNewickParser:
@@ -300,7 +449,7 @@ def path_weight(tree, name_a: str, name_b: str) -> float:
     """Leaf-to-leaf path weight by explicit path walking (no depth formula)."""
     parents = {}
     leaves = {}
-    stack = [tree.root]
+    stack = [node_view(tree)]
     while stack:
         node = stack.pop()
         if node.is_leaf:
@@ -474,3 +623,13 @@ def jacobian_w(u, polytope) -> dict[tuple[int, int, int], float]:
         entries[(k, j, l2)] = -1.0
         entries[(k, l2, l2)] = 1.0
     return entries
+
+
+def broadcast_objective(sample, vertices) -> float:
+    """The objective in one (n, s, e) broadcast: lambda, then w, then the summed row ranges of u - w."""
+    u = np.asarray(sample, dtype=float)
+    v = np.asarray(vertices, dtype=float)
+    lam = (u[:, None, :] - v[None, :, :]).min(axis=2)
+    w = (lam[:, :, None] + v[None, :, :]).max(axis=1)
+    d = u - w
+    return float(np.sum(d.max(axis=1) - d.min(axis=1)))

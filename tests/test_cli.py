@@ -207,6 +207,23 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.splitlines() == [f"error: lr0 must be positive and finite, got {lr0}"]
 
+    @pytest.mark.parametrize("mode", ["simultaneous", "cyclic"])
+    def test_overflowing_step_fails_with_one_line_error(self, tmp_path, capsys, mode):
+        sample = tmp_path / "sample.nwk"
+        assert main(["gen", "--m", "5", "--n", "40", "--seed", "3", "--out", str(sample)]) == 0
+
+        def run(lr0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a numpy RuntimeWarning would be a second stderr line
+                return main(["fit", "--input", str(sample), "--s", "3", "--lr0", lr0,
+                             "--update-mode", mode, "--out", str(tmp_path / "m.json")])
+
+        capsys.readouterr()
+        assert run("1e308") == 1
+        assert capsys.readouterr().err.splitlines() == ["error: iteration 0 overflows: lr0=1e+308 is too large"]
+        assert run("1e300") == 0
+        assert capsys.readouterr().err == ""
+
     def test_mismatched_leaf_sets_rejected(self, tmp_path, capsys):
         path = tmp_path / "trees.nwk"
         path.write_text("(1:1,2:1,3:1);\n(1:1,2:1,4:1);\n")
@@ -408,6 +425,8 @@ class TestModelFile:
             "null coordinate",
             "boolean vertex",
             "string m",
+            "null config",
+            "list trace_summary",
             "object document",
         ],
     )
@@ -424,6 +443,10 @@ class TestModelFile:
             doc["vertices"][2] = [True] * len(doc["vertices"][2])
         elif edit == "string m":
             doc["m"] = "5"
+        elif edit == "null config":
+            doc["config"] = None
+        elif edit == "list trace_summary":
+            doc["trace_summary"] = [1, 2]
         else:
             doc = [doc]
         model_path.write_text(json.dumps(doc))

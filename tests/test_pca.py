@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import troppca.pca
-from oracles import grad_dist, instance_is_generic, jacobian_w, tie_averaged_subgradient
+from oracles import broadcast_objective, grad_dist, instance_is_generic, jacobian_w, tie_averaged_subgradient
 from troppca.pca import (
     TIE_RTOL,
     FitConfig,
@@ -18,7 +18,7 @@ from troppca.pca import (
     subgradient,
 )
 from troppca.tropical import trop_dist
-from troppca.treespace import random_ultrametrics, ultrametric_violation
+from troppca.treespace import _CHUNK_ELEMENTS, random_ultrametrics, ultrametric_violation
 
 
 def finite_difference_gradient(sample, vertices, h=1e-6):
@@ -142,6 +142,40 @@ class TestProjectToPolytope:
         p = TropicalPolytope([[0, 0, 0], [0, 1, 1]])
         with pytest.raises(ValueError):
             project_to_polytope(np.zeros(4), p)
+
+
+class TestBatchedProjection:
+    """Row-wise projection and distance against one-row calls, bit for bit."""
+
+    def assert_rows_match(self, sample, vertices):
+        p = TropicalPolytope(vertices)
+        w, lam = project_to_polytope(sample, p)
+        assert w.shape == sample.shape and lam.shape == (len(sample), p.s)
+        rows = [project_to_polytope(u, p) for u in sample]
+        assert np.array_equal(w, np.stack([row_w for row_w, _ in rows]))
+        assert np.array_equal(lam, np.stack([row_lam for _, row_lam in rows]))
+        dist = trop_dist(sample, w)
+        assert np.array_equal(dist, [trop_dist(u, row_w) for u, row_w in zip(sample, w)])
+        assert objective(sample, p) == broadcast_objective(sample, vertices)
+
+    @given(instances())
+    def test_equal_to_row_by_row_calls(self, instance):
+        self.assert_rows_match(*instance)
+
+    def test_batch_spanning_several_chunks(self):
+        vertices = random_ultrametrics(10, 3, seed=60)
+        sample = random_ultrametrics(10, 700, seed=61)
+        assert len(sample) >= 2 * (_CHUNK_ELEMENTS // vertices.size)
+        self.assert_rows_match(sample, vertices)
+        self.assert_rows_match(np.round(sample, 1), np.round(vertices, 1))
+
+    def test_one_vector_keeps_its_shape(self):
+        p = TropicalPolytope([[0, 0, 0], [0, 1, 1]])
+        w, lam = project_to_polytope(np.array([0.0, 2.0, 2.0]), p)
+        assert w.shape == (3,) and lam.shape == (2,)
+        assert isinstance(trop_dist([0.0, 2.0, 2.0], w), float)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            trop_dist(np.zeros((2, 3)), np.zeros((3, 3)))
 
 
 class TestObjective:

@@ -6,23 +6,27 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import (
+    Node,
     clade_ray_combination,
     enumerate_extreme_clades,
+    equidistance_gap,
     extreme_clade_vector,
+    is_equidistant,
     nested_clades,
+    node_view,
     path_weight,
     project_by_ray_enumeration,
     recursive_cophenetic_vector,
     recursive_parse_newick,
     single_linkage_projection,
     sorted_triple_violation,
+    tree_from_nodes,
+    union_find_reconstruct_tree,
 )
 from troppca.tropical import trop_dist
 from troppca.treespace import (
     _CHUNK_ELEMENTS,
     NewickError,
-    Node,
-    PhyloTree,
     cophenetic_vector,
     default_leaf_names,
     default_tolerance,
@@ -182,22 +186,22 @@ class TestDeepTrees:
         assert len(tree.clades()) == 1502
         assert tree.scaled(0.5).height() == 1.0
         assert parse_newick(tree.to_newick()).to_newick() == tree.to_newick()
-        assert tree.root.children[0].children[0].length == 0.0
+        assert node_view(tree).children[0].children[0].length == 0.0
 
 
 class TestPhyloTreeFromNodes:
     def test_flattens_and_views_back(self):
         root = Node(None, 0.0, [Node(None, 1.0, [Node("b", 1.0), Node("a", 1.0)]), Node("c", 2.0)])
-        tree = PhyloTree(root)
+        tree = tree_from_nodes(root)
         assert tree.leaf_names == ["a", "b", "c"]
         assert tree.to_newick() == "((b:1,a:1):1,c:2);"
-        assert tree.root == root
+        assert node_view(tree) == root
         assert_array_equal(tree.cophenetic_vector(), [2.0, 4.0, 4.0])
 
     @pytest.mark.parametrize("length", [-1.0, float("nan")])
     def test_rejects_negative_and_nan_lengths(self, length):
         with pytest.raises(ValueError, match="nonnegative"):
-            PhyloTree(Node(None, 0.0, [Node("a", length), Node("b"), Node("c")]))
+            tree_from_nodes(Node(None, 0.0, [Node("a", length), Node("b"), Node("c")]))
         with pytest.raises(ValueError, match="nonnegative"):
             parse_newick("(a,b,c);").scaled(length)
 
@@ -238,10 +242,10 @@ class TestCopheneticVector:
                 assert abs(walked - value) <= 1e-12
 
     def test_equidistance_gap(self):
-        assert parse_newick("((1:1,2:1):1,3:2);").equidistance_gap() == 0.0
+        assert equidistance_gap(parse_newick("((1:1,2:1):1,3:2);")) == 0.0
         skewed = parse_newick("((1:1,2:1):1,3:5);")
-        assert skewed.equidistance_gap() == pytest.approx(3.0)
-        assert not skewed.is_equidistant()
+        assert equidistance_gap(skewed) == pytest.approx(3.0)
+        assert not is_equidistant(skewed)
 
 
 BLANKS = st.sampled_from(["", "", " ", "\t", " \t "])
@@ -495,7 +499,7 @@ class TestReconstruct:
 
     def test_star_tree(self):
         tree = reconstruct_tree(np.array([2.0, 2.0, 2.0]))
-        assert len(tree.root.children) == 3
+        assert len(node_view(tree).children) == 3
         assert tree.height() == 1.0
 
     def test_round_trip_on_random_ultrametrics(self):
@@ -666,3 +670,98 @@ class TestBatchedKernels:
     def test_projection_non_expansive(self, x):
         px, py = project_to_treespace(x[:2])
         assert trop_dist(px, py) <= trop_dist(x[0], x[1])
+
+
+@st.composite
+def dendrogram_batches(draw, m=st.integers(3, 12), n=st.integers(1, 6)) -> np.ndarray:
+    """An (n, e) batch of positive ultrametrics: exact, on a rounded tie grid, or near-tie chains.
+
+    A near-tie chain merges random clusters at heights 1, 1 + d, ... whose
+    steps d fall just inside or just beyond half the default tolerance
+    (1e-8 times the largest entry, which is about 2), mixed with larger
+    steps, so that collapses chain and stop exactly at the boundary.
+    """
+    m, n = draw(m), draw(n)
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["exact", "grid", "chain"]))
+    if kind == "exact":
+        return random_ultrametrics(m, n, seed)
+    if kind == "grid":
+        steps = draw(st.sampled_from([2, 4, 10]))
+        return project_to_treespace(np.round(rng.random((n, m * (m - 1) // 2)) * steps) / steps + 0.5)
+    index = {pair: k for k, pair in enumerate(pair_order(m))}
+    out = np.empty((n, len(index)))
+    for row in out:
+        clusters = [[k] for k in range(m)]
+        height = 1.0
+        while len(clusters) > 1:
+            a, b = sorted(rng.choice(len(clusters), 2, replace=False))
+            for i in clusters[a]:
+                for j in clusters[b]:
+                    row[index[min(i, j), max(i, j)]] = 2.0 * height
+            clusters[a] += clusters.pop(b)
+            height += rng.choice([0.99e-8, 1.01e-8, 0.5e-8, 2e-8, 0.1, 0.0])
+    return out
+
+
+class TestBatchedReconstruct:
+    """Batched reconstruction against the per-tree union-find oracle."""
+
+    def assert_matches_oracle(self, x, tol=None):
+        trees = reconstruct_tree(x, tol=tol)
+        assert isinstance(trees, list) and len(trees) == len(x)
+        expected = [union_find_reconstruct_tree(row, tol=tol) for row in x]
+        assert [t.to_newick() for t in trees] == [t.to_newick() for t in expected]
+        assert [t.clades() for t in trees] == [t.clades() for t in expected]
+        assert np.array_equal(cophenetic_vector(trees), cophenetic_vector(expected))
+        single = reconstruct_tree(x[-1], tol=tol)
+        assert single.to_newick() == expected[-1].to_newick()
+
+    @given(dendrogram_batches())
+    def test_equal_to_union_find(self, x):
+        self.assert_matches_oracle(x)
+
+    @given(dendrogram_batches(), st.sampled_from([0.0, 1e-8, 0.05, 0.3]))
+    def test_equal_to_union_find_at_a_given_tolerance(self, x, tol):
+        if np.all(ultrametric_violation(x) <= tol):
+            self.assert_matches_oracle(x, tol)
+
+    @settings(max_examples=10)
+    @given(dendrogram_batches(m=st.just(60), n=st.integers(1, 3)))
+    def test_equal_to_union_find_at_m60(self, x):
+        self.assert_matches_oracle(x)
+
+    @pytest.mark.parametrize("m,n", [(12, 1100), (60, 40)])
+    def test_batches_spanning_several_chunks(self, m, n):
+        assert n >= 2 * (_CHUNK_ELEMENTS // (m * (m - 1) // 2))
+        exact = random_ultrametrics(m, n, seed=1700 + m)
+        self.assert_matches_oracle(exact)
+        rng = np.random.default_rng(1800 + m)
+        self.assert_matches_oracle(project_to_treespace(np.round(rng.random(exact.shape), 1) + 0.5))
+
+    def test_collapse_stops_at_half_the_tolerance(self):
+        # merges at heights 1 and 1 + d; half the default tolerance is 1e-8 * (1 + d)
+        inside = reconstruct_tree(np.array([[2.0, 2.0 + 1.8e-8, 2.0 + 1.8e-8]]))[0]
+        beyond = reconstruct_tree(np.array([[2.0, 2.0 + 2.2e-8, 2.0 + 2.2e-8]]))[0]
+        assert topology_signature(inside) == "{1,2,3}"
+        assert topology_signature(beyond) == "{1,2}|{1,2,3}"
+
+    def test_names_apply_to_every_row(self):
+        trees = reconstruct_tree(random_ultrametrics(4, 3, seed=5), names="wxyz")
+        assert all(tree.leaf_names == ["w", "x", "y", "z"] for tree in trees)
+
+    def test_failing_row_is_named(self):
+        x = random_ultrametrics(5, 4, seed=6)
+        bad = x.copy()
+        bad[[2, 3], 0] = 5.0  # above every other entry: the three-point condition fails
+        with pytest.raises(ValueError, match=r"^row 2: not ultrametric"):
+            reconstruct_tree(bad)
+        bad = x.copy()
+        bad[1:] -= bad[1:].min(axis=1, keepdims=True)  # torus-equivalent, but with a zero entry
+        bad[2, 0] = 5.0
+        with pytest.raises(ValueError, match=r"^row 1: all entries must be positive"):
+            reconstruct_tree(bad)
+        bad[1, 4] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            reconstruct_tree(bad)
