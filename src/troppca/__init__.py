@@ -29,7 +29,6 @@ from .treespace import (
     pair_order,
     parse_newick,
     project_to_treespace,
-    random_ultrametric,
     random_ultrametrics,
     reconstruct_tree,
     topology_signature,
@@ -66,7 +65,6 @@ __all__ = [
     "pair_order",
     "parse_newick",
     "project_to_treespace",
-    "random_ultrametric",
     "random_ultrametrics",
     "reconstruct_tree",
     "topology_signature",

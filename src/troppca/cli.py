@@ -32,7 +32,7 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _load_sample(path, project_inputs: bool = False, normalize_height: bool = False):
+def _load_sample(path, project_inputs: bool, normalize_height: bool):
     """Read a Newick file into (leaf_labels, line_numbers, vector matrix)."""
     trees, errors = load_newick_file(path)
     if errors:
@@ -75,11 +75,7 @@ def _load_sample(path, project_inputs: bool = False, normalize_height: bool = Fa
 
 def _load_model_and_sample(args):
     model = load_model(args.model)
-    labels, lines, vectors = _load_sample(
-        args.input,
-        project_inputs=getattr(args, "project_inputs", False),
-        normalize_height=getattr(args, "normalize_height", False),
-    )
+    labels, lines, vectors = _load_sample(args.input, args.project_inputs, args.normalize_height)
     if labels != model.leaf_labels:
         missing = sorted(set(model.leaf_labels) - set(labels))
         extra = sorted(set(labels) - set(model.leaf_labels))
@@ -124,7 +120,7 @@ def cmd_fit(args) -> int:
             "lr0": cfg.lr0,
             "decay": cfg.decay,
             "seed": cfg.seed,
-            "init": cfg.init,
+            "init": "sample-points",
             "update_mode": cfg.update_mode,
             "project_inputs": bool(args.project_inputs),
             "normalize_height": bool(args.normalize_height),
@@ -192,6 +188,8 @@ def cmd_plot(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.tol is not None and not (np.isfinite(args.tol) and args.tol >= 0):
+        raise CliError(f"--tol must be nonnegative and finite, got {args.tol}")
     trees, errors = load_newick_file(args.input)
     if not trees and not errors:
         raise CliError(f"no trees found in {args.input}")
@@ -310,10 +308,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as err:
+    except (CliError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

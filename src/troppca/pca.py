@@ -85,6 +85,16 @@ def _sample_matrix(sample, e: int | None = None) -> np.ndarray:
     return u
 
 
+def _projection(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(diff, lam, w) of (n, e) rows u over vertices v: diff = u - D, lam = min(diff), w = max_k(lam[k] + D_k)."""
+    diff = u[:, None, :] - v
+    lam = diff.min(axis=2)
+    w = lam[:, 0, None] + v[0]
+    for k in range(1, len(v)):
+        np.maximum(w, lam[:, k, None] + v[k], out=w)
+    return diff, lam, w
+
+
 def project_to_polytope(sample, polytope: TropicalPolytope) -> tuple[np.ndarray, np.ndarray]:
     """Projection of each observation onto the polytope and its coordinates over the vertices.
 
@@ -103,8 +113,7 @@ def project_to_polytope(sample, polytope: TropicalPolytope) -> tuple[np.ndarray,
     lam = np.empty((len(rows), polytope.s))
     w = np.empty_like(rows)
     for part in _chunks(len(rows), v.size):
-        lam[part] = (rows[part, None, :] - v).min(axis=2)
-        w[part] = (lam[part, :, None] + v).max(axis=1)
+        _, lam[part], w[part] = _projection(rows[part], v)
     return (w, lam) if u.ndim == 2 else (w[0], lam[0])
 
 
@@ -142,12 +151,8 @@ def evaluate(sample, polytope: TropicalPolytope) -> tuple[float, np.ndarray]:
     n = u.shape[0]
     s, e = v.shape
     tol = TIE_RTOL * max(np.abs(u).max(), np.abs(v).max())
-    diff = u[:, None, :] - v[None, :, :]
-    lam = diff.min(axis=2)
+    diff, lam, w = _projection(u, v)
     jtied = diff <= (lam + tol)[:, :, None]
-    w = lam[:, 0, None] + v[0]
-    for k in range(1, s):
-        np.maximum(w, lam[:, k, None] + v[k], out=w)
     d = w - u
     dmax = d.max(axis=1)
     dmin = d.min(axis=1)
@@ -187,8 +192,7 @@ class FitConfig:
     lr0: float = 0.01
     decay: float = 0.999
     seed: int = 42
-    init: str = "sample-points"  # or "user-supplied"
-    init_vertices: object = None
+    init_vertices: object = None  # None: start from cfg.s sample points drawn by seed
     update_mode: str = "simultaneous"  # or "cyclic"
 
     def __post_init__(self):
@@ -200,12 +204,8 @@ class FitConfig:
             raise ValueError(f"lr0 must be positive and finite, got {self.lr0}")
         if not 0 < self.decay <= 1:
             raise ValueError("decay must lie in (0, 1]")
-        if self.init not in ("sample-points", "user-supplied"):
-            raise ValueError(f"unknown init mode {self.init!r}")
         if self.update_mode not in ("simultaneous", "cyclic"):
             raise ValueError(f"unknown update mode {self.update_mode!r}")
-        if (self.init == "user-supplied") != (self.init_vertices is not None):
-            raise ValueError("init_vertices must be given exactly when init='user-supplied'")
 
 
 @dataclass
@@ -239,10 +239,10 @@ def _validate_ultrametric_rows(u: np.ndarray, what: str) -> None:
 def fit(sample, cfg: FitConfig) -> tuple[TropicalPolytope, FitTrace]:
     """Fit the best-fit tropical polytope with cfg.s vertices to the sample.
 
-    Starts from cfg.s distinct sample points drawn by cfg.seed (or the
-    user-supplied vertices), then iterates t = 0..max_iters-1 with step
-    alpha_t = lr0 * decay**t: every vertex (simultaneous mode) or one
-    round-robin vertex (cyclic mode) moves to
+    Starts from cfg.init_vertices, or when that is None from cfg.s
+    distinct sample points drawn by cfg.seed, then iterates
+    t = 0..max_iters-1 with step alpha_t = lr0 * decay**t: every vertex
+    (simultaneous mode) or one round-robin vertex (cyclic mode) moves to
     project_to_treespace(D_k - alpha_t * g_k).  Each iterate is evaluated
     once: evaluate gives its objective for the trace and its subgradient g
     for the next step.  The returned polytope is the best iterate by
@@ -258,7 +258,7 @@ def fit(sample, cfg: FitConfig) -> tuple[TropicalPolytope, FitTrace]:
     _validate_ultrametric_rows(u, "sample vectors")
 
     start = time.perf_counter()
-    if cfg.init == "sample-points":
+    if cfg.init_vertices is None:
         rng = np.random.default_rng(cfg.seed)
         chosen = rng.choice(n, size=cfg.s, replace=False)
         vertices = u[chosen].copy()
@@ -275,14 +275,11 @@ def fit(sample, cfg: FitConfig) -> tuple[TropicalPolytope, FitTrace]:
 
     alpha = cfg.lr0
     for t in range(cfg.max_iters):
+        rows = slice(None) if cfg.update_mode == "simultaneous" else slice(t % cfg.s, t % cfg.s + 1)
         try:
             with np.errstate(over="raise", invalid="raise"):
-                if cfg.update_mode == "simultaneous":
-                    updated = project_to_treespace(polytope.vertices - alpha * g)
-                else:
-                    updated = polytope.vertices.copy()
-                    k = t % cfg.s
-                    updated[k] = project_to_treespace(updated[k] - alpha * g[k])
+                updated = polytope.vertices.copy()
+                updated[rows] = project_to_treespace(updated[rows] - alpha * g[rows])
                 polytope = TropicalPolytope(updated)
                 se, g = evaluate(u, polytope)
         except FloatingPointError:

@@ -34,7 +34,6 @@ __all__ = [
     "default_tolerance",
     "project_to_treespace",
     "reconstruct_tree",
-    "random_ultrametric",
     "random_ultrametrics",
     "topology_signature",
 ]
@@ -391,12 +390,27 @@ def default_tolerance(u):
     return 1e-8 * scale if np.ndim(u) == 2 else 1e-8 * float(scale)
 
 
-@lru_cache(maxsize=None)
-def _triple_pair_indices(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pair positions (ij, ik, jk) for every leaf triple i < j < k."""
-    mat = _pair_index_matrix(m)
-    i, j, k = np.array(list(itertools.combinations(range(m), 3)), dtype=np.intp).T
-    return mat[i, j], mat[i, k], mat[j, k]
+@lru_cache(maxsize=8)
+def _triple_bounds(m: int) -> tuple[int, ...]:
+    """Pair positions that cut the triples i < j < k, pair by pair, into blocks of about _CHUNK_ELEMENTS."""
+    ends = np.cumsum(m - 1 - np.triu_indices(m, 1)[1])  # pair (i, j) holds the triples (i, j, k > j)
+    blocks = max(1, round(int(ends[-1]) / _CHUNK_ELEMENTS))
+    cuts = np.searchsorted(ends, ends[-1] * np.arange(1, blocks) / blocks) + 1
+    return (0, *cuts.tolist(), len(ends))
+
+
+@lru_cache(maxsize=8)
+def _triple_block(m: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pair positions (ij, ik, jk) of the triples of pairs lo..hi-1, in O(m + block) memory."""
+    row = np.arange(m)
+    first = row * (2 * m - row - 1) // 2  # position of pair (x, x + 1); (x, y) sits at first[x] + y - x - 1
+    ij = np.arange(lo, hi)
+    i = np.searchsorted(first, ij, side="right") - 1
+    j = ij - first[i] + i + 1
+    count = m - 1 - j
+    k = np.arange(count.sum()) + np.repeat(j + 1 - (np.cumsum(count) - count), count)
+    ij, i, j = np.repeat(ij, count), np.repeat(i, count), np.repeat(j, count)
+    return ij, first[i] + k - i - 1, first[j] + k - j - 1
 
 
 def ultrametric_violation(u):
@@ -406,20 +420,22 @@ def ultrametric_violation(u):
     float) or an (n, e) batch with one vector per row (the result is an
     array of n defects).  Each triple's largest and middle values are
     selected with maximum/minimum, not computed, so exact ties stay exact.
-    Rows are processed in chunks of about _CHUNK_ELEMENTS triples.
+    Triples go in blocks and rows in chunks of about _CHUNK_ELEMENTS triples.
     """
     rows, m, batched = _as_rows(u)
-    ij, ik, jk = _triple_pair_indices(m)
-    out = np.empty(len(rows))
-    for part in _chunks(len(rows), ij.size):
-        x = rows[part]
-        a, b, c = x[:, ij], x[:, ik], x[:, jk]
-        top = np.maximum(a, b)
-        np.minimum(a, b, out=a)
-        np.minimum(top, c, out=b)
-        np.maximum(top, c, out=top)  # max(max(a, b), c)
-        np.maximum(a, b, out=a)  # middle: max(min(a, b), min(max(a, b), c))
-        out[part] = np.max(top - a, axis=1)
+    out = np.zeros(len(rows))
+    bounds = _triple_bounds(m)
+    for lo, hi in zip(bounds, bounds[1:]):
+        ij, ik, jk = _triple_block(m, lo, hi)
+        for part in _chunks(len(rows), ij.size):
+            x = rows[part]
+            a, b, c = x[:, ij], x[:, ik], x[:, jk]
+            top = np.maximum(a, b)
+            np.minimum(a, b, out=a)
+            np.minimum(top, c, out=b)
+            np.maximum(top, c, out=top)  # max(max(a, b), c)
+            np.maximum(a, b, out=a)  # middle: max(min(a, b), min(max(a, b), c))
+            np.maximum(out[part], np.max(top - a, axis=1), out=out[part])
     return out if batched else float(out[0])
 
 
@@ -479,14 +495,6 @@ def project_to_treespace(x) -> np.ndarray:
             via = np.where(closer, v[:, None], via)
         out[part] = ultra[:, iu, ju]
     return out if batched else out[0]
-
-
-def random_ultrametric(m: int, seed: int) -> np.ndarray:
-    """Random point of tree space: uniform(0,1) coordinates projected onto it."""
-    if m < 3:
-        raise ValueError(f"m must be at least 3, got {m}")
-    rng = np.random.default_rng(seed)
-    return project_to_treespace(rng.random(m * (m - 1) // 2))
 
 
 def random_ultrametrics(m: int, n: int, seed: int) -> np.ndarray:

@@ -625,11 +625,17 @@ def jacobian_w(u, polytope) -> dict[tuple[int, int, int], float]:
     return entries
 
 
-def broadcast_objective(sample, vertices) -> float:
-    """The objective in one (n, s, e) broadcast: lambda, then w, then the summed row ranges of u - w."""
+def broadcast_projection(sample, vertices) -> tuple[np.ndarray, np.ndarray]:
+    """(w, lam) of an (n, e) sample in one (n, s, e) broadcast: lam = min(u - D), then w = max(lam + D)."""
     u = np.asarray(sample, dtype=float)
     v = np.asarray(vertices, dtype=float)
     lam = (u[:, None, :] - v[None, :, :]).min(axis=2)
     w = (lam[:, :, None] + v[None, :, :]).max(axis=1)
-    d = u - w
+    return w, lam
+
+
+def broadcast_objective(sample, vertices) -> float:
+    """The objective in one broadcast: broadcast_projection, then the summed row ranges of u - w."""
+    w, _ = broadcast_projection(sample, vertices)
+    d = np.asarray(sample, dtype=float) - w
     return float(np.sum(d.max(axis=1) - d.min(axis=1)))

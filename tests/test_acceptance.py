@@ -30,7 +30,6 @@ from troppca.treespace import (
     load_newick_file,
     parse_newick,
     project_to_treespace,
-    random_ultrametric,
     random_ultrametrics,
     reconstruct_tree,
     ultrametric_violation,
@@ -147,7 +146,7 @@ def test_criterion_5_descent_and_baseline_comparison():
     method's reference search, which picks its vertex sets from the sample
     points: a random search over 101 s-subsets of the sample
     (budget_evals=101) gives the best polytope it finds, and a fit started
-    from that polytope (init="user-supplied") wins a run when it lowers the
+    from that polytope (init_vertices) wins a run when it lowers the
     polytope's SE strictly.  The 101 draws are not the fit's work: besides
     the objective, each fit iteration evaluates a subgradient, which costs
     three to four objective evaluations at this size.
@@ -161,7 +160,7 @@ def test_criterion_5_descent_and_baseline_comparison():
         _, trace = fit(sample, cfg)
         descents += trace.best_se < trace.initial_se
         baseline, baseline_se = baseline_random_search(sample, 3, budget_evals=101, seed=r)
-        refined_cfg = replace(cfg, init="user-supplied", init_vertices=baseline.vertices)
+        refined_cfg = replace(cfg, init_vertices=baseline.vertices)
         _, refined = fit(sample, refined_cfg)
         wins += refined.best_se < baseline_se
         details.append(f"{refined.best_se:.4f}/{baseline_se:.4f}")
@@ -211,7 +210,7 @@ def test_criterion_7_round_trips(tmp_path):
     """Newick -> vector -> tree -> vector within 1e-9; model save/load/eval exact."""
     worst = 0.0
     for trial in range(100):
-        u = random_ultrametric(6, seed=10700 + trial)
+        u = random_ultrametrics(6, 1, seed=10700 + trial)[0]
         text = reconstruct_tree(u).to_newick()
         tree = parse_newick(text)
         vec = tree.cophenetic_vector()

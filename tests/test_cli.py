@@ -129,6 +129,15 @@ class TestCheck:
         assert main(["check", "--input", str(path)]) == 1
         assert "no trees found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_negative_or_non_finite_tol_fails_with_one_line_error(self, tmp_path, capsys, tol):
+        path = tmp_path / "trees.nwk"
+        path.write_text("((1:1,2:1):1,3:2);\n")
+        assert main(["check", "--input", str(path), "--tol", tol]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: --tol must be nonnegative and finite, got {float(tol)}"]
+
 
 class TestFit:
     def test_fit_writes_model_and_trace(self, tmp_path, sample_file, capsys):
@@ -195,6 +204,17 @@ class TestFit:
     def test_cyclic_update_mode(self, tmp_path, sample_file, capsys):
         model_path, _ = fit_model(tmp_path, sample_file, **{"--update-mode": "cyclic"})
         assert load_model(model_path).config["update_mode"] == "cyclic"
+
+    @pytest.mark.parametrize("mode", ["simultaneous", "cyclic"])
+    def test_model_config_object(self, tmp_path, sample_file, mode):
+        overrides = {"--update-mode": mode, "--lr0": "0.02", "--decay": "0.99"}
+        model_path, _ = fit_model(tmp_path, sample_file, **overrides)
+        config = json.loads(model_path.read_text(encoding="utf-8"))["config"]
+        assert list(config.items()) == [
+            ("s", 3), ("max_iters", 60), ("lr0", 0.02), ("decay", 0.99), ("seed", 1),
+            ("init", "sample-points"), ("update_mode", mode),
+            ("project_inputs", False), ("normalize_height", False),
+        ]
 
     @pytest.mark.parametrize("lr0", ["nan", "inf"])
     def test_non_finite_lr0_fails_with_one_line_error(self, tmp_path, sample_file, capsys, lr0):

@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import troppca.pca
-from oracles import broadcast_objective, grad_dist, instance_is_generic, jacobian_w, tie_averaged_subgradient
+from oracles import (
+    broadcast_objective,
+    broadcast_projection,
+    grad_dist,
+    instance_is_generic,
+    jacobian_w,
+    tie_averaged_subgradient,
+)
 from troppca.pca import (
     TIE_RTOL,
     FitConfig,
@@ -158,9 +165,18 @@ class TestBatchedProjection:
         assert np.array_equal(dist, [trop_dist(u, row_w) for u, row_w in zip(sample, w)])
         assert objective(sample, p) == broadcast_objective(sample, vertices)
 
+    def assert_broadcast_match(self, sample, vertices):
+        w, lam = project_to_polytope(sample, TropicalPolytope(vertices))
+        expected_w, expected_lam = broadcast_projection(sample, vertices)
+        assert np.array_equal(w, expected_w) and np.array_equal(lam, expected_lam)
+
     @given(instances())
     def test_equal_to_row_by_row_calls(self, instance):
         self.assert_rows_match(*instance)
+
+    @given(instances())
+    def test_equal_to_broadcast_formulas(self, instance):
+        self.assert_broadcast_match(*instance)
 
     def test_batch_spanning_several_chunks(self):
         vertices = random_ultrametrics(10, 3, seed=60)
@@ -168,6 +184,9 @@ class TestBatchedProjection:
         assert len(sample) >= 2 * (_CHUNK_ELEMENTS // vertices.size)
         self.assert_rows_match(sample, vertices)
         self.assert_rows_match(np.round(sample, 1), np.round(vertices, 1))
+        for tied in (1, 4):  # rounded to a grid, so the min and max selections tie
+            self.assert_broadcast_match(np.round(sample, tied), np.round(vertices, tied))
+        self.assert_broadcast_match(sample, vertices)
 
     def test_one_vector_keeps_its_shape(self):
         p = TropicalPolytope([[0, 0, 0], [0, 1, 1]])
@@ -431,10 +450,30 @@ class TestFit:
         _, trace = fit(sample, cfg)
         assert trace.best_se <= trace.initial_se
 
+    @pytest.mark.parametrize("mode", ["simultaneous", "cyclic"])
+    def test_steps_match_a_per_mode_reference_loop(self, mode):
+        from troppca.treespace import project_to_treespace
+
+        sample = random_ultrametrics(5, 30, seed=46)
+        cfg = FitConfig(s=3, max_iters=7, lr0=0.05, seed=10, update_mode=mode)
+        _, trace = fit(sample, cfg)
+        vertices = sample[np.random.default_rng(cfg.seed).choice(len(sample), size=3, replace=False)]
+        alpha, expected = cfg.lr0, []
+        for t in range(cfg.max_iters):
+            g = subgradient(sample, TropicalPolytope(vertices))
+            if mode == "simultaneous":
+                vertices = project_to_treespace(vertices - alpha * g)
+            else:  # one round-robin vertex, projected as a single vector
+                vertices = vertices.copy()
+                vertices[t % 3] = project_to_treespace(vertices[t % 3] - alpha * g[t % 3])
+            expected.append(objective(sample, TropicalPolytope(vertices)))
+            alpha *= cfg.decay
+        assert trace.se == expected
+
     def test_user_supplied_initialization(self):
         sample = random_ultrametrics(5, 20, seed=42)
         init = sample[:3]
-        cfg = FitConfig(s=3, max_iters=5, seed=7, init="user-supplied", init_vertices=init)
+        cfg = FitConfig(s=3, max_iters=5, seed=7, init_vertices=init)
         _, trace = fit(sample, cfg)
         assert trace.initial_se == objective(sample, TropicalPolytope(init))
 
@@ -480,8 +519,6 @@ class TestFit:
         for lr0 in (0.0, -0.01, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="lr0 must be positive and finite"):
                 FitConfig(s=2, lr0=lr0)
-        with pytest.raises(ValueError):
-            FitConfig(s=2, init="user-supplied")
         with pytest.raises(ValueError):
             FitConfig(s=2, update_mode="both")
 

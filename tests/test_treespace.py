@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import (
     Node,
+    _triple_columns,
     clade_ray_combination,
     enumerate_extreme_clades,
     equidistance_gap,
@@ -26,6 +29,8 @@ from oracles import (
 from troppca.tropical import trop_dist
 from troppca.treespace import (
     _CHUNK_ELEMENTS,
+    _triple_block,
+    _triple_bounds,
     NewickError,
     cophenetic_vector,
     default_leaf_names,
@@ -37,7 +42,6 @@ from troppca.treespace import (
     pair_order,
     parse_newick,
     project_to_treespace,
-    random_ultrametric,
     random_ultrametrics,
     reconstruct_tree,
     topology_signature,
@@ -142,7 +146,7 @@ class TestNewickSerialization:
     def test_serialize_parse_fixes_cophenetic_vector(self):
         rng = np.random.default_rng(7)
         for trial in range(25):
-            u = random_ultrametric(6, seed=700 + trial)
+            u = random_ultrametrics(6, 1, seed=700 + trial)[0]
             tree = reconstruct_tree(u)
             text = tree.to_newick()
             again = parse_newick(text)
@@ -234,7 +238,7 @@ class TestCopheneticVector:
     def test_matches_path_walking_oracle(self):
         rng = np.random.default_rng(8)
         for trial in range(10):
-            u = random_ultrametric(6, seed=800 + trial)
+            u = random_ultrametrics(6, 1, seed=800 + trial)[0]
             tree = reconstruct_tree(u)
             vec = tree.cophenetic_vector()
             for (i, j), value in zip(pair_order(6), vec):
@@ -482,7 +486,7 @@ class TestProjection:
             px = project_to_treespace(x)
             base = trop_dist(x, px)
             for k in range(50):
-                y = random_ultrametric(5, seed=1400 + 50 * trial + k)
+                y = random_ultrametrics(5, 1, seed=1400 + 50 * trial + k)[0]
                 assert base <= trop_dist(x, y) + 1e-9
 
     def test_rejects_bad_input(self):
@@ -504,7 +508,7 @@ class TestReconstruct:
 
     def test_round_trip_on_random_ultrametrics(self):
         for trial in range(100):
-            u = random_ultrametric(6, seed=1500 + trial)
+            u = random_ultrametrics(6, 1, seed=1500 + trial)[0]
             vec = reconstruct_tree(u).cophenetic_vector()
             assert np.max(np.abs(vec - u)) <= 1e-9
 
@@ -531,15 +535,15 @@ class TestReconstruct:
 class TestRandomUltrametric:
     def test_exactly_ultrametric(self):
         for seed in range(50):
-            u = random_ultrametric(5, seed=seed)
+            u = random_ultrametrics(5, 1, seed=seed)[0]
             assert ultrametric_violation(u) == 0.0
 
     def test_deterministic_per_seed(self):
-        assert_array_equal(random_ultrametric(6, seed=9), random_ultrametric(6, seed=9))
+        assert_array_equal(random_ultrametrics(6, 1, seed=9)[0], random_ultrametrics(6, 1, seed=9)[0])
 
     def test_entries_in_unit_interval(self):
         for seed in range(1000):
-            u = random_ultrametric(5, seed=seed)
+            u = random_ultrametrics(5, 1, seed=seed)[0]
             assert np.all(u > 0) and np.all(u <= 1)
 
     def test_batch_draws_from_one_stream(self):
@@ -551,7 +555,7 @@ class TestRandomUltrametric:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            random_ultrametric(2, seed=0)
+            random_ultrametrics(2, 1, seed=0)
         with pytest.raises(ValueError):
             random_ultrametrics(5, 0, seed=0)
 
@@ -647,6 +651,36 @@ class TestBatchedKernels:
         rng = np.random.default_rng(1600 + m)
         x = np.round(rng.normal(size=(n, e)), 1) - 0.5
         self.assert_matches_oracles(x)
+
+    @pytest.mark.parametrize("m", [3, 4, 60, 70, 100])
+    def test_triple_blocks_tile_the_triple_table(self, m):
+        bounds = _triple_bounds(m)
+        blocks = [_triple_block(m, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        assert np.array_equal(np.hstack([np.stack(block) for block in blocks]), _triple_columns(m))
+        if len(blocks) > 1:
+            assert all(_CHUNK_ELEMENTS / 2 <= len(ij) <= 2 * _CHUNK_ELEMENTS for ij, _, _ in blocks)
+
+    @pytest.mark.parametrize("m", [70, 100])
+    def test_check_spanning_several_triple_blocks(self, m):
+        assert len(_triple_bounds(m)) > 2
+        rng = np.random.default_rng(1650 + m)
+        exact = random_ultrametrics(m, 3, seed=1660 + m)
+        x = np.vstack([exact, np.round(rng.normal(size=exact.shape), 1)])
+        x[0, -1] += 0.25  # one defect, at the last pair
+        self.assert_matches_oracles(x)
+
+    def test_check_memory_is_bounded(self):
+        # the full triple table at m=300 holds 4.5 million triples (a 0.5 GB peak)
+        u = random_ultrametrics(300, 1, seed=1670)[0]
+        _triple_block.cache_clear()
+        tracemalloc.start()
+        try:
+            violation = ultrametric_violation(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert violation == 0.0
+        assert peak < 32e6
 
     def test_single_row_batch(self):
         x = np.array([[1.0, 3.0, 2.0]])
