@@ -13,6 +13,7 @@ from .svgplot import scatter_svg
 from .treespace import (
     cophenetic_vector,
     default_tolerance,
+    is_ultrametric,
     leaf_depths,
     load_newick_file,
     project_to_treespace,
@@ -61,7 +62,7 @@ def _load_sample(path, project_inputs: bool, normalize_height: bool):
 
     line_numbers = [ln for ln, _ in trees]
     vectors = cophenetic_vector(batch)
-    bad = ultrametric_violation(vectors) > default_tolerance(vectors)
+    bad = ~is_ultrametric(vectors)
     if bad.any():
         if not project_inputs:
             offenders = ", ".join(str(ln) for ln, b in zip(line_numbers, bad) if b)

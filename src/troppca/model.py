@@ -82,7 +82,12 @@ def load_model(path) -> Model:
         isinstance(row, list) and all(type(x) in (int, float) for x in row) for row in rows
     ):
         raise ValueError("vertices must be lists of numbers")
-    vertices = np.array(rows, dtype=float)
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("vertex rows differ in length")
+    try:
+        vertices = np.array(rows, dtype=float)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ValueError("vertex coordinates must be finite") from None
     if vertices.ndim != 2 or vertices.shape[0] != s:
         raise ValueError("vertex array does not match the declared s")
     if leaf_count_from_dim(vertices.shape[1]) != m:

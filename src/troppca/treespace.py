@@ -390,29 +390,6 @@ def default_tolerance(u):
     return 1e-8 * scale if np.ndim(u) == 2 else 1e-8 * float(scale)
 
 
-@lru_cache(maxsize=8)
-def _triple_bounds(m: int) -> tuple[int, ...]:
-    """Pair positions that cut the triples i < j < k, pair by pair, into blocks of about _CHUNK_ELEMENTS."""
-    ends = np.cumsum(m - 1 - np.triu_indices(m, 1)[1])  # pair (i, j) holds the triples (i, j, k > j)
-    blocks = max(1, round(int(ends[-1]) / _CHUNK_ELEMENTS))
-    cuts = np.searchsorted(ends, ends[-1] * np.arange(1, blocks) / blocks) + 1
-    return (0, *cuts.tolist(), len(ends))
-
-
-@lru_cache(maxsize=8)
-def _triple_block(m: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pair positions (ij, ik, jk) of the triples of pairs lo..hi-1, in O(m + block) memory."""
-    row = np.arange(m)
-    first = row * (2 * m - row - 1) // 2  # position of pair (x, x + 1); (x, y) sits at first[x] + y - x - 1
-    ij = np.arange(lo, hi)
-    i = np.searchsorted(first, ij, side="right") - 1
-    j = ij - first[i] + i + 1
-    count = m - 1 - j
-    k = np.arange(count.sum()) + np.repeat(j + 1 - (np.cumsum(count) - count), count)
-    ij, i, j = np.repeat(ij, count), np.repeat(i, count), np.repeat(j, count)
-    return ij, first[i] + k - i - 1, first[j] + k - j - 1
-
-
 def ultrametric_violation(u):
     """Worst three-point defect: max over triples of (largest - second largest).
 
@@ -420,22 +397,27 @@ def ultrametric_violation(u):
     float) or an (n, e) batch with one vector per row (the result is an
     array of n defects).  Each triple's largest and middle values are
     selected with maximum/minimum, not computed, so exact ties stay exact.
-    Triples go in blocks and rows in chunks of about _CHUNK_ELEMENTS triples.
+    The triples i < j < k are taken by middle leaf j: with the rows laid
+    out as the upper triangle of an (m, m, rows) array d, the pairs ij, ik
+    and jk of all of them are the slices d[:j, j], d[:j, j+1:] and
+    d[j, j+1:].  Rows go in chunks of about _CHUNK_ELEMENTS triples of the
+    largest middle leaf, (m-1)^2/4 of them.
     """
     rows, m, batched = _as_rows(u)
+    iu, ju = np.triu_indices(m, 1)  # the pair order, as row and column indices
     out = np.zeros(len(rows))
-    bounds = _triple_bounds(m)
-    for lo, hi in zip(bounds, bounds[1:]):
-        ij, ik, jk = _triple_block(m, lo, hi)
-        for part in _chunks(len(rows), ij.size):
-            x = rows[part]
-            a, b, c = x[:, ij], x[:, ik], x[:, jk]
+    for part in _chunks(len(rows), (m - 1) ** 2 // 4):
+        d = np.empty((m, m, len(rows[part])))  # rows last, so numpy's inner loops run along them
+        d[iu, ju] = rows[part].T
+        worst = out[part]
+        for j in range(1, m - 1):
+            a, b, c = d[:j, j, None], d[:j, j + 1:], d[None, j, j + 1:]
             top = np.maximum(a, b)
-            np.minimum(a, b, out=a)
-            np.minimum(top, c, out=b)
+            middle = np.minimum(top, c)
             np.maximum(top, c, out=top)  # max(max(a, b), c)
-            np.maximum(a, b, out=a)  # middle: max(min(a, b), min(max(a, b), c))
-            np.maximum(out[part], np.max(top - a, axis=1), out=out[part])
+            np.maximum(np.minimum(a, b), middle, out=middle)  # max(min(a, b), min(max(a, b), c))
+            np.subtract(top, middle, out=top)
+            np.maximum(worst, np.max(top, axis=(0, 1)), out=worst)
     return out if batched else float(out[0])
 
 

@@ -443,6 +443,8 @@ class TestModelFile:
             *(f"drop {key}" for key in ("m", "s", "leaf_labels", "vertices")),
             "string coordinate",
             "null coordinate",
+            "huge integer coordinate",
+            "ragged vertices",
             "boolean vertex",
             "string m",
             "null config",
@@ -459,6 +461,10 @@ class TestModelFile:
             doc["vertices"][1][2] = "0.5"
         elif edit == "null coordinate":
             doc["vertices"][0][3] = None
+        elif edit == "huge integer coordinate":
+            doc["vertices"][0][1] = 10**400
+        elif edit == "ragged vertices":
+            doc["vertices"][1].pop()
         elif edit == "boolean vertex":
             doc["vertices"][2] = [True] * len(doc["vertices"][2])
         elif edit == "string m":

@@ -64,7 +64,8 @@ def model_files(draw) -> str:
         del doc[draw(st.sampled_from(sorted(doc)))]
     elif edit == "retype":
         key = draw(st.sampled_from(sorted(doc)))
-        doc[key] = draw(st.sampled_from([None, "3", -1, 2.5, [], {}, [[1.0, "x", 2.0]], [[1e308, -1e308, 0.0]]]))
+        values = [None, "3", -1, 2.5, [], {}, [[1.0, "x", 2.0]], [[1e308, -1e308, 0.0]], [[10**400, 0, 0]]]
+        doc[key] = draw(st.sampled_from(values))
     elif edit == "garbage":
         return draw(st.sampled_from(["", "{", "[]", "null", "\x00\xff", '{"format_version": 1}']))
     return json.dumps(doc)

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import (
     Node,
-    _triple_columns,
     clade_ray_combination,
     enumerate_extreme_clades,
     equidistance_gap,
@@ -29,8 +29,6 @@ from oracles import (
 from troppca.tropical import trop_dist
 from troppca.treespace import (
     _CHUNK_ELEMENTS,
-    _triple_block,
-    _triple_bounds,
     NewickError,
     cophenetic_vector,
     default_leaf_names,
@@ -643,36 +641,26 @@ class TestBatchedKernels:
     def test_equal_to_oracles_at_m60(self, x):
         self.assert_matches_oracles(x)
 
-    @pytest.mark.parametrize("m,n", [(12, 700), (60, 20)])
+    @pytest.mark.parametrize("m,n", [(12, 1100), (60, 40), (70, 30), (100, 16)])
     def test_batches_spanning_several_chunks(self, m, n):
         e = m * (m - 1) // 2
-        # two chunks of the projection at least; the check's chunks hold fewer rows
-        assert n >= 2 * (_CHUNK_ELEMENTS // (m * m))
+        # two row chunks at least, of the projection and of the three-point check
+        assert n > _CHUNK_ELEMENTS // (m * m) and n > _CHUNK_ELEMENTS // ((m - 1) ** 2 // 4)
         rng = np.random.default_rng(1600 + m)
-        x = np.round(rng.normal(size=(n, e)), 1) - 0.5
+        noise = np.round(rng.normal(size=(n - n // 2, e)), 1) - 0.5
+        x = np.vstack([noise, random_ultrametrics(m, n // 2, seed=1660 + m)])
+        x[-1, -1] += 1.0  # one defect, at the last pair: only triples with middle leaf m-2 see it
+        assert ultrametric_violation(x[-1]) > 0
         self.assert_matches_oracles(x)
 
-    @pytest.mark.parametrize("m", [3, 4, 60, 70, 100])
-    def test_triple_blocks_tile_the_triple_table(self, m):
-        bounds = _triple_bounds(m)
-        blocks = [_triple_block(m, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        assert np.array_equal(np.hstack([np.stack(block) for block in blocks]), _triple_columns(m))
-        if len(blocks) > 1:
-            assert all(_CHUNK_ELEMENTS / 2 <= len(ij) <= 2 * _CHUNK_ELEMENTS for ij, _, _ in blocks)
-
-    @pytest.mark.parametrize("m", [70, 100])
-    def test_check_spanning_several_triple_blocks(self, m):
-        assert len(_triple_bounds(m)) > 2
-        rng = np.random.default_rng(1650 + m)
-        exact = random_ultrametrics(m, 3, seed=1660 + m)
-        x = np.vstack([exact, np.round(rng.normal(size=exact.shape), 1)])
-        x[0, -1] += 0.25  # one defect, at the last pair
-        self.assert_matches_oracles(x)
+    @pytest.mark.parametrize("m,levels", [(4, 3), (5, 2)])
+    def test_check_on_every_vector_of_a_grid(self, m, levels):
+        x = np.array(list(itertools.product(range(levels), repeat=m * (m - 1) // 2)), dtype=float)
+        assert np.array_equal(ultrametric_violation(x), [sorted_triple_violation(row) for row in x])
 
     def test_check_memory_is_bounded(self):
         # the full triple table at m=300 holds 4.5 million triples (a 0.5 GB peak)
         u = random_ultrametrics(300, 1, seed=1670)[0]
-        _triple_block.cache_clear()
         tracemalloc.start()
         try:
             violation = ultrametric_violation(u)
