@@ -641,8 +641,17 @@ class TestBatchedKernels:
     def test_equal_to_oracles_at_m60(self, x):
         self.assert_matches_oracles(x)
 
-    @pytest.mark.parametrize("m,n", [(12, 1100), (60, 40), (70, 30), (100, 16)])
+    @pytest.mark.parametrize("m,n", [(12, 700), (60, 20)])
     def test_batches_spanning_several_chunks(self, m, n):
+        e = m * (m - 1) // 2
+        # two row chunks of the projection at least
+        assert n >= 2 * (_CHUNK_ELEMENTS // (m * m))
+        rng = np.random.default_rng(1600 + m)
+        x = np.round(rng.normal(size=(n, e)), 1) - 0.5
+        self.assert_matches_oracles(x)
+
+    @pytest.mark.parametrize("m,n", [(12, 1100), (60, 40), (70, 30), (100, 16)])
+    def test_check_spanning_several_row_chunks(self, m, n):
         e = m * (m - 1) // 2
         # two row chunks at least, of the projection and of the three-point check
         assert n > _CHUNK_ELEMENTS // (m * m) and n > _CHUNK_ELEMENTS // ((m - 1) ** 2 // 4)
