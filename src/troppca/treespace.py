@@ -283,8 +283,9 @@ def parse_newick(text: str) -> PhyloTree:
     Leaf indices are assigned by sorting labels lexicographically.  Raises
     NewickError with a character offset on malformed input, a negative or
     non-finite branch length, duplicate leaf labels, fewer than 3 leaves,
-    or a root-to-leaf depth that overflows to infinity.  One pass over the
-    tokens, with an explicit stack, so nesting depth is unlimited.
+    or a root-to-leaf depth or leaf-to-leaf path length that overflows to
+    infinity.  One pass over the tokens, with an explicit stack, so nesting
+    depth is unlimited.
     """
     parent: list[int] = []
     length: list[float] = []
@@ -335,8 +336,13 @@ def parse_newick(text: str) -> PhyloTree:
     if problem:
         raise _token_error(text, terminator, problem)
     tree = PhyloTree(parent, length, leaves, labels)
-    if max(tree._depth) == math.inf:
+    deepest = max(tree._depth)
+    if deepest == math.inf:
         raise _token_error(text, terminator, "non-finite root-to-leaf depth")
+    # the longest leaf-to-leaf path joins the two deepest leaves, and it can
+    # overflow only where twice the deepest depth does
+    if 2.0 * deepest == math.inf and sum(sorted(tree._depth[leaf] for leaf in leaves)[-2:]) == math.inf:
+        raise _token_error(text, terminator, "non-finite leaf-to-leaf path length")
     return tree
 
 
@@ -436,18 +442,51 @@ def is_ultrametric(u, tol=None):
 # projection onto tree space
 
 
+def _prim(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prim's algorithm from leaf 0 on each (m, m) weight matrix of an (r, m, m) batch.
+
+    Returns (order, joined), both (m, r): order[p] is the leaf that joins
+    the tree at step p (leaf 0 at step 0) and joined[p] the weight of the
+    edge it joins by (joined[0] is unset).  Each step takes the outside
+    leaf of lightest key, then lowers every key to the new leaf's weights
+    and keeps the keys of leaves already in the tree at inf.
+    """
+    r, m, _ = dist.shape
+    base = np.arange(r) * m  # flat index of each row's leaf 0
+    weights = dist.reshape(r * m, m)
+    key = dist[:, 0].copy()  # lightest edge into the tree, inf once in it
+    key[:, 0] = np.inf
+    done = np.zeros((r, m), dtype=bool)
+    done[:, 0] = True
+    order = np.empty((m, r), dtype=np.intp)
+    order[0] = base
+    joined = np.empty((m, r))
+    for p in range(1, m):
+        v = np.add(base, key.argmin(axis=1), out=order[p])  # flat indices into key and done
+        key.take(v, out=joined[p])
+        done.put(v, True)
+        np.minimum(key, weights.take(v, axis=0), out=key)
+        np.putmask(key, done, np.inf)
+    return order - base, joined
+
+
 def project_to_treespace(x) -> np.ndarray:
     """Subdominant ultrametric of x: the closest point of tree space.
 
     Entry (i, j) is the minimax path weight between i and j in the complete
     graph with edge weights x: the largest edge on their path in a minimum
-    spanning tree (Gower & Ross 1969).  Prim's algorithm grows that tree one
-    leaf at a time; a leaf v joining through tree leaf p by an edge of
-    weight w gets max(result[p, t], w) to every leaf t already in it.  The
-    output is exactly ultrametric, <= x coordinatewise, fixes ultrametric
-    inputs, minimizes the tropical distance to x over tree space, and holds
-    only entries of x.  x is one vector or an (n, e) batch, one vector per
-    row, and the result has its shape; rows go in chunks of about
+    spanning tree (Gower & Ross 1969).  Prim's algorithm grows that tree
+    from leaf 0; let leaf order[p] join at step p by an edge of weight
+    joined[p].  For steps p < q the entry of order[p] and order[q] is
+    max(joined[p+1..q]): by induction on q, since the edge by which step q
+    joins weighs no less than any join since the step of its tree end.  So
+    the whole matrix is one running maximum over join weights in Prim
+    order, read back through each leaf's step; it is the dual of
+    cophenetic_vector's running minimum over separator depths.  The output
+    is exactly ultrametric, <= x coordinatewise, fixes ultrametric inputs,
+    minimizes the tropical distance to x over tree space, and holds only
+    entries of x.  x is one vector or an (n, e) batch, one vector per row,
+    and the result has its shape; rows go in chunks of about
     _CHUNK_ELEMENTS matrix entries.
     """
     rows, m, batched = _as_rows(x)
@@ -457,25 +496,18 @@ def project_to_treespace(x) -> np.ndarray:
     out = np.empty_like(rows)
     for part in _chunks(len(rows), m * m):
         r = len(rows[part])
-        at = np.arange(r)
         dist = np.empty((r, m, m))
         dist[:, iu, ju] = dist[:, ju, iu] = rows[part]
-        ultra = np.full((r, m, m), -np.inf)  # -inf on the diagonal and off the tree
-        outside = np.ones((r, m), dtype=bool)
-        outside[:, 0] = False
-        key = np.where(outside, dist[:, 0], np.inf)  # lightest edge into the tree
-        via = np.zeros((r, m), dtype=np.intp)  # the tree end of that edge
-        for _ in range(m - 1):
-            v = np.argmin(key, axis=1)
-            row = np.where(outside, -np.inf, np.maximum(ultra[at, via[at, v]], key[at, v][:, None]))
-            ultra[at, v] = ultra[at, :, v] = row
-            outside[at, v] = False
-            key[at, v] = np.inf
-            d = dist[at, v]
-            closer = outside & (d < key)
-            key = np.where(closer, d, key)
-            via = np.where(closer, v[:, None], via)
-        out[part] = ultra[:, iu, ju]
+        order, joined = _prim(dist)
+        span = np.empty((m, m, r))  # span[q, p] = max(joined[p+1..q]) for p < q; rows last
+        span[np.arange(m), np.arange(m)] = -np.inf
+        # one vectorized maximum per step: np.maximum.accumulate walks element by element
+        for q in range(1, m):
+            np.maximum(span[q - 1, :q], joined[q], out=span[q, :q])
+        step = np.empty((r, m), dtype=np.intp)  # the step at which each leaf joins
+        step[np.arange(r), order] = np.arange(m)[:, None]
+        a, b = step[:, iu], step[:, ju]
+        out[part] = span.reshape(-1)[(np.maximum(a, b) * m + np.minimum(a, b)) * r + np.arange(r)[:, None]]
     return out if batched else out[0]
 
 

@@ -2,17 +2,19 @@
 
 These deliberately avoid the library's algorithms: the projection oracles
 enumerate generating rays or merge clusters by single linkage instead of
-growing a minimum spanning tree, the three-point oracle sorts each triple
-instead of selecting its top two, the distance oracle walks tree paths
-instead of using depth arithmetic, the Newick oracle is a recursive-descent
-parser building nested nodes and its cophenetic oracle a recursive walk
-over them instead of one flat scan and a range-minimum kernel, the
-reconstruction oracle merges one tree at a time over a sorted edge list
-with union-find instead of a batched spanning tree, and the subgradient
-oracle enumerates tied selections one by one instead of averaging over
-tied sets in closed form.  The lowest-index distance gradient and
-projection Jacobian are the finite-difference references for the pieces
-that subgradient chains together.  The nested ``Node`` view, its
+growing a minimum spanning tree, or grow it with Prim but write each
+joining leaf's row of the result at every step instead of reading the
+result off one running maximum over Prim order, the three-point oracle
+sorts each triple instead of selecting its top two, the distance oracle
+walks tree paths instead of using depth arithmetic, the Newick oracle is a
+recursive-descent parser building nested nodes and its cophenetic oracle a
+recursive walk over them instead of one flat scan and a range-minimum
+kernel, the reconstruction oracle merges one tree at a time over a sorted
+edge list with union-find instead of a batched spanning tree, and the
+subgradient oracle enumerates tied selections one by one instead of
+averaging over tied sets in closed form.  The lowest-index distance
+gradient and projection Jacobian are the finite-difference references for
+the pieces that subgradient chains together.  The nested ``Node`` view, its
 flattening into a ``PhyloTree`` and the equidistance helpers serve the
 tests alone.
 """
@@ -337,6 +339,38 @@ def single_linkage_projection(x: np.ndarray) -> np.ndarray:
         members[ri].extend(members[rj])
         members[rj] = []
     return out
+
+
+def scatter_prim_projection(x: np.ndarray) -> np.ndarray:
+    """Subdominant ultrametric of each row of an (n, e) batch by Prim with a per-step scatter.
+
+    A leaf v joining the tree through tree leaf p by an edge of weight w
+    gets max(result[p, t], w) to every leaf t already in it, written into
+    an (n, m, m) result matrix at every step.
+    """
+    x = np.asarray(x, dtype=float)
+    r, e = x.shape
+    m = leaf_count_from_dim(e)
+    iu, ju = np.triu_indices(m, 1)
+    at = np.arange(r)
+    dist = np.empty((r, m, m))
+    dist[:, iu, ju] = dist[:, ju, iu] = x
+    ultra = np.full((r, m, m), -np.inf)  # -inf on the diagonal and off the tree
+    outside = np.ones((r, m), dtype=bool)
+    outside[:, 0] = False
+    key = np.where(outside, dist[:, 0], np.inf)  # lightest edge into the tree
+    via = np.zeros((r, m), dtype=np.intp)  # the tree end of that edge
+    for _ in range(m - 1):
+        v = np.argmin(key, axis=1)
+        row = np.where(outside, -np.inf, np.maximum(ultra[at, via[at, v]], key[at, v][:, None]))
+        ultra[at, v] = ultra[at, :, v] = row
+        outside[at, v] = False
+        key[at, v] = np.inf
+        d = dist[at, v]
+        closer = outside & (d < key)
+        key = np.where(closer, d, key)
+        via = np.where(closer, v[:, None], via)
+    return ultra[:, iu, ju]
 
 
 @functools.lru_cache(maxsize=None)

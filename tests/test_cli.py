@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
 import xml.etree.ElementTree as ET
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import troppca
 from troppca.cli import main
 from troppca.model import Model, load_model, save_model
 from troppca.pca import TropicalPolytope, objective
@@ -21,6 +25,8 @@ from troppca.treespace import (
 
 # finite lengths whose root-to-leaf sums overflow; the ';' is at offset 35
 OVERFLOWING_TREE = "((a:1e308,b:1e308):1e308,c:1.5e308);"
+# finite depths whose leaf-to-leaf sums overflow; the ';' is at offset 31
+OVERFLOWING_PATHS = "(a:1.5e308,b:1.5e308,c:1.5e308);"
 
 
 @pytest.fixture
@@ -111,6 +117,15 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "line 1: parse error: non-finite root-to-leaf depth at offset 35" in out
         assert "inf" not in out and "nan" not in out
+
+    def test_overflowing_path_length_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "trees.nwk"
+        path.write_text(f"{OVERFLOWING_PATHS}\n((a:1,b:1):1,c:2);\n")
+        assert main(["check", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "line 1: parse error: non-finite leaf-to-leaf path length at offset 31" in captured.out
+        assert "inf" not in captured.out and "nan" not in captured.out
+        assert captured.err == ""
 
     def test_deeply_nested_tree(self, tmp_path, capsys):
         path = tmp_path / "deep.nwk"
@@ -269,6 +284,14 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: line 2: non-finite root-to-leaf depth at offset 35"]
 
+    def test_overflowing_path_length_fails_with_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "trees.nwk"
+        path.write_text(f"((a:1,b:1):1,c:2);\n{OVERFLOWING_PATHS}\n")
+        code = main(["fit", "--input", str(path), "--s", "2", "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: line 2: non-finite leaf-to-leaf path length at offset 31"]
+
 
 class TestEval:
     def test_eval_matches_fit_output(self, tmp_path, sample_file, capsys):
@@ -318,6 +341,15 @@ class TestEval:
         assert main(["eval", "--model", str(model_path), "--input", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: line 1: non-finite root-to-leaf depth at offset 35"]
+
+    def test_overflowing_path_length_fails_with_one_line_error(self, tmp_path, sample_file, capsys):
+        model_path, _ = fit_model(tmp_path, sample_file)
+        path = tmp_path / "trees.nwk"
+        path.write_text(f"{OVERFLOWING_PATHS}\n")
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model_path), "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: line 1: non-finite leaf-to-leaf path length at offset 31"]
 
     def test_leaf_set_mismatch_names_difference(self, tmp_path, sample_file, capsys):
         model_path, _ = fit_model(tmp_path, sample_file)
@@ -492,3 +524,15 @@ class TestModelFile:
         save_model(model, path)
         doc = json.loads(path.read_text())
         assert all(row[0] == 0.0 for row in doc["vertices"])
+
+
+class TestModuleEntryPoint:
+    def test_python_m_troppca_help(self):
+        env = dict(os.environ)
+        src_dir = os.path.dirname(os.path.dirname(troppca.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "troppca", "--help"], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("usage: troppca")

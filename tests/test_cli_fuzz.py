@@ -57,7 +57,7 @@ def valid_model() -> str:
 def model_files(draw) -> str:
     text = valid_model()
     doc = json.loads(text)
-    edit = draw(st.sampled_from(["none", "truncate", "drop", "retype", "garbage"]))
+    edit = draw(st.sampled_from(["none", "truncate", "drop", "retype", "vertex", "garbage"]))
     if edit == "truncate":
         return text[:draw(st.integers(0, len(text) - 1))]
     if edit == "drop":
@@ -66,6 +66,9 @@ def model_files(draw) -> str:
         key = draw(st.sampled_from(sorted(doc)))
         values = [None, "3", -1, 2.5, [], {}, [[1.0, "x", 2.0]], [[1e308, -1e308, 0.0]], [[10**400, 0, 0]]]
         doc[key] = draw(st.sampled_from(values))
+    elif edit == "vertex":  # one coordinate of the otherwise valid vertices
+        row = draw(st.sampled_from(doc["vertices"]))
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from([10**400, -10**400, "x", None, 1e308]))
     elif edit == "garbage":
         return draw(st.sampled_from(["", "{", "[]", "null", "\x00\xff", '{"format_version": 1}']))
     return json.dumps(doc)
@@ -114,6 +117,24 @@ def argvs(draw, paths: dict[str, str]) -> list[str]:
     return argv
 
 
+def assert_exits_cleanly(argv: list[str]) -> None:
+    """Run the command line on argv: exit 0 with nothing on stderr, 1 with one ``error:`` line or none, or 2."""
+    err, out = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out), warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would be a stray stderr line
+        try:
+            code = main(argv)
+        except SystemExit as exit:  # argparse reports usage errors this way
+            code = exit.code
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+    elif code == 1 and err:  # check reports parse errors on stdout and exits 1
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+
+
 @settings(max_examples=200)
 @given(st.data(), NEWICK_FILES, model_files())
 def test_every_invocation_exits_cleanly(data, trees_text, model_text):
@@ -123,18 +144,17 @@ def test_every_invocation_exits_cleanly(data, trees_text, model_text):
         paths["dir"] = tmp
         Path(paths["trees"]).write_text(trees_text)
         Path(paths["model"]).write_text(model_text)
-        argv = data.draw(argvs(paths))
-        err, out = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out), warnings.catch_warnings():
-            warnings.simplefilter("error")  # a numpy RuntimeWarning would be a stray stderr line
-            try:
-                code = main(argv)
-            except SystemExit as exit:  # argparse reports usage errors this way
-                code = exit.code
-        err = err.getvalue()
-        assert code in (0, 1, 2), (argv, err)
-        assert "Traceback" not in err
-        if code == 0:
-            assert err == ""
-        elif code == 1 and err:  # check reports parse errors on stdout and exits 1
-            assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+        assert_exits_cleanly(data.draw(argvs(paths)))
+
+
+@given(model_files(), st.sampled_from(["eval", "project", "plot"]))
+def test_every_model_file_loads_or_fails_cleanly(model_text, command):
+    """Each subcommand that reads a model, on valid trees and paths: only the model file varies."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "trees").write_text("((a:1,b:1):1,c:2);\n(a:2,(b:1,c:1):1);\n(a:1,b:1,c:1);\n")
+        (root / "model").write_text(model_text)
+        argv = [command, "--model", str(root / "model"), "--input", str(root / "trees")]
+        if command != "eval":
+            argv += ["--out", str(root / "out")]
+        assert_exits_cleanly(argv)

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
@@ -21,6 +21,7 @@ from oracles import (
     project_by_ray_enumeration,
     recursive_cophenetic_vector,
     recursive_parse_newick,
+    scatter_prim_projection,
     single_linkage_projection,
     sorted_triple_violation,
     tree_from_nodes,
@@ -129,10 +130,18 @@ class TestNewickParsing:
             parse_newick(text)
         assert info.value.offset == text.index(";")
 
+    def test_overflowing_path_length_is_an_error_at_the_terminator(self):
+        # every depth is finite, but the path between two leaves sums two of them
+        text = "(a:1.5e308,b:1.5e308,c:1.5e308);"
+        with pytest.raises(NewickError, match="non-finite leaf-to-leaf path length") as info:
+            parse_newick(text)
+        assert info.value.offset == text.index(";")
+
     def test_large_lengths_off_any_single_path_are_accepted(self):
-        # the lengths sum to inf, but no root-to-leaf path does; the root's own length is on no path
-        tree = parse_newick("(a:1e308,b:1e308,c:1.7e308):1.7e308;")
-        assert tree.height() == 1.7e308
+        # the lengths sum to inf, but no leaf-to-leaf path does; the root's own length is on no path
+        tree = parse_newick("(a:8e307,b:8e307,c:8e307):1.7e308;")
+        assert tree.height() == 8e307
+        assert_array_equal(tree.cophenetic_vector(), [1.6e308] * 3)
 
 
 class TestNewickSerialization:
@@ -640,6 +649,23 @@ class TestBatchedKernels:
     @given(batches(m=st.just(60), n=st.integers(1, 4)))
     def test_equal_to_oracles_at_m60(self, x):
         self.assert_matches_oracles(x)
+
+    @given(st.one_of(batches(), small_batches(), batches(m=st.just(60), n=st.integers(1, 3))))
+    # batches spanning several row chunks
+    @example(np.round(np.random.default_rng(1612).normal(size=(700, 66)), 1) - 0.5)
+    @example(np.round(np.random.default_rng(1660).normal(size=(20, 1770)), 1) - 0.5)
+    def test_projection_bit_identical_to_scatter_prim(self, x):
+        """Byte-equal to the per-step-scatter Prim, except for the sign of a zero.
+
+        A row holding both -0.0 and +0.0 may tie them, and the two kernels
+        may then select either; there the values are compared instead.
+        """
+        projected = project_to_treespace(x)
+        expected = scatter_prim_projection(x)
+        zero = x == 0
+        mixed = np.any(zero & np.signbit(x), axis=1) & np.any(zero & ~np.signbit(x), axis=1)
+        assert projected[~mixed].tobytes() == expected[~mixed].tobytes()
+        assert np.array_equal(projected, expected)
 
     @pytest.mark.parametrize("m,n", [(12, 700), (60, 20)])
     def test_batches_spanning_several_chunks(self, m, n):
