@@ -442,18 +442,22 @@ def is_ultrametric(u, tol=None):
 # projection onto tree space
 
 
-def _prim(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Prim's algorithm from leaf 0 on each (m, m) weight matrix of an (r, m, m) batch.
+def _prim(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Prim's algorithm from leaf 0 on each row of an (r, e) batch of pairwise weights.
 
     Returns (order, joined), both (m, r): order[p] is the leaf that joins
     the tree at step p (leaf 0 at step 0) and joined[p] the weight of the
     edge it joins by (joined[0] is unset).  Each step takes the outside
-    leaf of lightest key, then lowers every key to the new leaf's weights
-    and keeps the keys of leaves already in the tree at inf.
+    leaf of lightest key, the lowest index on ties, then lowers every key
+    to the new leaf's weights and keeps the keys of leaves already in the
+    tree at inf.
     """
-    r, m, _ = dist.shape
+    r = len(x)
+    iu, ju = np.triu_indices(m, 1)  # the pair order, as row and column indices
+    weights = np.empty((r * m, m))
+    dist = weights.reshape(r, m, m)
+    dist[:, iu, ju] = dist[:, ju, iu] = x
     base = np.arange(r) * m  # flat index of each row's leaf 0
-    weights = dist.reshape(r * m, m)
     key = dist[:, 0].copy()  # lightest edge into the tree, inf once in it
     key[:, 0] = np.inf
     done = np.zeros((r, m), dtype=bool)
@@ -495,10 +499,8 @@ def project_to_treespace(x) -> np.ndarray:
     iu, ju = np.triu_indices(m, 1)  # the pair order, as row and column indices
     out = np.empty_like(rows)
     for part in _chunks(len(rows), m * m):
-        r = len(rows[part])
-        dist = np.empty((r, m, m))
-        dist[:, iu, ju] = dist[:, ju, iu] = rows[part]
-        order, joined = _prim(dist)
+        order, joined = _prim(rows[part], m)
+        r = order.shape[1]
         span = np.empty((m, m, r))  # span[q, p] = max(joined[p+1..q]) for p < q; rows last
         span[np.arange(m), np.arange(m)] = -np.inf
         # one vectorized maximum per step: np.maximum.accumulate walks element by element
@@ -525,94 +527,67 @@ def random_ultrametrics(m: int, n: int, seed: int) -> np.ndarray:
 # tree reconstruction
 
 
-def _kruskal_order(x: np.ndarray) -> np.ndarray:
-    """Per row of x, the pair positions Kruskal's algorithm merges, in merge order.
-
-    Kruskal takes edges in the order of a stable sort of the row and keeps
-    each that joins two components.  Ranked by that sort, the edges are
-    totally ordered, so the kept edges form the unique minimum spanning
-    tree of the ranks.  A batched Prim's algorithm finds it in m - 1 steps
-    over (n, m) arrays, and sorting its ranks gives Kruskal's order.
-    """
-    r, e = x.shape
-    m = leaf_count_from_dim(e)
-    by_leaves = _pair_index_matrix(m)
-    at = np.arange(r)[:, None]
-    order = np.argsort(x, axis=1, kind="stable")
-    rank = np.empty_like(order)
-    rank[at, order] = np.arange(e)
-    outside = np.ones((r, m), dtype=bool)
-    outside[:, 0] = False
-    key = rank[:, by_leaves[0]]  # rank of the lightest edge into the tree
-    edges = np.empty((r, m - 1), dtype=np.intp)  # ranks of the spanning tree's edges
-    for t in range(m - 1):
-        v = np.argmin(np.where(outside, key, e), axis=1)[:, None]
-        edges[:, t] = key[at, v][:, 0]
-        outside[at, v] = False
-        d = rank[at, by_leaves[v[:, 0]]]
-        key = np.where(outside & (d < key), d, key)
-    return order[at, np.sort(edges, axis=1)]
-
-
 def _single_linkage(rows: np.ndarray, half_tol: np.ndarray) -> list[tuple[list, list, list, list]]:
     """Single-linkage dendrogram of every row: (parent, length, leaves, leaf indices) preorder records.
 
-    Merge t of _kruskal_order is node m + t, at height u/2, over the
-    components of the pair's first and then its second leaf; an operand
-    merge within half_tol (per row) below it collapses into it.  The
-    collapsed tree's preorder is the binary tree's preorder without the
-    collapsed merges.  Rows go in chunks of about _CHUNK_ELEMENTS pairs.
+    In _prim's order every cluster is a run of consecutive steps, and merge
+    t, between steps t and t+1, is at height h[t] = joined[t+1]/2.  The
+    binary dendrogram is the Cartesian tree of h: merge t's run reaches
+    left to the nearest merge of height >= h[t] and right to the nearest
+    of height > h[t], so of tied merges the leftmost is on top, and the
+    lower of those two bounds is its parent.  A merge within half_tol (per
+    row) below its parent collapses into it.  Each node's parent is the
+    lowest kept merge whose run strictly contains its own, and the
+    preorder lists nodes by first step, the longer run first.  On ties
+    argmin takes the lowest leaf, so Prim enters every cluster at its
+    lowest leaf and, for exact ultrametrics, children come in the order of
+    their lowest leaves: the order of the per-tree union-find, whose
+    crossing pairs all tie and are taken lowest pair first.  Rows go in
+    chunks of about _CHUNK_ELEMENTS matrix entries.
     """
     n, e = rows.shape
     m = leaf_count_from_dim(e)
-    size = 2 * m - 1  # leaves 0..m-1, then the merges
-    iu, ju = np.triu_indices(m, 1)
+    t = np.arange(m - 1)
+    steps = np.arange(m)
     out = []
-    for part in _chunks(n, e):
-        x, r = rows[part], len(rows[part])
+    for part in _chunks(n, m * m):
+        order, joined = _prim(rows[part], m)
+        r = order.shape[1]
         at = np.arange(r)[:, None]
-        edges = _kruskal_order(x)
-        comp = np.tile(np.arange(m), (r, 1))  # component of each leaf, named by one of its leaves
-        top = comp.copy()  # the node standing for each component
-        height = np.zeros((r, size))
-        height[:, m:] = x[at, edges] / 2.0
-        count = np.ones((r, size), dtype=np.intp)  # leaves below each node
-        operands = np.empty((r, m - 1, 2), dtype=np.intp)
-        for t in range(m - 1):
-            a, b = comp[at, iu[edges[:, t, None]]], comp[at, ju[edges[:, t, None]]]
-            operands[:, t] = pair = np.concatenate([top[at, a], top[at, b]], axis=1)
-            top[at, a] = m + t
-            count[:, m + t] = count[at, pair].sum(axis=1)
-            comp = np.where(comp == b, a, comp)
-        # root down: binary preorder position, collapse, nearest kept ancestor
-        position = np.zeros((r, size), dtype=np.intp)
-        kept = np.ones((r, size), dtype=bool)
-        above = np.zeros((r, size), dtype=np.intp)
-        for node in range(size - 1, m - 1, -1):
-            pair = operands[:, node - m]
-            first = position[:, node, None] + 1
-            position[at, pair] = np.concatenate([first, first + 2 * count[at, pair[:, :1]] - 1], axis=1)
-            kept[at, pair] = (pair < m) | (height[:, node, None] - height[at, pair] > half_tol[part, None])
-            above[at, pair] = np.where(kept[:, node], node, above[:, node])[:, None]
-        node = np.empty_like(position)  # node at each binary preorder position
-        node[at, position] = np.arange(size)
-        keep = kept[at, node]
-        index = np.cumsum(keep, axis=1) - 1  # record index of each kept position
-        index_of = np.empty_like(index)
-        index_of[at, node] = index
-        up = above[at, node]
-        parent = index_of[at, up]
+        h = joined[1:].T / 2.0  # h[:, t]: height of merge t
+        own, other = h[:, :, None], h[:, None, :]
+        left = np.where((t < t[:, None]) & (other >= own), t, -1).max(axis=2)
+        right = np.where((t > t[:, None]) & (other > own), t, m - 1).min(axis=2)
+        bound = np.append(h, np.full((r, 1), np.inf), axis=1)  # at -1 and m - 1: no bound
+        parent_height = np.minimum(bound[at, left], bound[at, right])
+        # nodes: the leaf at each step, then the merges; node k runs over steps first[k]..last[k]
+        kept = np.concatenate([np.ones((r, m), dtype=bool), parent_height - h > half_tol[part, None]], axis=1)
+        first = np.concatenate([np.broadcast_to(steps, (r, m)), left + 1], axis=1)
+        last = np.concatenate([np.broadcast_to(steps, (r, m)), right], axis=1)
+        height = np.concatenate([np.zeros((r, m)), h], axis=1)
+        holds = (
+            kept[:, None, m:]
+            & (first[:, None, m:] <= first[:, :, None])
+            & (last[:, None, m:] >= last[:, :, None])
+            & (height[:, None, m:] > height[:, :, None])
+        )
+        up = m + np.where(holds, height[:, None, m:], np.inf).argmin(axis=2)
+        node = np.argsort(np.where(kept, first * m + (m - 1) - (last - first), m * m), axis=1)  # in preorder
+        index = np.empty_like(node)  # record index of each node
+        index[at, node] = np.arange(2 * m - 1)
+        up = up[at, node]
+        parent = index[at, up]
         parent[:, 0] = -1
         length = height[at, up] - height[at, node]
         length[:, 0] = 0.0
-        leaf = node < m
-        ends = np.cumsum(keep.sum(axis=1)).tolist()
+        count = kept.sum(axis=1)
+        listed = np.arange(2 * m - 1) < count[:, None]
+        ends = np.cumsum(count).tolist()
         starts = [0] + ends[:-1]
-        parent, length = parent[keep].tolist(), length[keep].tolist()
-        leaves, ids = index[leaf].reshape(r, m).tolist(), node[leaf].reshape(r, m).tolist()
+        parent, length = parent[listed].tolist(), length[listed].tolist()
         out.extend(
             (parent[lo:hi], length[lo:hi], leaf_row, id_row)
-            for lo, hi, leaf_row, id_row in zip(starts, ends, leaves, ids)
+            for lo, hi, leaf_row, id_row in zip(starts, ends, index[:, :m].tolist(), order.T.tolist())
         )
     return out
 
@@ -626,14 +601,19 @@ def reconstruct_tree(u, names: Sequence[str] | None = None, tol: float | None = 
     within tol/2 of an operand's merges with it into one multifurcating
     node.  ``names`` assigns leaf labels by index (default "1".."m") and
     the given order is kept, so the round trip through cophenetic_vector
-    preserves coordinates.  tol defaults to default_tolerance per row.
-    Raises ValueError, naming the first such row of a batch, when a vector
-    violates the three-point condition beyond tol or has a nonpositive
-    entry.
+    preserves coordinates.  Children are listed by lowest leaf when u is
+    exactly ultrametric; within tol of it, only their order may differ
+    from a Kruskal merge over the pair order.  tol defaults to
+    default_tolerance per row, and a given tol must be nonnegative and
+    finite.  Raises ValueError, naming the first such row of a batch, when
+    a vector violates the three-point condition beyond tol or has a
+    nonpositive entry.
     """
     rows, m, batched = _as_rows(u)
     if not np.all(np.isfinite(rows)):
         raise ValueError("coordinates must be finite")
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
     tol = default_tolerance(rows) if tol is None else np.full(len(rows), float(tol))
     violation = ultrametric_violation(rows)
     bad = np.flatnonzero((violation > tol) | (rows.min(axis=1) <= 0))

@@ -116,7 +116,10 @@ def union_find_reconstruct_tree(u, names=None, tol=None) -> PhyloTree:
     """Equidistant tree of one ultrametric vector, by Kruskal merging over a stable sort with union-find.
 
     Merge heights are u/2; a merge whose height is within tol/2 of an
-    operand merge's flattens that operand's children into its own list.
+    operand merge's flattens that operand's children into its own list,
+    the component of the pair's first leaf first.  On an exact ultrametric
+    every pair crossing two sibling clusters ties, so the lowest such pair
+    merges them and children come in the order of their lowest leaves.
     """
     u = np.asarray(u, dtype=float)
     m = leaf_count_from_dim(u.size)

@@ -538,6 +538,13 @@ class TestReconstruct:
         with pytest.raises(ValueError, match="names"):
             reconstruct_tree(np.array([2.0, 4.0, 4.0]), names=["a", "a", "b"])
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0])
+    def test_rejects_a_bad_tolerance(self, tol):
+        # at tol=nan no violation exceeds tol, and every vector would come back as a star tree
+        for u in ([1.0, 2.0, 3.0], [2.0, 4.0, 4.0], [[2.0, 4.0, 4.0], [1.0, 2.0, 3.0]]):
+            with pytest.raises(ValueError, match="^tol must be nonnegative and finite"):
+                reconstruct_tree(np.array(u), tol=tol)
+
 
 class TestRandomUltrametric:
     def test_exactly_ultrametric(self):
@@ -789,9 +796,26 @@ class TestBatchedReconstruct:
     def test_equal_to_union_find_at_m60(self, x):
         self.assert_matches_oracle(x)
 
+    @given(dendrogram_batches(), st.integers(0, 2**32 - 1))
+    def test_near_ultrametric_rows_equal_to_union_find(self, exact, seed):
+        """Exact rows moved by less than half the default tolerance, as plot's projected points are.
+
+        The trees match the oracle's in clades and cophenetic vectors.
+        Newick is not compared: off exact ties, Prim's order and Kruskal's
+        pair orientation may list the children of a node differently.
+        """
+        rng = np.random.default_rng(seed)
+        x = exact + 0.4 * default_tolerance(exact)[:, None] * rng.uniform(-1.0, 1.0, exact.shape)
+        assert np.all(ultrametric_violation(x) <= default_tolerance(x))
+        trees = reconstruct_tree(x)
+        expected = [union_find_reconstruct_tree(row) for row in x]
+        assert [set(t.clades()) for t in trees] == [set(t.clades()) for t in expected]
+        assert np.array_equal(cophenetic_vector(trees), cophenetic_vector(expected))
+
     @pytest.mark.parametrize("m,n", [(12, 1100), (60, 40)])
     def test_batches_spanning_several_chunks(self, m, n):
-        assert n >= 2 * (_CHUNK_ELEMENTS // (m * (m - 1) // 2))
+        # two row chunks of the kernel at least
+        assert n >= 2 * (_CHUNK_ELEMENTS // (m * m))
         exact = random_ultrametrics(m, n, seed=1700 + m)
         self.assert_matches_oracle(exact)
         rng = np.random.default_rng(1800 + m)
