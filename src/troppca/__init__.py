@@ -1,22 +1,15 @@
 """Best-fit tropical polytopes for samples of equidistant phylogenetic trees.
 
-The package covers the full pipeline: tropical linear combinations, sectors
-and the tropical metric (``tropical``), Newick ingestion, ultrametric vectors
-and the projection onto tree space (``treespace``), the polytope objective
-with its analytic subgradient and the projected subgradient fit (``pca``),
-model persistence (``model``), and a command-line front end (``cli``).
+The package is the pipeline: the tropical metric and canonical torus
+representatives (``tropical``), Newick ingestion, ultrametric vectors and
+the projection onto tree space (``treespace``), the polytope objective with
+its analytic subgradient and the projected subgradient fit (``pca``), model
+persistence (``model``), and a command-line front end (``cli``).
 """
 
 __version__ = "0.1.0"
 
-from .tropical import (
-    NEG_INF,
-    canonicalize,
-    sector_of,
-    torus_equal,
-    trop_combine,
-    trop_dist,
-)
+from .tropical import canonicalize, trop_dist
 from .treespace import (
     NewickError,
     PhyloTree,
@@ -25,8 +18,6 @@ from .treespace import (
     is_ultrametric,
     leaf_count_from_dim,
     load_newick_file,
-    pair_index,
-    pair_order,
     parse_newick,
     project_to_treespace,
     random_ultrametrics,
@@ -48,11 +39,7 @@ from .pca import (
 from .model import Model, load_model, save_model
 
 __all__ = [
-    "NEG_INF",
     "canonicalize",
-    "sector_of",
-    "torus_equal",
-    "trop_combine",
     "trop_dist",
     "NewickError",
     "PhyloTree",
@@ -61,8 +48,6 @@ __all__ = [
     "is_ultrametric",
     "leaf_count_from_dim",
     "load_newick_file",
-    "pair_index",
-    "pair_order",
     "parse_newick",
     "project_to_treespace",
     "random_ultrametrics",

@@ -34,7 +34,7 @@ __all__ = [
     "baseline_random_search",
 ]
 
-# Relative tolerance under which subgradient treats two selections as tied.
+# Relative tolerance under which evaluate's tie rule treats two selections as tied.
 TIE_RTOL = 1e-9
 
 

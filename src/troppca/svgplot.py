@@ -42,7 +42,6 @@ def scatter_svg(
     x: Sequence[float],
     y: Sequence[float],
     groups: Sequence[str] | None = None,
-    title: str = "",
     xlabel: str = "",
     ylabel: str = "",
 ) -> str:
@@ -92,11 +91,6 @@ def scatter_svg(
         f'<rect x="{_MARGIN_LEFT}" y="{_MARGIN_TOP}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#444444" stroke-width="1"/>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{_escape(title)}</text>'
-        )
 
     for tick in np.linspace(x0, x1, 6):
         px = sx(tick)

@@ -25,8 +25,6 @@ __all__ = [
     "load_newick_file",
     "cophenetic_vector",
     "leaf_depths",
-    "pair_order",
-    "pair_index",
     "leaf_count_from_dim",
     "default_leaf_names",
     "is_ultrametric",
@@ -44,25 +42,13 @@ __all__ = [
 
 
 @lru_cache(maxsize=None)
-def pair_order(m: int) -> tuple[tuple[int, int], ...]:
-    """All leaf pairs (i, j), i < j, in the fixed lexicographic order."""
-    return tuple((i, j) for i in range(m - 1) for j in range(i + 1, m))
-
-
-@lru_cache(maxsize=None)
 def _pair_index_matrix(m: int) -> np.ndarray:
+    """Read-only (m, m) matrix: entries [i, j] and [j, i] are the position of pair {i, j}."""
     mat = np.zeros((m, m), dtype=np.intp)
     i, j = np.triu_indices(m, 1)
     mat[i, j] = mat[j, i] = np.arange(len(i))
     mat.setflags(write=False)
     return mat
-
-
-def pair_index(i: int, j: int, m: int) -> int:
-    """Position of the unordered pair {i, j} in the vector for m leaves."""
-    if i == j or not (0 <= i < m and 0 <= j < m):
-        raise ValueError(f"invalid leaf pair ({i}, {j}) for m={m}")
-    return int(_pair_index_matrix(m)[i, j])
 
 
 def leaf_count_from_dim(e: int) -> int:
@@ -541,9 +527,9 @@ def _single_linkage(rows: np.ndarray, half_tol: np.ndarray) -> list[tuple[list, 
     preorder lists nodes by first step, the longer run first.  On ties
     argmin takes the lowest leaf, so Prim enters every cluster at its
     lowest leaf and, for exact ultrametrics, children come in the order of
-    their lowest leaves: the order of the per-tree union-find, whose
-    crossing pairs all tie and are taken lowest pair first.  Rows go in
-    chunks of about _CHUNK_ELEMENTS matrix entries.
+    their lowest leaves (the reference is
+    tests/oracles.py::union_find_reconstruct_tree).  Rows go in chunks of
+    about _CHUNK_ELEMENTS matrix entries.
     """
     n, e = rows.shape
     m = leaf_count_from_dim(e)
@@ -602,12 +588,13 @@ def reconstruct_tree(u, names: Sequence[str] | None = None, tol: float | None = 
     node.  ``names`` assigns leaf labels by index (default "1".."m") and
     the given order is kept, so the round trip through cophenetic_vector
     preserves coordinates.  Children are listed by lowest leaf when u is
-    exactly ultrametric; within tol of it, only their order may differ
-    from a Kruskal merge over the pair order.  tol defaults to
-    default_tolerance per row, and a given tol must be nonnegative and
-    finite.  Raises ValueError, naming the first such row of a batch, when
-    a vector violates the three-point condition beyond tol or has a
-    nonpositive entry.
+    exactly ultrametric, as in the reference
+    tests/oracles.py::union_find_reconstruct_tree; within tol of an
+    ultrametric only the order of children may differ from it.  tol
+    defaults to default_tolerance per row, and a given tol must be
+    nonnegative and finite.  Raises ValueError, naming the first such row
+    of a batch, when a vector violates the three-point condition beyond
+    tol or has a nonpositive entry.
     """
     rows, m, batched = _as_rows(u)
     if not np.all(np.isfinite(rows)):

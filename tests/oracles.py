@@ -14,8 +14,11 @@ edge list with union-find instead of a batched spanning tree, and the
 subgradient oracle enumerates tied selections one by one instead of
 averaging over tied sets in closed form.  The lowest-index distance
 gradient and projection Jacobian are the finite-difference references for
-the pieces that subgradient chains together.  The nested ``Node`` view, its
-flattening into a ``PhyloTree`` and the equidistance helpers serve the
+the pieces that subgradient chains together.  The tropical linear
+combination, computed as one stacked max instead of a running maximum
+over the vertices, is the reference for the projection's w.  The nested
+``Node`` view, its flattening into a ``PhyloTree``, the equidistance
+helpers, the pair order, torus equality and hyperplane sectors serve the
 tests alone.
 """
 
@@ -29,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from troppca.tropical import _as_point, canonicalize
 from troppca.treespace import (
     NewickError,
     _label_problem,
@@ -37,12 +41,19 @@ from troppca.treespace import (
     default_tolerance,
     leaf_count_from_dim,
     leaf_depths,
-    pair_order,
     ultrametric_violation,
 )
 
 _LABEL_RE = re.compile(r"[A-Za-z0-9_.]+")
 _NUMBER_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
+
+NEG_INF = float("-inf")
+
+
+@functools.lru_cache(maxsize=None)
+def pair_order(m: int) -> tuple[tuple[int, int], ...]:
+    """All leaf pairs (i, j), i < j, in the fixed lexicographic order of the vector."""
+    return tuple((i, j) for i in range(m - 1) for j in range(i + 1, m))
 
 
 @dataclass
@@ -676,3 +687,50 @@ def broadcast_objective(sample, vertices) -> float:
     w, _ = broadcast_projection(sample, vertices)
     d = np.asarray(sample, dtype=float) - w
     return float(np.sum(d.max(axis=1) - d.min(axis=1)))
+
+
+def trop_combine(scalars, points) -> np.ndarray:
+    """Tropical linear combination of points: coordinatewise max_k(scalars[k] + points[k]).
+
+    All points must share one dimension; scalars may be -inf (NEG_INF, the
+    additive identity of the max-plus semiring).
+    """
+    pts = [_as_point(p) for p in points]
+    if not pts:
+        raise ValueError("need at least one point")
+    e = pts[0].size
+    if any(p.size != e for p in pts):
+        raise ValueError("dimension mismatch: points do not share one dimension")
+    a = np.asarray(scalars, dtype=float)
+    if a.shape != (len(pts),):
+        raise ValueError("need exactly one scalar per point")
+    return np.max(a[:, None] + np.stack(pts), axis=0)
+
+
+def torus_equal(v, w, tol: float = 0.0) -> bool:
+    """Whether v and w name the same torus point, up to tol on canonical coordinates."""
+    v = _as_point(v, "v")
+    w = _as_point(w, "w")
+    if v.size != w.size:
+        return False
+    return bool(np.max(np.abs(canonicalize(v) - canonicalize(w))) <= tol)
+
+
+def sector_of(x, omega, tie_tolerance: float = 0.0) -> tuple[frozenset[int], frozenset[int]]:
+    """Sector membership of x relative to the tropical hyperplanes at apex omega.
+
+    Returns (max_sector, min_sector): the index sets attaining the maximum
+    (resp. minimum) of omega + x within tie_tolerance.  Both sets are
+    singletons exactly when x lies in open sectors of the max- and
+    min-hyperplane; a larger set means x sits on the hyperplane itself.
+    """
+    x = _as_point(x, "x")
+    omega = _as_point(omega, "omega")
+    if x.size != omega.size:
+        raise ValueError(f"dimension mismatch: {x.size} vs {omega.size}")
+    if tie_tolerance < 0:
+        raise ValueError("tie_tolerance must be nonnegative")
+    s = omega + x
+    max_sector = frozenset(int(i) for i in np.flatnonzero(s >= s.max() - tie_tolerance))
+    min_sector = frozenset(int(i) for i in np.flatnonzero(s <= s.min() + tie_tolerance))
+    return max_sector, min_sector

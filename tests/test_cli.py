@@ -73,9 +73,15 @@ class TestGen:
         assert main(["gen", "--m", "5", "--n", "1000", "--seed", "1", "--out", str(tmp_path / "big.nwk")]) == 0
         assert time.perf_counter() - start < 5.0
 
-    def test_rejects_bad_m(self, tmp_path, capsys):
-        assert main(["gen", "--m", "2", "--n", "5", "--seed", "1", "--out", str(tmp_path / "x.nwk")]) == 1
-        assert "error:" in capsys.readouterr().err
+    @pytest.mark.parametrize("m,n,message", [
+        pytest.param("2", "5", "m must be at least 3, got 2", id="m"),
+        pytest.param("4", "0", "n must be positive, got 0", id="n"),
+    ])
+    def test_rejects_bad_m(self, tmp_path, capsys, m, n, message):
+        out = tmp_path / "x.nwk"
+        assert main(["gen", "--m", m, "--n", n, "--seed", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"  # one line, no traceback
+        assert not out.exists()
 
 
 class TestCheck:
@@ -526,13 +532,40 @@ class TestModelFile:
         assert all(row[0] == 0.0 for row in doc["vertices"])
 
 
+PUBLIC_NAMES = [
+    "FitConfig", "FitTrace", "Model", "NewickError", "PhyloTree", "TropicalPolytope",
+    "baseline_random_search", "canonicalize", "cophenetic_vector", "default_leaf_names",
+    "evaluate", "fit", "is_ultrametric", "leaf_count_from_dim", "load_model",
+    "load_newick_file", "objective", "parse_newick", "project_to_polytope",
+    "project_to_treespace", "random_ultrametrics", "reconstruct_tree", "save_model",
+    "subgradient", "topology_signature", "trop_dist", "ultrametric_violation",
+]
+
+
+def run_python(*args):
+    env = dict(os.environ)
+    src_dir = os.path.dirname(os.path.dirname(troppca.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+
+
 class TestModuleEntryPoint:
     def test_python_m_troppca_help(self):
-        env = dict(os.environ)
-        src_dir = os.path.dirname(os.path.dirname(troppca.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-m", "troppca", "--help"], env=env, capture_output=True, text=True, timeout=60
-        )
+        result = run_python("-m", "troppca", "--help")
         assert result.returncode == 0, result.stderr
         assert result.stdout.startswith("usage: troppca")
+
+    def test_public_surface(self):
+        assert sorted(troppca.__all__) == PUBLIC_NAMES
+        assert all(hasattr(troppca, name) for name in troppca.__all__)
+
+    def test_cli_loads_numpy_alone(self):
+        # modules a site hook loaded before the import do not count
+        script = (
+            "import sys; before = set(sys.modules); import troppca.cli; "
+            "loaded = {name.split('.')[0] for name in set(sys.modules) - before}; "
+            "print(*sorted(loaded - sys.stdlib_module_names))"
+        )
+        result = run_python("-c", script)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["numpy", "troppca"]

@@ -12,6 +12,7 @@ from oracles import (
     instance_is_generic,
     jacobian_w,
     tie_averaged_subgradient,
+    trop_combine,
 )
 from troppca.pca import (
     TIE_RTOL,
@@ -187,6 +188,22 @@ class TestBatchedProjection:
         for tied in (1, 4):  # rounded to a grid, so the min and max selections tie
             self.assert_broadcast_match(np.round(sample, tied), np.round(vertices, tied))
         self.assert_broadcast_match(sample, vertices)
+
+    @staticmethod
+    def assert_w_combines_lam(sample, vertices):
+        w, lam = project_to_polytope(sample, TropicalPolytope(vertices))
+        for row_w, row_lam in zip(w, lam):
+            assert np.array_equal(row_w, trop_combine(row_lam, vertices))
+
+    @given(instances())
+    def test_w_is_the_tropical_combination_of_lam(self, instance):
+        self.assert_w_combines_lam(*instance)
+
+    def test_w_is_the_tropical_combination_of_lam_across_chunks(self):
+        vertices = random_ultrametrics(10, 3, seed=60)
+        sample = random_ultrametrics(10, 700, seed=61)
+        self.assert_w_combines_lam(sample, vertices)
+        self.assert_w_combines_lam(np.round(sample, 1), np.round(vertices, 1))
 
     def test_one_vector_keeps_its_shape(self):
         p = TropicalPolytope([[0, 0, 0], [0, 1, 1]])

@@ -40,9 +40,10 @@ def test_group_colors_ordered_by_frequency():
 
 def test_labels_are_xml_escaped():
     svg = scatter_svg([0, 1, 2], [0, 1, 2], groups=["<&>", "<&>", "ok"],
-                      title="a<b", xlabel="x&y")
+                      xlabel="x&y", ylabel="a<b")
     ET.fromstring(svg)  # must stay well-formed
     assert "&lt;&amp;&gt;" in svg
+    assert ">x&amp;y</text>" in svg and ">a&lt;b</text>" in svg
 
 
 def test_shape_validation():

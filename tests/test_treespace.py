@@ -17,6 +17,7 @@ from oracles import (
     is_equidistant,
     nested_clades,
     node_view,
+    pair_order,
     path_weight,
     project_by_ray_enumeration,
     recursive_cophenetic_vector,
@@ -30,6 +31,7 @@ from oracles import (
 from troppca.tropical import trop_dist
 from troppca.treespace import (
     _CHUNK_ELEMENTS,
+    _pair_index_matrix,
     NewickError,
     cophenetic_vector,
     default_leaf_names,
@@ -37,8 +39,6 @@ from troppca.treespace import (
     is_ultrametric,
     leaf_count_from_dim,
     load_newick_file,
-    pair_index,
-    pair_order,
     parse_newick,
     project_to_treespace,
     random_ultrametrics,
@@ -51,12 +51,10 @@ from troppca.treespace import (
 class TestPairIndexing:
     def test_lexicographic_order(self):
         assert pair_order(4) == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-    def test_pair_index_symmetry(self):
-        assert pair_index(1, 2, 3) == 2
-        assert pair_index(2, 1, 3) == 2
-        with pytest.raises(ValueError):
-            pair_index(1, 1, 3)
+        for m in (3, 4, 7):
+            index = _pair_index_matrix(m)
+            assert [index[i, j] for i, j in pair_order(m)] == list(range(m * (m - 1) // 2))
+            assert np.array_equal(index, index.T)
 
     def test_leaf_count_from_dim(self):
         assert leaf_count_from_dim(3) == 3
