@@ -62,7 +62,10 @@ def save_model(model: Model, path) -> None:
 def load_model(path) -> Model:
     """Read and validate a model document; raises ValueError on a bad file."""
     with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
+        try:
+            doc = json.load(handle)
+        except RecursionError:
+            raise ValueError("model file nests too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("model file must hold a JSON object")
     version = doc.get("format_version")

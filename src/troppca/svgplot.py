@@ -42,10 +42,11 @@ def scatter_svg(
     x: Sequence[float],
     y: Sequence[float],
     groups: Sequence[str] | None = None,
-    xlabel: str = "",
-    ylabel: str = "",
+    *,
+    xlabel: str,
+    ylabel: str,
 ) -> str:
-    """Scatter plot as an SVG string; one circle per point.
+    """Scatter plot as an SVG string; one circle per point, under the two axis labels.
 
     When ``groups`` is given, points are colored per group and a legend
     lists each group with its frequency, ordered by frequency (ties by
@@ -112,17 +113,15 @@ def scatter_svg(
             f'<text x="{_MARGIN_LEFT - 8}" y="{py + 4:.2f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{tick:.4g}</text>'
         )
-    if xlabel:
-        parts.append(
-            f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 12}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{_escape(xlabel)}</text>'
-        )
-    if ylabel:
-        cx, cy = 20, _MARGIN_TOP + plot_h / 2
-        parts.append(
-            f'<text x="{cx}" y="{cy:.1f}" text-anchor="middle" font-family="sans-serif" '
-            f'font-size="13" transform="rotate(-90 {cx} {cy:.1f})">{_escape(ylabel)}</text>'
-        )
+    parts.append(
+        f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 12}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="13">{_escape(xlabel)}</text>'
+    )
+    cx, cy = 20, _MARGIN_TOP + plot_h / 2
+    parts.append(
+        f'<text x="{cx}" y="{cy:.1f}" text-anchor="middle" font-family="sans-serif" '
+        f'font-size="13" transform="rotate(-90 {cx} {cy:.1f})">{_escape(ylabel)}</text>'
+    )
 
     for px, py, color in zip(x, y, colors):
         parts.append(

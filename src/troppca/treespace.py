@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -39,16 +38,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # pair indexing
-
-
-@lru_cache(maxsize=None)
-def _pair_index_matrix(m: int) -> np.ndarray:
-    """Read-only (m, m) matrix: entries [i, j] and [j, i] are the position of pair {i, j}."""
-    mat = np.zeros((m, m), dtype=np.intp)
-    i, j = np.triu_indices(m, 1)
-    mat[i, j] = mat[j, i] = np.arange(len(i))
-    mat.setflags(write=False)
-    return mat
 
 
 def leaf_count_from_dim(e: int) -> int:
@@ -198,25 +187,21 @@ def cophenetic_vector(trees) -> np.ndarray:
     depths and l the depth of their lowest common ancestor.  The ancestor
     of the leaves at positions a < b in leaf order is the shallowest of the
     nodes separating consecutive leaves a..b-1 (Bender & Farach-Colton
-    2000), and no depth falls below an ancestor's, so l is a running
-    minimum over separator depths that selects the ancestor's own depth.
-    Every entry is thus the same sum of the same floats as a walk over the
-    tree gives.  Rows go in chunks of about _CHUNK_ELEMENTS entries.
+    2000), and no depth falls below an ancestor's, so l is the _between
+    minimum of separator depths over leaf order and selects the ancestor's
+    own depth.  Every entry is thus the same sum of the same floats as a
+    walk over the tree gives.  Rows go in chunks of about _CHUNK_ELEMENTS
+    range-table entries.
     """
     batch, m, batched = _tree_batch(trees)
     iu, ju = np.triu_indices(m, 1)  # the pair order, as leaf indices
-    by_position = _pair_index_matrix(m)
     out = np.empty((len(batch), len(iu)))
-    for part in _chunks(len(batch), len(iu)):
+    for part in _chunks(len(batch), m * m):
         chunk = batch[part]
         order = np.array([tree._order for tree in chunk])
-        depth = np.array([[tree._depth[k] for k in tree._leaves] for tree in chunk])
         sep = np.array([[tree._depth[k] for k in tree._seps] for tree in chunk])
-        # ancestor depths of the leaves at positions (a, b), a < b, in the pair order
-        lca = np.concatenate([np.minimum.accumulate(sep[:, a:], axis=1) for a in range(m - 1)], axis=1)
-        lca = np.take_along_axis(lca, by_position[order[:, iu], order[:, ju]], axis=1)
-        depth = np.take_along_axis(depth, order, axis=1)
-        out[part] = depth[:, iu] + depth[:, ju] - 2.0 * lca
+        depth = leaf_depths(chunk)
+        out[part] = depth[:, iu] + depth[:, ju] - 2.0 * _between(order, sep.T, np.minimum)
     return out if batched else out[0]
 
 
@@ -425,7 +410,27 @@ def is_ultrametric(u, tol=None):
 
 
 # ---------------------------------------------------------------------------
-# projection onto tree space
+# range extremes: cophenetic vectors and projection onto tree space
+
+
+def _between(position: np.ndarray, gaps: np.ndarray, extreme) -> np.ndarray:
+    """Per row and leaf pair, the extreme of the gaps between the two leaves' positions.
+
+    position (r, m) holds each leaf's position in a per-row order, gaps
+    (m-1, r) the gap after each position but the last, and extreme is
+    np.minimum or np.maximum.  Entry (i, j) of the (r, e) result, in the
+    pair order, is extreme(gaps[a..b-1]) with a < b the positions of
+    leaves i and j.  It only selects input values, so it is exact.
+    """
+    r, m = position.shape
+    table = np.empty((m, m, r))  # table[q, p] = extreme(gaps[p..q-1]) for p < q; rows last
+    table[np.arange(m - 1), np.arange(m - 1)] = gaps  # then table[p + 1, p] = extreme(gaps[p], gaps[p])
+    # one vectorized extreme per position: a running ufunc reduction walks element by element
+    for q in range(1, m):
+        extreme(table[q - 1, :q], gaps[q - 1], out=table[q, :q])
+    iu, ju = np.triu_indices(m, 1)  # the pair order, as leaf indices
+    a, b = position[:, iu], position[:, ju]
+    return table.reshape(-1)[(np.maximum(a, b) * m + np.minimum(a, b)) * r + np.arange(r)[:, None]]
 
 
 def _prim(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -470,32 +475,24 @@ def project_to_treespace(x) -> np.ndarray:
     joined[p].  For steps p < q the entry of order[p] and order[q] is
     max(joined[p+1..q]): by induction on q, since the edge by which step q
     joins weighs no less than any join since the step of its tree end.  So
-    the whole matrix is one running maximum over join weights in Prim
-    order, read back through each leaf's step; it is the dual of
-    cophenetic_vector's running minimum over separator depths.  The output
-    is exactly ultrametric, <= x coordinatewise, fixes ultrametric inputs,
-    minimizes the tropical distance to x over tree space, and holds only
-    entries of x.  x is one vector or an (n, e) batch, one vector per row,
-    and the result has its shape; rows go in chunks of about
-    _CHUNK_ELEMENTS matrix entries.
+    the whole matrix is the _between maximum of join weights over Prim
+    order, as cophenetic_vector is the _between minimum of separator
+    depths over leaf order.  The output is exactly ultrametric, <= x
+    coordinatewise, fixes ultrametric inputs, minimizes the tropical
+    distance to x over tree space, and holds only entries of x.  x is one
+    vector or an (n, e) batch, one vector per row, and the result has its
+    shape; rows go in chunks of about _CHUNK_ELEMENTS matrix entries.
     """
     rows, m, batched = _as_rows(x)
     if not np.all(np.isfinite(rows)):
         raise ValueError("coordinates must be finite")
-    iu, ju = np.triu_indices(m, 1)  # the pair order, as row and column indices
     out = np.empty_like(rows)
     for part in _chunks(len(rows), m * m):
         order, joined = _prim(rows[part], m)
         r = order.shape[1]
-        span = np.empty((m, m, r))  # span[q, p] = max(joined[p+1..q]) for p < q; rows last
-        span[np.arange(m), np.arange(m)] = -np.inf
-        # one vectorized maximum per step: np.maximum.accumulate walks element by element
-        for q in range(1, m):
-            np.maximum(span[q - 1, :q], joined[q], out=span[q, :q])
         step = np.empty((r, m), dtype=np.intp)  # the step at which each leaf joins
         step[np.arange(r), order] = np.arange(m)[:, None]
-        a, b = step[:, iu], step[:, ju]
-        out[part] = span.reshape(-1)[(np.maximum(a, b) * m + np.minimum(a, b)) * r + np.arange(r)[:, None]]
+        out[part] = _between(step, joined[1:], np.maximum)
     return out if batched else out[0]
 
 

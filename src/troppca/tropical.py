@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .treespace import _chunks
-
 
 def _as_point(x, name: str = "point") -> np.ndarray:
     x = np.asarray(x, dtype=float)
@@ -25,8 +23,7 @@ def trop_dist(v, w):
     Symmetric, nonnegative, invariant under adding a constant to either
     argument, and zero exactly when v and w agree on the torus.  v and w
     are two vectors (the result is a float) or two (n, e) batches of the
-    same shape (an array of n row-wise distances); rows go in chunks of
-    about _CHUNK_ELEMENTS coordinates.
+    same shape (an array of n row-wise distances).
     """
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -34,12 +31,9 @@ def trop_dist(v, w):
         v, w = _as_point(v, "v"), _as_point(w, "w")
     if v.shape != w.shape:
         raise ValueError(f"dimension mismatch: {v.shape} vs {w.shape}")
-    rows, other = np.atleast_2d(v), np.atleast_2d(w)
-    out = np.empty(len(rows))
-    for part in _chunks(len(rows), rows.shape[1]):
-        d = rows[part] - other[part]
-        out[part] = d.max(axis=1) - d.min(axis=1)
-    return out if v.ndim == 2 else float(out[0])
+    d = v - w
+    out = d.max(axis=-1) - d.min(axis=-1)
+    return out if v.ndim == 2 else float(out)
 
 
 def canonicalize(x) -> np.ndarray:

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -12,7 +13,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 import troppca
-from troppca.cli import main
+from troppca.cli import _build_parser, main
 from troppca.model import Model, load_model, save_model
 from troppca.pca import TropicalPolytope, objective
 from troppca.treespace import (
@@ -488,6 +489,7 @@ class TestModelFile:
             "null config",
             "list trace_summary",
             "object document",
+            "deeply nested config",
         ],
     )
     def test_broken_model_file_ends_in_one_line_error(self, tmp_path, sample_file, capsys, edit):
@@ -511,9 +513,11 @@ class TestModelFile:
             doc["config"] = None
         elif edit == "list trace_summary":
             doc["trace_summary"] = [1, 2]
+        elif edit == "deeply nested config":
+            doc["config"] = "@"  # written as text below: json.dumps would recurse as deep
         else:
             doc = [doc]
-        model_path.write_text(json.dumps(doc))
+        model_path.write_text(json.dumps(doc).replace('"@"', "[" * 100_000 + "]" * 100_000))
         capsys.readouterr()
         code = main(["eval", "--model", str(model_path), "--input", str(sample_file)])
         err = capsys.readouterr().err
@@ -569,3 +573,23 @@ class TestModuleEntryPoint:
         result = run_python("-c", script)
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["numpy", "troppca"]
+
+
+def readme_command_lines() -> list[list[str]]:
+    """Each `troppca ...` line of README's command-line block, split into words.
+
+    Backslash continuations are joined and `#` comments stripped.
+    """
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(path, encoding="utf-8") as handle:
+        block = handle.read().split("## Command line", 1)[1].split("```")[1]
+    lines = (line.split("#", 1)[0] for line in block.replace("\\\n", " ").splitlines())
+    return [words for words in map(shlex.split, lines) if words[:1] == ["troppca"]]
+
+
+class TestReadme:
+    def test_command_line_block_parses(self):
+        lines = readme_command_lines()
+        for words in lines:
+            _build_parser().parse_args(words[1:])
+        assert sorted({words[1] for words in lines}) == ["check", "eval", "fit", "gen", "plot", "project"]

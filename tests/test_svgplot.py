@@ -12,7 +12,7 @@ def circles(svg_text):
 
 
 def test_one_circle_per_point():
-    svg = scatter_svg([0.0, 1.0, 2.0], [1.0, 0.0, 2.0])
+    svg = scatter_svg([0.0, 1.0, 2.0], [1.0, 0.0, 2.0], xlabel="x", ylabel="y")
     assert len(circles(svg)) == 3
 
 
@@ -23,18 +23,18 @@ def test_deterministic_output():
 
 
 def test_degenerate_bounds_do_not_crash():
-    svg = scatter_svg([0.5, 0.5], [1.0, 1.0])
+    svg = scatter_svg([0.5, 0.5], [1.0, 1.0], xlabel="x", ylabel="y")
     assert len(circles(svg)) == 2
 
 
 def test_groups_add_legend_swatches_and_counts():
-    svg = scatter_svg([0, 1, 2, 3], [0, 1, 2, 3], groups=["a", "a", "a", "b"])
+    svg = scatter_svg([0, 1, 2, 3], [0, 1, 2, 3], groups=["a", "a", "a", "b"], xlabel="x", ylabel="y")
     # 4 data points + 2 legend swatches
     assert len(circles(svg)) == 6
     assert "a (3)" in svg and "b (1)" in svg
 
 def test_group_colors_ordered_by_frequency():
-    svg = scatter_svg([0, 1, 2], [0, 1, 2], groups=["rare", "common", "common"])
+    svg = scatter_svg([0, 1, 2], [0, 1, 2], groups=["rare", "common", "common"], xlabel="x", ylabel="y")
     assert svg.index("common (2)") < svg.index("rare (1)")
 
 
@@ -48,6 +48,6 @@ def test_labels_are_xml_escaped():
 
 def test_shape_validation():
     with pytest.raises(ValueError):
-        scatter_svg([0, 1], [0, 1, 2])
+        scatter_svg([0, 1], [0, 1, 2], xlabel="x", ylabel="y")
     with pytest.raises(ValueError):
-        scatter_svg([0, 1], [0, 1], groups=["a"])
+        scatter_svg([0, 1], [0, 1], groups=["a"], xlabel="x", ylabel="y")

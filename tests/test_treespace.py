@@ -31,7 +31,6 @@ from oracles import (
 from troppca.tropical import trop_dist
 from troppca.treespace import (
     _CHUNK_ELEMENTS,
-    _pair_index_matrix,
     NewickError,
     cophenetic_vector,
     default_leaf_names,
@@ -51,10 +50,8 @@ from troppca.treespace import (
 class TestPairIndexing:
     def test_lexicographic_order(self):
         assert pair_order(4) == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-        for m in (3, 4, 7):
-            index = _pair_index_matrix(m)
-            assert [index[i, j] for i, j in pair_order(m)] == list(range(m * (m - 1) // 2))
-            assert np.array_equal(index, index.T)
+        for m in (3, 4, 7):  # the kernels index pairs by np.triu_indices
+            assert tuple(zip(*np.triu_indices(m, 1))) == pair_order(m)
 
     def test_leaf_count_from_dim(self):
         assert leaf_count_from_dim(3) == 3
@@ -303,6 +300,21 @@ def oracle_vector(text: str, factor=None) -> tuple[list[str], np.ndarray]:
     return names, recursive_cophenetic_vector(root, names, factor)
 
 
+def random_newick(rng: np.random.Generator, m: int) -> str:
+    """Newick text of a random multifurcating tree on the leaves "1".."m".
+
+    Leaf branches have random lengths, so leaf depths differ, and about a
+    third of the internal branches have length 0, so separator depths tie.
+    """
+    items = [f"{k + 1}:{rng.integers(1, 50) / 10}" for k in rng.permutation(m)]
+    while len(items) > 1:
+        k = int(rng.integers(2, min(4, len(items)) + 1))
+        start = int(rng.integers(0, len(items) - k + 1))
+        length = 0 if rng.random() < 1 / 3 else rng.integers(1, 50) / 10
+        items[start:start + k] = [f"({','.join(items[start:start + k])}):{length}"]
+    return items[0] + ";"
+
+
 def assert_parses_like_the_oracle(text: str) -> None:
     """Same leaf names and vector, or the same NewickError message and offset."""
     try:
@@ -369,6 +381,17 @@ class TestNewickAgainstRecursiveOracle:
     )
     def test_fixed_cases_parse_like_the_recursive_parser(self, text):
         assert_parses_like_the_oracle(text)
+
+    @pytest.mark.parametrize("m,n", [(12, 460), (60, 20)])
+    def test_batches_spanning_several_row_chunks(self, m, n):
+        # two row chunks of the kernel at least
+        assert n >= 2 * (_CHUNK_ELEMENTS // (m * m))
+        rng = np.random.default_rng(1900 + m)
+        texts = [random_newick(rng, m) for _ in range(n)]
+        batch = cophenetic_vector([parse_newick(text) for text in texts])
+        assert batch.shape == (n, m * (m - 1) // 2)
+        for row, text in zip(batch, texts):
+            assert np.array_equal(row, oracle_vector(text)[1])
 
     def test_batch_needs_one_leaf_count(self):
         with pytest.raises(ValueError, match="same number of leaves"):
