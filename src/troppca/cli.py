@@ -19,6 +19,7 @@ from .treespace import (
     project_to_treespace,
     random_ultrametrics,
     reconstruct_tree,
+    scale_trees,
     topology_signature,
     ultrametric_violation,
 )
@@ -58,7 +59,7 @@ def _load_sample(path, project_inputs: bool, normalize_height: bool):
         for (ln, _), h in zip(trees, heights):
             if h <= 0:
                 raise CliError(f"line {ln}: cannot normalize a tree of height 0")
-        batch = [tree.scaled(1.0 / h) for tree, h in zip(batch, heights)]
+        batch = scale_trees(batch, [1.0 / h for h in heights])
 
     line_numbers = [ln for ln, _ in trees]
     vectors = cophenetic_vector(batch)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +23,7 @@ __all__ = [
     "load_newick_file",
     "cophenetic_vector",
     "leaf_depths",
+    "scale_trees",
     "leaf_count_from_dim",
     "default_leaf_names",
     "is_ultrametric",
@@ -62,40 +62,37 @@ class PhyloTree:
 
     The tree is a flat preorder record: per node, the index of its parent
     (-1 at the root) and the length of the edge to it; the node and the
-    label of each leaf, in leaf (left-to-right) order; and, per pair of
-    consecutive leaves, the node whose ',' separates them, which is their
-    lowest common ancestor.  Depths are summed root-down once, when the
-    record is made.  No method recurses, so trees may nest arbitrarily deep.
-    The constructor takes the record as is; ``parse_newick`` and
-    ``reconstruct_tree`` build valid ones.
+    label of each leaf, in leaf (left-to-right) order.  With the record
+    come the arrays the kernels gather from: per leaf index, its position
+    in leaf order and its root-to-leaf depth, and per pair of consecutive
+    leaves the depth of the node whose ',' separates them, which is their
+    lowest common ancestor.  No method recurses, so trees may nest
+    arbitrarily deep.  The constructor takes all of it as is; _records
+    builds valid records for a whole batch of trees at once, and
+    parse_newick, load_newick_file, reconstruct_tree and scale_trees go
+    through it.
 
-    ``leaf_names`` fixes the label-to-index assignment for vectorization.
-    When omitted, labels are sorted lexicographically, which is the
-    convention applied to parsed files; pass an explicit order to keep an
-    existing index assignment.
+    ``leaf_names`` fixes the label-to-index assignment for vectorization:
+    parsed trees sort their labels lexicographically, reconstructed trees
+    keep the names they are given.
     """
 
-    def __init__(self, parent, length, leaves, labels, leaf_names: Sequence[str] | None = None):
+    def __init__(self, parent, length, leaves, labels, leaf_names, position, leaf_depth, sep_depth):
         self._parent = parent
         self._length = length
         self._leaves = leaves
         self._labels = labels
-        # the node after leaf k in preorder is a child of the separating node
-        self._seps = [parent[leaf + 1] for leaf in leaves[:-1]]
-        depth = [0.0] * len(parent)
-        for i in range(1, len(parent)):  # parents precede their children
-            depth[i] = depth[parent[i]] + length[i]
-        self._depth = depth
-        self.leaf_names: list[str] = sorted(labels) if leaf_names is None else list(leaf_names)
-        position = {name: k for k, name in enumerate(labels)}
-        self._order = [position[name] for name in self.leaf_names]  # leaf position of each index
+        self.leaf_names: list[str] = leaf_names
+        self._position = position  # leaf position of each index
+        self._leaf_depth = leaf_depth  # by index
+        self._sep_depth = sep_depth  # in leaf order
 
     @property
     def m(self) -> int:
         return len(self.leaf_names)
 
     def height(self) -> float:
-        return float(leaf_depths(self).max())
+        return float(self._leaf_depth.max())
 
     def cophenetic_vector(self) -> np.ndarray:
         """Pairwise leaf-to-leaf path weights in the fixed pair order."""
@@ -103,14 +100,15 @@ class PhyloTree:
 
     def clades(self) -> list[frozenset[str]]:
         """Leaf-label set below each internal node, root included, in preorder."""
-        below = [0] * len(self._parent)  # leaves below each node
-        for leaf in self._leaves:
+        parent = self._parent.tolist()
+        below = [0] * len(parent)  # leaves below each node
+        leaves = set(self._leaves.tolist())
+        for leaf in leaves:
             below[leaf] = 1
         for i in range(len(below) - 1, 0, -1):
-            below[self._parent[i]] += below[i]
+            below[parent[i]] += below[i]
         out = []
         seen = 0  # leaves before the node; its own leaves follow them in leaf order
-        leaves = set(self._leaves)
         for i, count in enumerate(below):
             if i in leaves:
                 seen += 1
@@ -120,18 +118,15 @@ class PhyloTree:
 
     def scaled(self, factor: float) -> "PhyloTree":
         """Copy of the tree with every branch length multiplied by factor."""
-        if not factor >= 0:
-            raise ValueError(f"scale factor must be nonnegative, got {factor}")
-        length = [value * factor for value in self._length]
-        return PhyloTree(self._parent, length, self._leaves, self._labels, self.leaf_names)
+        return scale_trees([self], [factor])[0]
 
     def to_newick(self) -> str:
         """Newick text with branch lengths at 12 significant digits."""
-        length = self._length
-        names = dict(zip(self._leaves, self._labels))
+        length = self._length.tolist()
+        names = dict(zip(self._leaves.tolist(), self._labels))
         out: list[str] = []
         open_nodes: list[int] = []  # internal nodes whose ')' is still to come
-        for i, up in enumerate(self._parent):
+        for i, up in enumerate(self._parent.tolist()):
             while open_nodes and open_nodes[-1] != up:
                 out.append(f"):{length[open_nodes.pop()]:.12g}")
             if i != up + 1:  # not the first child
@@ -147,6 +142,99 @@ class PhyloTree:
 
     def __repr__(self) -> str:
         return f"PhyloTree(m={self.m}, height={self.height():.6g})"
+
+
+def _depths(parent: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Root-down path weights of a forest: depth[i] = depth[parent[i]] + length[i], 0 at the roots.
+
+    parent (-1 at the roots) indexes the same flat arrays.  Each node's
+    level (its edge count to the root) comes from pointer jumping; then one
+    vectorized sum per level covers every tree at once, so each depth is
+    the same single addition a walk down from the root makes.  Levels of
+    one node each form a path, whose depths one running sum gives in the
+    same order, so a deep chain costs one step.
+    """
+    level = (parent >= 0).astype(np.intp)  # edges from each node to up[node]
+    up = parent.copy()
+    live = np.flatnonzero(up >= 0)
+    while live.size:
+        level[live] += level[up[live]]
+        up[live] = up[up[live]]
+        live = live[up[live] >= 0]
+    order = np.argsort(level, kind="stable")  # nodes level by level
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    above = rank[parent[order]]  # place of each node's parent in that order; unused at the roots
+    lengths = length[order]
+    out = np.zeros(len(order))  # the roots stay at 0
+    counts = np.bincount(level, minlength=1)
+    lone = counts == 1
+    first = 1 + np.flatnonzero(~(lone[1:] & np.append(False, lone[1:-1])))  # the level each step starts at
+    edges = np.append(np.cumsum(counts)[first - 1], len(order)).tolist()
+    for k, lo, hi in zip(first.tolist(), edges, edges[1:]):
+        if lone[k]:
+            run = lengths[lo:hi].copy()
+            run[0] += out[above[lo]]
+            np.add.accumulate(run, out=out[lo:hi])
+        else:
+            np.add(out[above[lo:hi]], lengths[lo:hi], out=out[lo:hi])
+    depth = np.empty_like(out)
+    depth[order] = out
+    return depth
+
+
+def _records(parent, length, leaves, position, nodes, count, labels, leaf_names) -> tuple[list[PhyloTree], np.ndarray]:
+    """PhyloTree records of trees laid end to end in flat arrays, and their leaf depths.
+
+    Per node: parent (an index within its tree, -1 at the root) and
+    length; per leaf in leaf order: leaves, its node index within its tree;
+    per leaf index: position, its place in leaf order; per tree: nodes and
+    count, its node and leaf counts, and labels and leaf_names, one list
+    each.  Depths are summed by one _depths call over every tree.  The
+    trees hold views of the flat arrays.  Also returns the (sum(count),)
+    leaf depths by index, tree after tree.
+    """
+    node_start = np.cumsum(nodes) - nodes
+    leaf_start = np.cumsum(count) - count
+    up = np.where(parent < 0, -1, parent + np.repeat(node_start, nodes))
+    depth = _depths(up, length)
+    leaf_node = leaves + np.repeat(node_start, count)
+    leaf_depth = depth[leaf_node][position + np.repeat(leaf_start, count)]
+    # the node after leaf k in preorder is a child of the node separating leaves k and k+1;
+    # after the last leaf of a tree it is not, and that entry is dropped
+    sep_depth = depth[up[np.minimum(leaf_node + 1, len(up) - 1)]]
+    spans = zip(node_start.tolist(), (node_start + nodes).tolist(), leaf_start.tolist(),
+                (leaf_start + count).tolist(), labels, leaf_names)
+    trees = [
+        PhyloTree(parent[a:b], length[a:b], leaves[c:d], tree_labels, names,
+                  position[c:d], leaf_depth[c:d], sep_depth[c:d - 1])
+        for a, b, c, d, tree_labels, names in spans
+    ]
+    return trees, leaf_depth
+
+
+def scale_trees(trees, factors) -> list[PhyloTree]:
+    """Copies of trees with each tree's branch lengths multiplied by its factor.
+
+    The copies' depths are summed root-down from the scaled lengths, for
+    all trees at once.
+    """
+    factors = np.asarray(factors, dtype=float)
+    bad = np.flatnonzero(~(factors >= 0))
+    if bad.size:
+        raise ValueError(f"scale factor must be nonnegative, got {factors[bad[0]]}")
+    nodes = np.array([len(tree._parent) for tree in trees], dtype=np.intp)
+    count = np.array([tree.m for tree in trees], dtype=np.intp)
+
+    def joined(attr):
+        return np.concatenate([getattr(tree, attr) for tree in trees])
+
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats overflow, to inf or nan
+        return _records(
+            joined("_parent"), joined("_length") * np.repeat(factors, nodes), joined("_leaves"),
+            joined("_position"), nodes, count, [tree._labels for tree in trees],
+            [list(tree.leaf_names) for tree in trees],
+        )[0]
 
 
 def _label_problem(labels: list[str]) -> str | None:
@@ -174,7 +262,7 @@ def _tree_batch(trees) -> tuple[list[PhyloTree], int, bool]:
 def leaf_depths(trees) -> np.ndarray:
     """Root-to-leaf path weights by leaf index: an (m,) vector for one tree, (n, m) for a sequence."""
     batch, _, batched = _tree_batch(trees)
-    out = np.array([[tree._depth[tree._leaves[k]] for k in tree._order] for tree in batch])
+    out = np.stack([tree._leaf_depth for tree in batch])
     return out if batched else out[0]
 
 
@@ -195,13 +283,13 @@ def cophenetic_vector(trees) -> np.ndarray:
     """
     batch, m, batched = _tree_batch(trees)
     iu, ju = np.triu_indices(m, 1)  # the pair order, as leaf indices
+    position = np.stack([tree._position for tree in batch])
+    depth = np.stack([tree._leaf_depth for tree in batch])
+    sep = np.stack([tree._sep_depth for tree in batch])
     out = np.empty((len(batch), len(iu)))
     for part in _chunks(len(batch), m * m):
-        chunk = batch[part]
-        order = np.array([tree._order for tree in chunk])
-        sep = np.array([[tree._depth[k] for k in tree._seps] for tree in chunk])
-        depth = leaf_depths(chunk)
-        out[part] = depth[:, iu] + depth[:, ju] - 2.0 * _between(order, sep.T, np.minimum)
+        d = depth[part]
+        out[part] = d[:, iu] + d[:, ju] - 2.0 * _between(position[part], sep[part].T, np.minimum)
     return out if batched else out[0]
 
 
@@ -218,14 +306,74 @@ def topology_signature(tree: PhyloTree) -> str:
 
 # ---------------------------------------------------------------------------
 # Newick parsing
+#
+# The grammar, one tree per text: an element is a leaf label, or '(' then
+# elements separated by ',' then ')' and an optional internal label; either
+# may carry ':' and a branch length; the root element ends in ';'.  Blanks
+# (space, tab) may precede every token and surround the ':'.  Labels are
+# runs of [A-Za-z0-9_.]; a branch length matches
+# [+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)? with \d any Unicode decimal
+# digit, as in a str regex.
+#
+# Every text of a file is parsed at once by array operations over the
+# file's code points.  Each character gets a class; a word is a run of
+# label characters, digits and signs.  Atoms are the non-blank characters
+# outside words, the first character of each word, and the end of each
+# text.  A word right after ':' is a branch length, one right after ')' is
+# that node's internal label, any other is a leaf label; a ':' right after
+# a label or ')' is a length's, any other is a bad token.  What remains are
+# the tokens; the parse state before each is set by the token before it,
+# and a table of allowed transitions gives the error, if any, at each
+# token.  Each text's first error is reported; the others become trees.
 
-_LABEL = r"[A-Za-z0-9_.]+"
-_NUMBER = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-# One token after blanks: (1) a leaf label, or a ')' with the internal label
-# right after it, each with its optional (2) ':' and (3) branch length; or
-# (4) any other character; or the end of the text, where no group is set.
-_TOKEN_RE = re.compile(
-    rf"[ \t]*(?:({_LABEL}|\)(?:{_LABEL})?)(?:[ \t]*(:)[ \t]*({_NUMBER})?)?|(.)|\Z)", re.DOTALL
+_PAD = 3  # NULs after the text, so that looking ahead past its end stays in bounds
+_BLANK, _LABEL, _DIGIT, _SIGN, _EXP, _SPACE = 1, 2, 4, 8, 16, 32
+_WORD = _LABEL | _DIGIT | _SIGN
+
+
+def _ascii_table(classify) -> np.ndarray:
+    """classify(char) for each ASCII character; entry 128 stands for the others and is 0."""
+    return np.array([classify(chr(code)) for code in range(128)] + [0], dtype=np.uint8)
+
+
+_ASCII_FLAGS = _ascii_table(
+    lambda char: (
+        _BLANK * (char in " \t")
+        | _LABEL * (char.isascii() and (char.isalnum() or char in "_."))
+        | _DIGIT * char.isdecimal()
+        | _SIGN * (char in "+-")
+        | _EXP * (char in "eE")
+        | _SPACE * char.isspace()  # what str.strip() removes
+    )
+)
+# token kinds; a word is a _LEAF until it is found to be a length or an internal label
+_OPEN, _COMMA, _LEAF, _CLOSE, _SEMI, _BAD, _END, _COLON = range(8)
+_ATOM_KIND = _ascii_table(lambda char: {"(": _OPEN, ",": _COMMA, ")": _CLOSE, ";": _SEMI, ":": _COLON}.get(char, _BAD))
+_ATOM_KIND[128] = _BAD
+
+_MESSAGES = (
+    None,
+    "expected a leaf label or '('",
+    "expected ',' or ')'",
+    "expected ';'",
+    "trailing characters after ';'",
+    "malformed branch length",
+    "non-finite branch length",
+    "negative branch length",
+)
+# Parse state before a token, by the kind of the token before it: 0 expects
+# an element (at the start, after '(' or ','; after a bad token nothing
+# matters), 1 follows a complete element, 2 follows the terminating ';'.
+_STATE = np.array([0, 0, 1, 1, 2, 0, 0], dtype=np.intp)
+# _VERDICT[state, kind, inside a '('] is 0 for an allowed token, else the index of its error message
+_VERDICT = np.array(
+    [
+        # '('     ','     leaf    ')'     ';'     bad     end
+        [[0, 0], [1, 1], [0, 0], [1, 1], [1, 1], [1, 1], [1, 1]],  # expecting an element
+        [[3, 2], [3, 0], [3, 2], [3, 0], [0, 2], [3, 2], [3, 2]],  # after an element
+        [[4, 4], [4, 4], [4, 4], [4, 4], [4, 4], [4, 4], [0, 0]],  # after the final ';'
+    ],
+    dtype=np.intp,
 )
 
 
@@ -237,14 +385,227 @@ class NewickError(ValueError):
         self.offset = offset
 
 
-def _token_error(text: str, k: int, message: str, at_length: bool = False) -> NewickError:
-    """Error at the k-th token of text, past its blanks, or at its branch length (or where one should be)."""
-    match = next(itertools.islice(_TOKEN_RE.finditer(text), k, None))
-    if at_length:
-        offset = match.start(3) if match.group(3) else match.end()
-    else:
-        offset = match.end() - len(match.group().lstrip(" \t"))
-    return NewickError(message, offset)
+def _codes(text: str) -> np.ndarray:
+    """Code points of text and _PAD NULs: one byte each for ASCII text, four otherwise."""
+    text += "\0" * _PAD
+    if text.isascii():
+        return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    return np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
+
+
+def _flags(codes: np.ndarray) -> np.ndarray:
+    """Character class bits of each code point."""
+    if codes.itemsize == 1:
+        return _ASCII_FLAGS.take(codes)
+    flags = _ASCII_FLAGS.take(np.minimum(codes, 128))
+    wide = np.flatnonzero(codes > 127)
+    if wide.size:  # Unicode digits may write a branch length; Unicode blanks are stripped from lines
+        chars, which = np.unique(codes[wide], return_inverse=True)
+        classes = [_DIGIT * chr(c).isdecimal() | _SPACE * chr(c).isspace() for c in chars.tolist()]
+        flags[wide] = np.array(classes, dtype=np.uint8)[which]
+    return flags
+
+
+def _texts(codes: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[str]:
+    """The strings codes[lo[k]:hi[k]], none of which holds a newline, decoded in one call."""
+    size = hi - lo + 1  # each string and the character after it, which becomes a newline
+    ends = np.cumsum(size)
+    step = np.ones(ends[-1] if len(ends) else 0, dtype=np.intp)  # from each index into codes to the next
+    step[ends[:-1]] = lo[1:] - hi[:-1]
+    step[:1] = lo[:1]
+    chars = codes[np.cumsum(step)]
+    chars[ends - 1] = 10
+    return chars.tobytes().decode("ascii" if codes.itemsize == 1 else "utf-32-le").split("\n")[:-1]
+
+
+def _number_end(codes: np.ndarray, flags: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Where the branch-length pattern, matched at each start, ends; start itself where it does not match."""
+    nondigit = np.flatnonzero((flags & _DIGIT) == 0)
+
+    def digits(at):  # end of the run of digits from at
+        return nondigit[np.searchsorted(nondigit, at)]
+
+    def signed(at):
+        return at + ((flags[at] & _SIGN) != 0)
+
+    lead = signed(start)
+    whole = digits(lead)
+    end = np.where(
+        whole > lead,
+        np.where(codes[whole] == ord("."), digits(whole + 1), whole),
+        np.where((codes[lead] == ord(".")) & ((flags[lead + 1] & _DIGIT) != 0), digits(lead + 1), start),
+    )
+    power = signed(end + 1)
+    exponent = digits(power)
+    return np.where((end > start) & ((flags[end] & _EXP) != 0) & (exponent > power), exponent, end)
+
+
+def _after(a: np.ndarray, first) -> np.ndarray:
+    """a shifted one place on, first in its place."""
+    return np.concatenate((np.full(1, first, dtype=a.dtype), a[:-1]))
+
+
+def _scan(codes: np.ndarray, flags: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """Tokens of the texts codes[starts[k]:ends[k]], with the error each one raises.
+
+    Returns per token: kind, position, text, the '(' open before it within
+    its text, its branch length (0 without one), where its word ends, and
+    the index into _MESSAGES and the offset of its error (0 when the
+    token is allowed).  Only a text's first error is meaningful: past it,
+    tokens are read as if nothing had failed.
+    """
+    blank = (flags & _BLANK) != 0
+    word = (flags & _WORD) != 0
+    opening = word.copy()
+    opening[1:] &= ~word[:-1]
+    mark = np.zeros(len(codes) + 1, dtype=np.int8)
+    mark[starts] += 1
+    mark[ends] -= 1
+    inside = np.cumsum(mark[:-1], dtype=np.int8).view(bool)
+    stop = np.zeros(len(codes), dtype=bool)
+    stop[ends] = True
+    at = np.flatnonzero((~(blank | word) | opening) & inside | stop)
+    at_end = stop[at]
+    line = np.cumsum(at_end) - at_end  # the text of each atom
+    kind = _ATOM_KIND[np.minimum(codes[at], 128)]
+    kind[word[at]] = _LEAF
+    kind[at_end] = _END
+    is_word = kind == _LEAF
+    words = np.flatnonzero(is_word)
+    closing = np.flatnonzero(word[:-1] & ~word[1:]) + 1
+    word_end = at.copy()
+    word_end[words] = closing[np.searchsorted(closing, at[words])]
+
+    prev = _after(kind, _END)
+    before = _after(prev, _END)
+    value = is_word & (prev == _COLON)
+    name = is_word & (prev == _CLOSE) & np.concatenate(([False], at[1:] == at[:-1] + 1))
+    attached = (kind == _COLON) & ((prev == _CLOSE) | ((prev == _LEAF) & (before != _COLON)))
+    # a stray ':', or a word that does not start with a label character, is a bad token
+    kind[(kind == _COLON) | is_word & ((flags[at] & _LABEL) == 0)] = _BAD
+
+    token = np.flatnonzero(~(attached | value | name))  # atom index of each token
+    tk, pos, tline = kind[token], at[token], line[token]
+    last = len(at) - 1
+    named = (tk == _CLOSE) & name[np.minimum(token + 1, last)]
+    labeled = token + named  # the atom of the token's label
+    colon = np.minimum(labeled + 1, last)
+    has_colon = ((tk == _LEAF) | (tk == _CLOSE)) & attached[colon]
+    number = np.minimum(colon + 1, last)  # the atom after a length's ':'
+    start = at[number]
+    end = start.copy()
+    has_number = has_colon & value[number]
+    end[has_number] = _number_end(codes, flags, start[has_number])
+    matched = has_number & (end > start)
+    length = np.zeros(len(token))
+    length[matched] = np.fromiter(map(float, _texts(codes, start[matched], end[matched])), float)
+
+    step = (tk == _OPEN).astype(np.intp) - (tk == _CLOSE)
+    level = np.cumsum(step) - step
+    prev_tk = _after(tk, _END)
+    level -= level[np.maximum.accumulate(np.where(prev_tk == _END, np.arange(len(tk)), 0))]
+    verdict = _VERDICT[_STATE[prev_tk], tk, (level > 0).astype(np.intp)]
+    stray = np.where(level - (tk == _CLOSE) > 0, 2, 3)  # the error of a bad token right after this element
+    # a label ends at its word's first sign or Unicode digit, or with the word
+    unlabeled = np.append(np.flatnonzero(word & ((flags & _LABEL) == 0)), len(codes))
+    label_stop = np.minimum(unlabeled[np.searchsorted(unlabeled, at[labeled])], word_end[labeled])
+    checks = (  # (failed, message, offset) in the order the token is read
+        (verdict > 0, verdict, pos),
+        (((tk == _LEAF) | named) & (label_stop < word_end[labeled]), stray, label_stop),
+        (has_colon & ~matched, 5, start),
+        (matched & ~np.isfinite(length), 6, start),
+        (matched & (length < 0), 7, start),
+        (matched & (end < word_end[number]), stray, end),
+    )
+    failed = [check[0] for check in checks]
+    message = np.select(failed, [check[1] for check in checks], 0)
+    offset = np.select(failed, [check[2] for check in checks], 0)
+    return tk, pos, tline, level, length, word_end[token], message, offset
+
+
+def _parse(codes: np.ndarray, flags: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """Parse the Newick texts codes[starts[k]:ends[k]] together.
+
+    Returns (trees, errors), lists of (k, PhyloTree) and (k, NewickError)
+    pairs in increasing k; error offsets count from starts[k].  A text's
+    error is the first the grammar meets, so it is where a parser reading
+    the text token by token stops.  A text that parses but has duplicate
+    leaf labels, fewer than 3 leaves, or a root-to-leaf depth or
+    leaf-to-leaf path length that overflows to infinity fails at its ';'.
+    """
+    tk, pos, tline, level, length, word_end, message, offset = _scan(codes, flags, starts, ends)
+    failed = np.flatnonzero(message)
+    failed_lines, first = np.unique(tline[failed], return_index=True)
+    failed = failed[first]
+    errors = dict(zip(
+        failed_lines.tolist(),
+        zip(map(_MESSAGES.__getitem__, message[failed].tolist()), (offset[failed] - starts[failed_lines]).tolist()),
+    ))
+    ok = np.ones(len(starts), dtype=bool)
+    ok[failed_lines] = False
+
+    # labels of the texts that parse
+    semi = ok[tline] & (tk == _SEMI)
+    terminator = dict(zip(tline[semi].tolist(), (pos[semi] - starts[tline[semi]]).tolist()))
+    leaf = np.flatnonzero(ok[tline] & (tk == _LEAF))
+    labels = _texts(codes, pos[leaf], word_end[leaf])
+    vocabulary = sorted(set(labels))
+    ids = np.fromiter(map(dict(zip(vocabulary, range(len(vocabulary)))).__getitem__, labels), np.intp, len(labels))
+    owner = tline[leaf]
+    count = np.bincount(owner, minlength=len(starts))
+    order = np.lexsort((ids, owner))  # leaves by text, then by label
+    twice = owner[order][1:][(np.diff(ids[order]) == 0) & (np.diff(owner[order]) == 0)]
+    for k in np.union1d(twice, np.flatnonzero(ok & (count < 3))).tolist():
+        lo = int(np.searchsorted(owner, k))
+        errors[k] = (_label_problem(labels[lo:lo + count[k]]), terminator[k])
+        ok[k] = False
+
+    # records of the texts left: each node's parent is the '(' it sits in, the
+    # last earlier '(' one level up, which is also the '(' a ')' closes
+    keep = ok[owner]
+    order = (np.cumsum(keep) - 1)[order[keep[order]]]
+    labels = list(itertools.compress(labels, keep))
+    ids = ids[keep]
+    node = np.flatnonzero(ok[tline] & ((tk == _OPEN) | (tk == _LEAF) | (tk == _CLOSE)))
+    nk, nlevel, npos = tk[node], level[node], pos[node]
+    opens = np.flatnonzero(nk == _OPEN)
+    key = nlevel[opens] * len(codes) + npos[opens]
+    by_key = np.argsort(key)
+    enclosing = opens[by_key][np.searchsorted(key[by_key], (nlevel - 1) * len(codes) + npos) - 1]
+    is_node = nk != _CLOSE
+    index = np.cumsum(is_node) - 1  # node number of each '(' and leaf
+    nodes = np.bincount(tline[node][is_node], minlength=len(starts))[ok]
+    count = count[ok]
+    parent = np.where(nlevel > 0, index[enclosing], -1)[is_node]
+    node_start = np.cumsum(nodes) - nodes
+    parent -= np.where(parent >= 0, np.repeat(node_start, nodes), 0)
+    node_length = np.zeros(len(parent))
+    node_length[index[nk == _LEAF]] = length[node[nk == _LEAF]]
+    node_length[index[enclosing[nk == _CLOSE]]] = length[node[nk == _CLOSE]]
+    leaves = index[nk == _LEAF] - np.repeat(node_start, count)
+    leaf_start = np.cumsum(count) - count
+    names = list(map(vocabulary.__getitem__, ids[order].tolist()))
+    bounds = list(zip(leaf_start.tolist(), (leaf_start + count).tolist()))
+    with np.errstate(over="ignore"):
+        trees, depth = _records(
+            parent, node_length, leaves, order - np.repeat(leaf_start, count), nodes, count,
+            [labels[lo:hi] for lo, hi in bounds], [names[lo:hi] for lo, hi in bounds],
+        )
+        deepest = np.maximum.reduceat(depth, leaf_start) if len(trees) else depth
+        # the longest leaf-to-leaf path joins the two deepest leaves, and it can
+        # overflow only where twice the deepest depth does
+        doubled = 2.0 * deepest
+    lines = np.flatnonzero(ok).tolist()
+    for t in np.flatnonzero(doubled == math.inf).tolist():
+        k = lines[t]
+        if deepest[t] == math.inf:
+            errors[k] = ("non-finite root-to-leaf depth", terminator[k])
+        elif sum(sorted(depth[slice(*bounds[t])].tolist())[-2:]) == math.inf:
+            errors[k] = ("non-finite leaf-to-leaf path length", terminator[k])
+    return (
+        [(k, tree) for k, tree in zip(lines, trees) if k not in errors],
+        [(k, NewickError(*errors[k])) for k in sorted(errors)],
+    )
 
 
 def parse_newick(text: str) -> PhyloTree:
@@ -255,85 +616,59 @@ def parse_newick(text: str) -> PhyloTree:
     NewickError with a character offset on malformed input, a negative or
     non-finite branch length, duplicate leaf labels, fewer than 3 leaves,
     or a root-to-leaf depth or leaf-to-leaf path length that overflows to
-    infinity.  One pass over the tokens, with an explicit stack, so nesting
-    depth is unlimited.
+    infinity.  The whole-file parser run on one text, so nesting depth is
+    unlimited.
     """
-    parent: list[int] = []
-    length: list[float] = []
-    leaves: list[int] = []
-    labels: list[str] = []
-    open_nodes: list[int] = []  # internal nodes whose ')' is still to come
-    expect_element = True  # after '(' or ','; otherwise after a complete element
-    tokens = _TOKEN_RE.findall(text)
-    # the loop ends at the ';' that closes the root: the end token is an error in every state
-    for terminator, (head, colon, number, char) in enumerate(tokens):
-        if expect_element:
-            node = len(parent)
-            if char == "(":
-                parent.append(open_nodes[-1] if open_nodes else -1)
-                length.append(0.0)
-                open_nodes.append(node)
-                continue
-            if not head or head[0] == ")":
-                raise _token_error(text, terminator, "expected a leaf label or '('")
-            parent.append(open_nodes[-1] if open_nodes else -1)
-            length.append(0.0)
-            leaves.append(node)
-            labels.append(head)
-            expect_element = False
-        elif char == "," and open_nodes:
-            expect_element = True
-            continue
-        elif head[:1] == ")" and open_nodes:
-            node = open_nodes.pop()
-        elif char == ";" and not open_nodes:
-            break
-        else:
-            raise _token_error(text, terminator, "expected ',' or ')'" if open_nodes else "expected ';'")
-        if colon:
-            if not number:
-                raise _token_error(text, terminator, "malformed branch length", at_length=True)
-            value = float(number)
-            if not math.isfinite(value):
-                raise _token_error(text, terminator, "non-finite branch length", at_length=True)
-            if value < 0:
-                raise _token_error(text, terminator, "negative branch length", at_length=True)
-            length[node] = value
-    head, _, _, char = tokens[terminator + 1]  # the end of the text, or what follows the ';'
-    if head or char:
-        raise _token_error(text, terminator + 1, "trailing characters after ';'")
+    codes = _codes(text)
+    trees, errors = _parse(codes, _flags(codes), np.array([0]), np.array([len(text)]))
+    if errors:
+        raise errors[0][1]
+    return trees[0][1]
 
-    problem = _label_problem(labels)
-    if problem:
-        raise _token_error(text, terminator, problem)
-    tree = PhyloTree(parent, length, leaves, labels)
-    deepest = max(tree._depth)
-    if deepest == math.inf:
-        raise _token_error(text, terminator, "non-finite root-to-leaf depth")
-    # the longest leaf-to-leaf path joins the two deepest leaves, and it can
-    # overflow only where twice the deepest depth does
-    if 2.0 * deepest == math.inf and sum(sorted(tree._depth[leaf] for leaf in leaves)[-2:]) == math.inf:
-        raise _token_error(text, terminator, "non-finite leaf-to-leaf path length")
-    return tree
+
+def _lines(codes: np.ndarray, flags: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """(starts, ends, numbers) of a file's lines as str.strip() leaves them, '#' and blank lines left out.
+
+    Lines end at '\\n', '\\r\\n' and a lone '\\r', as in universal newlines
+    mode; numbers are 1-based.
+    """
+    size = len(codes) - _PAD
+    newline = codes[:size] == ord("\n")
+    breaks = np.flatnonzero(newline | (codes[:size] == ord("\r")) & ~np.append(newline[1:], False))
+    lo, hi = np.append(0, breaks + 1), np.append(breaks, size)
+    space = np.flatnonzero(flags[:size] & _SPACE)  # line breaks included
+    # runs [run_lo, run_hi) of whitespace, after one that holds no position
+    run_lo = np.append(-2, space[np.diff(space, prepend=-2) != 1])
+    run_hi = np.append(-1, space[np.diff(space, append=size + 1) != 1] + 1)
+    run = np.searchsorted(run_lo, lo, "right") - 1
+    first = np.where(lo < run_hi[run], run_hi[run], lo)  # past the whitespace a line starts with
+    run = np.searchsorted(run_lo, hi - 1, "right") - 1
+    last = np.where(hi - 1 < run_hi[run], run_lo[run], hi)  # before the whitespace it ends with
+    keep = (first < hi) & (codes[first] != ord("#"))
+    return first[keep], last[keep], (np.flatnonzero(keep) + 1).tolist()
 
 
 def load_newick_file(path) -> tuple[list[tuple[int, PhyloTree]], list[tuple[int, NewickError]]]:
     """Read a Newick file: one tree per line, '#' comment and blank lines ignored.
 
     Returns (trees, errors), each a list of (line_number, value) pairs with
-    1-based line numbers.
+    1-based line numbers.  The file is UTF-8, and a leading byte-order mark
+    is skipped; all its trees are parsed together by one _parse call.
     """
-    trees: list[tuple[int, PhyloTree]] = []
-    errors: list[tuple[int, NewickError]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                trees.append((lineno, parse_newick(line)))
-            except NewickError as err:
-                errors.append((lineno, err))
+    with open(path, "rb") as handle:
+        text = handle.read().decode("utf-8").removeprefix("\ufeff")
+    codes = _codes(text)
+    flags = _flags(codes)
+    starts, ends, numbers = _lines(codes, flags)
+    trees, errors = [], []
+    # lines go in chunks of about _CHUNK_ELEMENTS characters, which bounds the parser's temporaries
+    cuts = np.unique(np.searchsorted(starts, np.arange(0, len(codes), _CHUNK_ELEMENTS)))
+    bounds = np.append(cuts[cuts < len(starts)], len(starts)).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        a, b = starts[lo], ends[hi - 1] + _PAD
+        chunk_trees, chunk_errors = _parse(codes[a:b], flags[a:b], starts[lo:hi] - a, ends[lo:hi] - a)
+        trees += [(numbers[lo + k], tree) for k, tree in chunk_trees]
+        errors += [(numbers[lo + k], err) for k, err in chunk_errors]
     return trees, errors
 
 
@@ -510,8 +845,14 @@ def random_ultrametrics(m: int, n: int, seed: int) -> np.ndarray:
 # tree reconstruction
 
 
-def _single_linkage(rows: np.ndarray, half_tol: np.ndarray) -> list[tuple[list, list, list, list]]:
-    """Single-linkage dendrogram of every row: (parent, length, leaves, leaf indices) preorder records.
+def _single_linkage(rows: np.ndarray, half_tol: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Single-linkage dendrogram of every row, as flat preorder records laid end to end.
+
+    Returns (parent, length, nodes, leaves, ids): per node, its parent
+    (an index within its row's record, -1 at the root) and the length of
+    the edge to it; per row, its node count; per row and step, the record
+    index and the leaf index of the leaf that joins at that step, which
+    lists the leaves in leaf order.
 
     In _prim's order every cluster is a run of consecutive steps, and merge
     t, between steps t and t+1, is at height h[t] = joined[t+1]/2.  The
@@ -532,7 +873,7 @@ def _single_linkage(rows: np.ndarray, half_tol: np.ndarray) -> list[tuple[list, 
     m = leaf_count_from_dim(e)
     t = np.arange(m - 1)
     steps = np.arange(m)
-    out = []
+    out = []  # per chunk: (parent, length, nodes, leaves, ids)
     for part in _chunks(n, m * m):
         order, joined = _prim(rows[part], m)
         r = order.shape[1]
@@ -565,14 +906,8 @@ def _single_linkage(rows: np.ndarray, half_tol: np.ndarray) -> list[tuple[list, 
         length[:, 0] = 0.0
         count = kept.sum(axis=1)
         listed = np.arange(2 * m - 1) < count[:, None]
-        ends = np.cumsum(count).tolist()
-        starts = [0] + ends[:-1]
-        parent, length = parent[listed].tolist(), length[listed].tolist()
-        out.extend(
-            (parent[lo:hi], length[lo:hi], leaf_row, id_row)
-            for lo, hi, leaf_row, id_row in zip(starts, ends, index[:, :m].tolist(), order.T.tolist())
-        )
-    return out
+        out.append((parent[listed], length[listed], count, index[:, :m], order.T))
+    return tuple(np.concatenate(arrays) for arrays in zip(*out))
 
 
 def reconstruct_tree(u, names: Sequence[str] | None = None, tol: float | None = None):
@@ -613,8 +948,11 @@ def reconstruct_tree(u, names: Sequence[str] | None = None, tol: float | None = 
     names = default_leaf_names(m) if names is None else [str(name) for name in names]
     if len(names) != m or len(set(names)) != m:
         raise ValueError(f"need {m} distinct leaf names")
-    trees = [
-        PhyloTree(parent, length, leaves, [names[k] for k in ids], names)
-        for parent, length, leaves, ids in _single_linkage(rows, tol / 2.0)
-    ]
+    parent, length, nodes, leaves, ids = _single_linkage(rows, tol / 2.0)
+    n = len(rows)
+    position = np.empty_like(ids)
+    position[np.arange(n)[:, None], ids] = np.arange(m)
+    labels = np.array(names, dtype=object)[ids].tolist()
+    trees, _ = _records(parent, length, leaves.ravel(), position.ravel(), nodes, np.full(n, m),
+                        labels, [list(names) for _ in range(n)])
     return trees if batched else trees[0]

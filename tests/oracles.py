@@ -8,11 +8,11 @@ result off one running maximum over Prim order, the three-point oracle
 sorts each triple instead of selecting its top two, the distance oracle
 walks tree paths instead of using depth arithmetic, the Newick oracle is a
 recursive-descent parser building nested nodes and its cophenetic oracle a
-recursive walk over them instead of one flat scan and a range-minimum
-kernel, the reconstruction oracle merges one tree at a time over a sorted
-edge list with union-find instead of a batched spanning tree, and the
-subgradient oracle enumerates tied selections one by one instead of
-averaging over tied sets in closed form.  The lowest-index distance
+recursive walk over them instead of one array pass over the whole file
+and a range-minimum kernel, the reconstruction oracle merges one tree at
+a time over a sorted edge list with union-find instead of a batched
+spanning tree, and the subgradient oracle enumerates tied selections one
+by one instead of averaging over tied sets in closed form.  The lowest-index distance
 gradient and projection Jacobian are the finite-difference references for
 the pieces that subgradient chains together.  The tropical linear
 combination, computed as one stacked max instead of a running maximum
@@ -36,6 +36,7 @@ from troppca.tropical import _as_point, canonicalize
 from troppca.treespace import (
     NewickError,
     _label_problem,
+    _records,
     PhyloTree,
     default_leaf_names,
     default_tolerance,
@@ -98,16 +99,32 @@ def tree_from_nodes(root: Node, leaf_names=None) -> PhyloTree:
         raise ValueError(problem)
     if leaf_names is not None and (set(leaf_names) != set(labels) or len(leaf_names) != len(labels)):
         raise ValueError("leaf_names must be exactly the tree's leaf labels")
-    return PhyloTree(parent, length, leaves, labels, leaf_names)
+    return record(parent, length, leaves, labels, leaf_names)
+
+
+def record(parent, length, leaves, labels, leaf_names=None) -> PhyloTree:
+    """The PhyloTree of one flat preorder record given as lists, built by the library's batch builder.
+
+    leaf_names defaults to the sorted labels, as parsed trees have them.
+    """
+    names = sorted(labels) if leaf_names is None else list(leaf_names)
+    place = {name: k for k, name in enumerate(labels)}
+    trees, _ = _records(
+        np.array(parent, dtype=np.intp), np.array(length, dtype=float), np.array(leaves, dtype=np.intp),
+        np.array([place[name] for name in names], dtype=np.intp), np.array([len(parent)]),
+        np.array([len(leaves)]), [list(labels)], [names],
+    )
+    return trees[0]
 
 
 def node_view(tree: PhyloTree) -> Node:
     """The tree as nested Nodes, built from its flat record."""
-    nodes = [Node(None, length) for length in tree._length]
-    for leaf, name in zip(tree._leaves, tree._labels):
+    nodes = [Node(None, length) for length in tree._length.tolist()]
+    for leaf, name in zip(tree._leaves.tolist(), tree._labels):
         nodes[leaf].name = name
+    parent = tree._parent.tolist()
     for i in range(1, len(nodes)):
-        nodes[tree._parent[i]].children.append(nodes[i])
+        nodes[parent[i]].children.append(nodes[i])
     return nodes[0]
 
 
@@ -190,7 +207,7 @@ def union_find_reconstruct_tree(u, names=None, tol=None) -> PhyloTree:
         else:
             leaves.append(here)
             labels.append(names[top])
-    return PhyloTree(record_parent, record_length, leaves, labels, names)
+    return record(record_parent, record_length, leaves, labels, names)
 
 
 class _RecursiveNewickParser:

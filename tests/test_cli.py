@@ -109,6 +109,15 @@ class TestCheck:
         assert main(["check", "--input", str(path)]) == 1
         assert "line 2: parse error" in capsys.readouterr().out
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        path = tmp_path / "trees.nwk"
+        path.write_bytes("\ufeff((1:1,2:1):1,3:2);\n".encode("utf-8"))
+        assert main(["check", "--input", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "line 1: m=3 height=2 equidistant=yes (gap=0) ultrametric=yes (violation=0)",
+            "checked 1 trees: 1 equidistant, 1 ultrametric, 0 parse errors",
+        ]
+
     def test_non_finite_branch_length_is_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "trees.nwk"
         path.write_text("((a:1e400,b:1):1,c:2);\n((a:1,b:1):1,c:2);\n")

@@ -1,4 +1,6 @@
 import itertools
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -398,6 +400,103 @@ class TestNewickAgainstRecursiveOracle:
             cophenetic_vector([parse_newick("(a,b,c);"), parse_newick("(a,b,c,d);")])
         with pytest.raises(ValueError, match="at least one tree"):
             cophenetic_vector([])
+
+
+@st.composite
+def newick_files(draw) -> str:
+    r"""Text of a Newick file: trees, one-character edits of them, comments and blanks.
+
+    Line ends are '\n', '\r\n' or '\r', and lines may end in whitespace
+    that str.strip() removes but the grammar does not allow.
+    """
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        shape = draw(st.sampled_from(["tree", "tree", "edit", "edit", "comment", "blank"]))
+        if shape == "comment":
+            line = "#" + draw(st.sampled_from(["", " (a,b,c);", "\tnot a tree"]))
+        elif shape == "blank":
+            line = draw(st.sampled_from(["", " ", "\t", "\x0c", "\xa0"]))
+        else:
+            line = draw(newick_texts(draw(LABELS)))
+            if shape == "edit":
+                at = draw(st.integers(0, len(line)))
+                if draw(st.booleans()) or at == len(line):
+                    line = line[:at] + draw(st.sampled_from("(),:;a1-.e\t\xe9\u00df\u0663\xa0")) + line[at:]
+                else:
+                    line = line[:at] + line[at + 1:]
+        end = draw(st.sampled_from(["", "", "\x0c", "\xa0", " \t"]))
+        lines.append(line + end + draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    return "".join(lines)
+
+
+def oracle_file(path) -> tuple[list, list]:
+    """(trees, errors) of a Newick file by the recursive parser, line by line.
+
+    trees holds (line, leaf names, vector), errors (line, message, offset);
+    lines are read with universal newlines and str.strip(), as the file
+    format says.
+    """
+    trees, errors = [], []
+    with open(path, encoding="utf-8-sig") as handle:
+        for number, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                names, vector = oracle_vector(line)
+            except NewickError as err:
+                errors.append((number, str(err), err.offset))
+            else:
+                trees.append((number, names, vector))
+    return trees, errors
+
+
+def assert_file_parses_like_the_oracle(path) -> None:
+    trees, errors = load_newick_file(path)
+    expected_trees, expected_errors = oracle_file(path)
+    assert [(number, str(err), err.offset) for number, err in errors] == expected_errors
+    assert [(number, tree.leaf_names) for number, tree in trees] == [(n, names) for n, names, _ in expected_trees]
+    for (_, tree), (_, _, vector) in zip(trees, expected_trees):
+        assert np.array_equal(tree.cophenetic_vector(), vector)
+
+
+class TestNewickFileAgainstLineOracle:
+    """The whole-file parser against the recursive parser applied line by line."""
+
+    @given(newick_files())
+    def test_files_parse_like_the_line_oracle(self, text):
+        with tempfile.TemporaryDirectory() as folder:
+            path = os.path.join(folder, "trees.nwk")
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+            assert_file_parses_like_the_oracle(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(a:1,b:1,c:1)\xa0;\n",
+            "(a:\u0663,b:1,c:1);\r\n(a,b,c)\u0663;\r(\xe9,b,c);\x0c\n",
+            "# only a comment\n\n  \t\n",
+            "(a:1,b:1,c:1);\r\r\n(a,b,a);\n(a,b);",
+            "((a,b,c);\n(a,(b,c);)\n(a:1e5,b,c)\n",
+        ],
+    )
+    def test_fixed_files_parse_like_the_line_oracle(self, tmp_path, text):
+        path = tmp_path / "trees.nwk"
+        path.write_bytes(text.encode("utf-8"))
+        assert_file_parses_like_the_oracle(path)
+
+    def test_deep_trees_through_a_file(self, tmp_path):
+        deep = TestDeepTrees()
+        path = tmp_path / "deep.nwk"
+        chain = "(" * deep.M + "((a:1,b:1):1,c:2)" + ")" * deep.M + ";"
+        path.write_text(f"{deep.caterpillar()}\n# between\n{chain}\r\n{deep.caterpillar()}\n")
+        trees, errors = load_newick_file(path)
+        assert errors == [] and [number for number, _ in trees] == [1, 3, 4]
+        expected = np.concatenate([2.0 * np.maximum(np.arange(i + 1, deep.M), 1) for i in range(deep.M - 1)])
+        assert np.array_equal(trees[0][1].cophenetic_vector(), expected)
+        assert np.array_equal(trees[1][1].cophenetic_vector(), [2.0, 4.0, 4.0])
+        assert np.array_equal(cophenetic_vector([trees[0][1], trees[2][1]]), [expected, expected])
 
 
 class TestIsUltrametric:
