@@ -55,11 +55,13 @@ def _load_sample(path, project_inputs: bool, normalize_height: bool):
 
     batch = [tree for _, tree in trees]
     if normalize_height:
-        heights = leaf_depths(batch).max(axis=1).tolist()
-        for (ln, _), h in zip(trees, heights):
-            if h <= 0:
-                raise CliError(f"line {ln}: cannot normalize a tree of height 0")
-        batch = scale_trees(batch, [1.0 / h for h in heights])
+        heights = leaf_depths(batch).max(axis=1)
+        with np.errstate(divide="ignore", over="ignore"):
+            factors = 1.0 / heights
+        bad = np.flatnonzero(~np.isfinite(factors))  # height 0, or so small that 1/h overflows
+        if bad.size:
+            raise CliError(f"line {trees[bad[0]][0]}: cannot normalize a tree of height {heights[bad[0]]:.3g}")
+        batch = scale_trees(batch, factors)
 
     line_numbers = [ln for ln, _ in trees]
     vectors = cophenetic_vector(batch)
@@ -306,7 +308,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError) as err:
+    except (CliError, ValueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

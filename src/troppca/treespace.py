@@ -150,9 +150,7 @@ def _depths(parent: np.ndarray, length: np.ndarray) -> np.ndarray:
     parent (-1 at the roots) indexes the same flat arrays.  Each node's
     level (its edge count to the root) comes from pointer jumping; then one
     vectorized sum per level covers every tree at once, so each depth is
-    the same single addition a walk down from the root makes.  Levels of
-    one node each form a path, whose depths one running sum gives in the
-    same order, so a deep chain costs one step.
+    the same single addition a walk down from the root makes.
     """
     level = (parent >= 0).astype(np.intp)  # edges from each node to up[node]
     up = parent.copy()
@@ -167,17 +165,9 @@ def _depths(parent: np.ndarray, length: np.ndarray) -> np.ndarray:
     above = rank[parent[order]]  # place of each node's parent in that order; unused at the roots
     lengths = length[order]
     out = np.zeros(len(order))  # the roots stay at 0
-    counts = np.bincount(level, minlength=1)
-    lone = counts == 1
-    first = 1 + np.flatnonzero(~(lone[1:] & np.append(False, lone[1:-1])))  # the level each step starts at
-    edges = np.append(np.cumsum(counts)[first - 1], len(order)).tolist()
-    for k, lo, hi in zip(first.tolist(), edges, edges[1:]):
-        if lone[k]:
-            run = lengths[lo:hi].copy()
-            run[0] += out[above[lo]]
-            np.add.accumulate(run, out=out[lo:hi])
-        else:
-            np.add(out[above[lo:hi]], lengths[lo:hi], out=out[lo:hi])
+    edges = np.cumsum(np.bincount(level)).tolist()  # where each level starts and ends in that order
+    for lo, hi in zip(edges, edges[1:]):
+        np.add(out[above[lo:hi]], lengths[lo:hi], out=out[lo:hi])
     depth = np.empty_like(out)
     depth[order] = out
     return depth
@@ -315,19 +305,20 @@ def topology_signature(tree: PhyloTree) -> str:
 # [+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)? with \d any Unicode decimal
 # digit, as in a str regex.
 #
-# Every text of a file is parsed at once by array operations over the
-# file's code points.  Each character gets a class; a word is a run of
-# label characters, digits and signs.  Atoms are the non-blank characters
-# outside words, the first character of each word, and the end of each
-# text.  A word right after ':' is a branch length, one right after ')' is
-# that node's internal label, any other is a leaf label; a ':' right after
-# a label or ')' is a length's, any other is a bad token.  What remains are
-# the tokens; the parse state before each is set by the token before it,
-# and a table of allowed transitions gives the error, if any, at each
-# token.  Each text's first error is reported; the others become trees.
+# The texts are parsed together by array operations over their code
+# points, joined by '\n' (each text ends at its separator).  Each
+# character gets a class; a word is a run of label characters, digits and
+# signs.  Atoms are the non-blank characters outside words, the first
+# character of each word, and the end of each text.  A word right after
+# ':' is a branch length, one right after ')' is that node's internal
+# label, any other is a leaf label; a ':' right after a label or ')' is a
+# length's, any other is a bad token.  What remains are the tokens; the
+# parse state before each is set by the token before it, and a table of
+# allowed transitions gives the error, if any, at each token.  Each text's
+# first error is reported; the others become trees.
 
-_PAD = 3  # NULs after the text, so that looking ahead past its end stays in bounds
-_BLANK, _LABEL, _DIGIT, _SIGN, _EXP, _SPACE = 1, 2, 4, 8, 16, 32
+_PAD = 3  # blanks after the text, so that looking ahead past its end stays in bounds
+_BLANK, _LABEL, _DIGIT, _SIGN, _EXP = 1, 2, 4, 8, 16
 _WORD = _LABEL | _DIGIT | _SIGN
 
 
@@ -343,7 +334,6 @@ _ASCII_FLAGS = _ascii_table(
         | _DIGIT * char.isdecimal()
         | _SIGN * (char in "+-")
         | _EXP * (char in "eE")
-        | _SPACE * char.isspace()  # what str.strip() removes
     )
 )
 # token kinds; a word is a _LEAF until it is found to be a length or an internal label
@@ -386,8 +376,8 @@ class NewickError(ValueError):
 
 
 def _codes(text: str) -> np.ndarray:
-    """Code points of text and _PAD NULs: one byte each for ASCII text, four otherwise."""
-    text += "\0" * _PAD
+    """Code points of text and _PAD blanks: one byte each for ASCII text, four otherwise."""
+    text += " " * _PAD
     if text.isascii():
         return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     return np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
@@ -399,9 +389,9 @@ def _flags(codes: np.ndarray) -> np.ndarray:
         return _ASCII_FLAGS.take(codes)
     flags = _ASCII_FLAGS.take(np.minimum(codes, 128))
     wide = np.flatnonzero(codes > 127)
-    if wide.size:  # Unicode digits may write a branch length; Unicode blanks are stripped from lines
+    if wide.size:  # Unicode digits may write a branch length
         chars, which = np.unique(codes[wide], return_inverse=True)
-        classes = [_DIGIT * chr(c).isdecimal() | _SPACE * chr(c).isspace() for c in chars.tolist()]
+        classes = [_DIGIT * chr(c).isdecimal() for c in chars.tolist()]
         flags[wide] = np.array(classes, dtype=np.uint8)[which]
     return flags
 
@@ -420,7 +410,7 @@ def _texts(codes: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[str]:
 
 def _number_end(codes: np.ndarray, flags: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Where the branch-length pattern, matched at each start, ends; start itself where it does not match."""
-    nondigit = np.flatnonzero((flags & _DIGIT) == 0)
+    nondigit = np.append(np.flatnonzero((flags & _DIGIT) == 0), len(codes))  # a run may reach the slice's end
 
     def digits(at):  # end of the run of digits from at
         return nondigit[np.searchsorted(nondigit, at)]
@@ -445,26 +435,24 @@ def _after(a: np.ndarray, first) -> np.ndarray:
     return np.concatenate((np.full(1, first, dtype=a.dtype), a[:-1]))
 
 
-def _scan(codes: np.ndarray, flags: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """Tokens of the texts codes[starts[k]:ends[k]], with the error each one raises.
+def _scan(codes: np.ndarray, flags: np.ndarray, ends: np.ndarray):
+    """Tokens of the texts that end at ends, with the error each one raises.
 
-    Returns per token: kind, position, text, the '(' open before it within
-    its text, its branch length (0 without one), where its word ends, and
-    the index into _MESSAGES and the offset of its error (0 when the
-    token is allowed).  Only a text's first error is meaningful: past it,
-    tokens are read as if nothing had failed.
+    The texts lie end to end from codes[0], each followed by one separator
+    character outside every word, at its end; atoms after the last
+    separator are not read.  Returns per token: kind, position, text,
+    the '(' open before it within its text, its branch length (0 without
+    one), where its word ends, and the index into _MESSAGES and the offset
+    of its error (0 when the token is allowed).  Only a text's first error
+    is meaningful: past it, tokens are read as if nothing had failed.
     """
     blank = (flags & _BLANK) != 0
     word = (flags & _WORD) != 0
     opening = word.copy()
     opening[1:] &= ~word[:-1]
-    mark = np.zeros(len(codes) + 1, dtype=np.int8)
-    mark[starts] += 1
-    mark[ends] -= 1
-    inside = np.cumsum(mark[:-1], dtype=np.int8).view(bool)
     stop = np.zeros(len(codes), dtype=bool)
     stop[ends] = True
-    at = np.flatnonzero((~(blank | word) | opening) & inside | stop)
+    at = np.flatnonzero((~(blank | word) | opening | stop)[: ends[-1] + 1])
     at_end = stop[at]
     line = np.cumsum(at_end) - at_end  # the text of each atom
     kind = _ATOM_KIND[np.minimum(codes[at], 128)]
@@ -524,7 +512,7 @@ def _scan(codes: np.ndarray, flags: np.ndarray, starts: np.ndarray, ends: np.nda
 
 
 def _parse(codes: np.ndarray, flags: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """Parse the Newick texts codes[starts[k]:ends[k]] together.
+    """Parse the Newick texts codes[starts[k]:ends[k]] together, laid out as _scan reads them.
 
     Returns (trees, errors), lists of (k, PhyloTree) and (k, NewickError)
     pairs in increasing k; error offsets count from starts[k].  A text's
@@ -533,7 +521,7 @@ def _parse(codes: np.ndarray, flags: np.ndarray, starts: np.ndarray, ends: np.nd
     leaf labels, fewer than 3 leaves, or a root-to-leaf depth or
     leaf-to-leaf path length that overflows to infinity fails at its ';'.
     """
-    tk, pos, tline, level, length, word_end, message, offset = _scan(codes, flags, starts, ends)
+    tk, pos, tline, level, length, word_end, message, offset = _scan(codes, flags, ends)
     failed = np.flatnonzero(message)
     failed_lines, first = np.unique(tline[failed], return_index=True)
     failed = failed[first]
@@ -626,40 +614,25 @@ def parse_newick(text: str) -> PhyloTree:
     return trees[0][1]
 
 
-def _lines(codes: np.ndarray, flags: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """(starts, ends, numbers) of a file's lines as str.strip() leaves them, '#' and blank lines left out.
-
-    Lines end at '\\n', '\\r\\n' and a lone '\\r', as in universal newlines
-    mode; numbers are 1-based.
-    """
-    size = len(codes) - _PAD
-    newline = codes[:size] == ord("\n")
-    breaks = np.flatnonzero(newline | (codes[:size] == ord("\r")) & ~np.append(newline[1:], False))
-    lo, hi = np.append(0, breaks + 1), np.append(breaks, size)
-    space = np.flatnonzero(flags[:size] & _SPACE)  # line breaks included
-    # runs [run_lo, run_hi) of whitespace, after one that holds no position
-    run_lo = np.append(-2, space[np.diff(space, prepend=-2) != 1])
-    run_hi = np.append(-1, space[np.diff(space, append=size + 1) != 1] + 1)
-    run = np.searchsorted(run_lo, lo, "right") - 1
-    first = np.where(lo < run_hi[run], run_hi[run], lo)  # past the whitespace a line starts with
-    run = np.searchsorted(run_lo, hi - 1, "right") - 1
-    last = np.where(hi - 1 < run_hi[run], run_lo[run], hi)  # before the whitespace it ends with
-    keep = (first < hi) & (codes[first] != ord("#"))
-    return first[keep], last[keep], (np.flatnonzero(keep) + 1).tolist()
-
-
 def load_newick_file(path) -> tuple[list[tuple[int, PhyloTree]], list[tuple[int, NewickError]]]:
     """Read a Newick file: one tree per line, '#' comment and blank lines ignored.
 
     Returns (trees, errors), each a list of (line_number, value) pairs with
     1-based line numbers.  The file is UTF-8, and a leading byte-order mark
-    is skipped; all its trees are parsed together by one _parse call.
+    is skipped.  Lines end at '\n', '\r\n' or '\r' and are stripped by
+    str.strip(); the lines kept are joined by '\n' and parsed by one _parse
+    call per chunk.
     """
     with open(path, "rb") as handle:
         text = handle.read().decode("utf-8").removeprefix("\ufeff")
-    codes = _codes(text)
+    stripped = [line.strip() for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n")]
+    numbers = [k for k, line in enumerate(stripped, 1) if line and not line.startswith("#")]
+    lines = [stripped[k - 1] for k in numbers]
+    size = np.array([len(line) for line in lines], dtype=np.intp)
+    ends = np.cumsum(size + 1) - 1  # the lines joined by '\n'; each ends at its separator
+    starts = ends - size
+    codes = _codes("\n".join(lines))
     flags = _flags(codes)
-    starts, ends, numbers = _lines(codes, flags)
     trees, errors = [], []
     # lines go in chunks of about _CHUNK_ELEMENTS characters, which bounds the parser's temporaries
     cuts = np.unique(np.searchsorted(starts, np.arange(0, len(codes), _CHUNK_ELEMENTS)))

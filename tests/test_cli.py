@@ -84,6 +84,15 @@ class TestGen:
         assert capsys.readouterr().err == f"error: {message}\n"  # one line, no traceback
         assert not out.exists()
 
+    def test_allocation_that_cannot_succeed_is_one_line_error(self, tmp_path, capsys):
+        # 10^13 rows of 45 coordinates need 3.20 PiB, beyond any 48-bit address space,
+        # so the allocation fails at once without touching memory
+        out = tmp_path / "x.nwk"
+        assert main(["gen", "--m", "10", "--n", "10000000000000", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate 3.20 PiB") and len(err.splitlines()) == 1
+        assert not out.exists()
+
 
 class TestCheck:
     def test_non_equidistant_tree_reported(self, tmp_path, capsys):
@@ -231,6 +240,21 @@ class TestFit:
         model = load_model(tmp_path / "m.json")
         # after normalization the first two trees coincide, so a 2-vertex fit is exact
         assert model.trace_summary["best_se"] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("line,height", [
+        pytest.param("(1:0,2:0,3:0);", "0", id="zero"),
+        pytest.param("(1:1e-320,2:1e-320,3:1e-320);", "1e-320", id="subnormal"),  # 1/h overflows
+    ])
+    def test_normalize_height_rejects_a_tree_it_cannot_scale(self, tmp_path, capsys, line, height):
+        path = tmp_path / "trees.nwk"
+        path.write_text(f"(1:1,2:1,3:1);\n{line}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would be a second stderr line
+            code = main(["fit", "--input", str(path), "--s", "2", "--normalize-height",
+                         "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: line 2: cannot normalize a tree of height {height}"]
+        assert not (tmp_path / "m.json").exists()
 
     def test_cyclic_update_mode(self, tmp_path, sample_file, capsys):
         model_path, _ = fit_model(tmp_path, sample_file, **{"--update-mode": "cyclic"})

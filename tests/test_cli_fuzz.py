@@ -35,6 +35,7 @@ BROKEN_LINES = st.sampled_from([
     "(a:1,b:-1,c:1);",
     "(a,b);",
     "(a:1,a:1,c:1);",
+    "(a:1e-320,b:1e-320,c:1e-320);",
 ])
 NEWICK_LINES = st.one_of(VALID_LINES, BROKEN_LINES, st.text(alphabet="(),:;abc01.e- ", max_size=24))
 NEWICK_FILES = st.one_of(

@@ -460,6 +460,47 @@ def assert_file_parses_like_the_oracle(path) -> None:
         assert np.array_equal(tree.cophenetic_vector(), vector)
 
 
+def file_spanning_chunks(wide: bool) -> tuple[str, int]:
+    r"""Text of a Newick file whose kept lines span four parser chunks, and their length joined by '\n'.
+
+    Every chunk holds '#' and blank lines, '\r\n' and '\r' line ends,
+    surrounding whitespace and malformed lines.  In the kept lines joined
+    by '\n', a line ending in a digit starts just before each of the first
+    three multiples of _CHUNK_ELEMENTS, and the next line, which starts at
+    the multiple, begins with digits.  wide adds non-ASCII lines, so the
+    file is read as four-byte code points.
+    """
+    trees = ["((a:1,b:1):1,c:2);", "(a:2,(b:1,c:1):1);", " (a:1,b:1,c:1);", "((a:1,b:1):1,c:9);\t"]
+    broken = ["(a:1,b:-1,c:1);", "(a,b);", "(a:1,a:1,c:1);", "(a:1e400,b,c);", "((a,b),c;", "(a,b,c);;"]
+    if wide:
+        trees.append("(a:\u0663,b:1,c:1);\xa0")
+        broken.append("(\xe9,b,c);")
+    lines, kept = [], 0
+
+    def add(line):
+        nonlocal kept
+        lines.append(line)
+        kept += len(line.strip()) + 1
+
+    def fill(until):
+        while kept < until:
+            k = len(lines)
+            add(broken[k // 9 % len(broken)] if k % 9 == 0 else trees[k % len(trees)])
+            if k % 7 == 0:
+                lines.append("# (a,b,c);")
+            if k % 11 == 0:
+                lines.append(" \t\x0c")
+
+    for mark in range(_CHUNK_ELEMENTS, 4 * _CHUNK_ELEMENTS, _CHUNK_ELEMENTS):
+        fill(mark - 60)
+        add("x" * (mark - 18 - kept))  # a malformed line
+        add("((a:1,b:1):1,c:2")  # starts 17 before the mark
+        add("12")
+    fill(3 * _CHUNK_ELEMENTS + 300)
+    ends = ["\n", "\r\n", "\r", "\n"]
+    return "".join(line + ends[k % len(ends)] for k, line in enumerate(lines)), kept
+
+
 class TestNewickFileAgainstLineOracle:
     """The whole-file parser against the recursive parser applied line by line."""
 
@@ -485,6 +526,16 @@ class TestNewickFileAgainstLineOracle:
         path = tmp_path / "trees.nwk"
         path.write_bytes(text.encode("utf-8"))
         assert_file_parses_like_the_oracle(path)
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["ascii", "wide"])
+    def test_file_spanning_several_chunks(self, tmp_path, wide):
+        text, kept = file_spanning_chunks(wide)
+        assert kept > 3 * _CHUNK_ELEMENTS  # so the parser reads it in at least 4 chunks
+        path = tmp_path / "trees.nwk"
+        path.write_bytes(text.encode("utf-8"))
+        assert_file_parses_like_the_oracle(path)
+        trees, errors = load_newick_file(path)
+        assert len(trees) > 1000 and len(errors) > 100
 
     def test_deep_trees_through_a_file(self, tmp_path):
         deep = TestDeepTrees()
