@@ -204,15 +204,19 @@ def _records(parent, length, leaves, position, nodes, count, labels, leaf_names)
 
 
 def scale_trees(trees, factors) -> list[PhyloTree]:
-    """Copies of trees with each tree's branch lengths multiplied by its factor.
+    """Copies of trees with each tree's branch lengths multiplied by its factor, one per tree.
 
     The copies' depths are summed root-down from the scaled lengths, for
     all trees at once.
     """
     factors = np.asarray(factors, dtype=float)
+    if factors.size != len(trees):
+        raise ValueError(f"got {factors.size} scale factors for {len(trees)} trees")
     bad = np.flatnonzero(~(factors >= 0))
     if bad.size:
         raise ValueError(f"scale factor must be nonnegative, got {factors[bad[0]]}")
+    if not trees:
+        return []
     nodes = np.array([len(tree._parent) for tree in trees], dtype=np.intp)
     count = np.array([tree.m for tree in trees], dtype=np.intp)
 
@@ -741,15 +745,16 @@ def _between(position: np.ndarray, gaps: np.ndarray, extreme) -> np.ndarray:
     return table.reshape(-1)[(np.maximum(a, b) * m + np.minimum(a, b)) * r + np.arange(r)[:, None]]
 
 
-def _prim(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _prim(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Prim's algorithm from leaf 0 on each row of an (r, e) batch of pairwise weights.
 
-    Returns (order, joined), both (m, r): order[p] is the leaf that joins
-    the tree at step p (leaf 0 at step 0) and joined[p] the weight of the
-    edge it joins by (joined[0] is unset).  Each step takes the outside
-    leaf of lightest key, the lowest index on ties, then lowers every key
-    to the new leaf's weights and keeps the keys of leaves already in the
-    tree at inf.
+    Returns (order, joined, step): order[p] (m, r) is the leaf that joins
+    the tree at step p (leaf 0 at step 0), joined[p] (m, r) the weight of
+    the edge it joins by (joined[0] is unset), and step (r, m) the step at
+    which each leaf joins, the inverse of order.  Each step takes the
+    outside leaf of lightest key, the lowest index on ties, then lowers
+    every key to the new leaf's weights and keeps the keys of leaves
+    already in the tree at inf.
     """
     r = len(x)
     iu, ju = np.triu_indices(m, 1)  # the pair order, as row and column indices
@@ -770,7 +775,9 @@ def _prim(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
         done.put(v, True)
         np.minimum(key, weights.take(v, axis=0), out=key)
         np.putmask(key, done, np.inf)
-    return order - base, joined
+    step = np.empty((r, m), dtype=np.intp)
+    step.reshape(-1)[order] = np.arange(m)[:, None]  # order holds flat indices until base is taken off
+    return order - base, joined, step
 
 
 def project_to_treespace(x) -> np.ndarray:
@@ -796,10 +803,7 @@ def project_to_treespace(x) -> np.ndarray:
         raise ValueError("coordinates must be finite")
     out = np.empty_like(rows)
     for part in _chunks(len(rows), m * m):
-        order, joined = _prim(rows[part], m)
-        r = order.shape[1]
-        step = np.empty((r, m), dtype=np.intp)  # the step at which each leaf joins
-        step[np.arange(r), order] = np.arange(m)[:, None]
+        _, joined, step = _prim(rows[part], m)
         out[part] = _between(step, joined[1:], np.maximum)
     return out if batched else out[0]
 
@@ -818,37 +822,36 @@ def random_ultrametrics(m: int, n: int, seed: int) -> np.ndarray:
 # tree reconstruction
 
 
-def _single_linkage(rows: np.ndarray, half_tol: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Single-linkage dendrogram of every row, as flat preorder records laid end to end.
+def _single_linkage(rows: np.ndarray, m: int, half_tol: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Single-linkage dendrogram of every row on m leaves, as flat preorder records laid end to end.
 
-    Returns (parent, length, nodes, leaves, ids): per node, its parent
-    (an index within its row's record, -1 at the root) and the length of
-    the edge to it; per row, its node count; per row and step, the record
-    index and the leaf index of the leaf that joins at that step, which
-    lists the leaves in leaf order.
+    Returns (parent, length, nodes, leaves, ids, position): per node, its
+    parent (an index within its row's record, -1 at the root) and the
+    length of the edge to it; per row, its node count; per row and step,
+    the record index and the leaf index of the leaf joining then, which
+    lists the leaves in leaf order; per row and leaf, its step (position).
 
     In _prim's order every cluster is a run of consecutive steps, and merge
     t, between steps t and t+1, is at height h[t] = joined[t+1]/2.  The
-    binary dendrogram is the Cartesian tree of h: merge t's run reaches
-    left to the nearest merge of height >= h[t] and right to the nearest
-    of height > h[t], so of tied merges the leftmost is on top, and the
-    lower of those two bounds is its parent.  A merge within half_tol (per
-    row) below its parent collapses into it.  Each node's parent is the
-    lowest kept merge whose run strictly contains its own, and the
-    preorder lists nodes by first step, the longer run first.  On ties
-    argmin takes the lowest leaf, so Prim enters every cluster at its
-    lowest leaf and, for exact ultrametrics, children come in the order of
-    their lowest leaves (the reference is
-    tests/oracles.py::union_find_reconstruct_tree).  Rows go in chunks of
-    about _CHUNK_ELEMENTS matrix entries.
+    binary dendrogram is the Cartesian tree of h (Vuillemin 1980): merge
+    t's run reaches left to the nearest merge of height >= h[t] and right
+    to the nearest of height > h[t], so of tied merges the leftmost is on
+    top.  A node's binary parent is the lower of the merges at the two
+    ends of its run, the right one on ties; the root, bounded by no merge,
+    is its own parent.  A merge within half_tol (per row) below its binary
+    parent collapses into it, and pointer jumping moves each node's parent
+    up past collapsed merges to the lowest kept one.  The preorder lists
+    nodes by first step, the longer run first.  On ties argmin takes the
+    lowest leaf, so Prim enters every cluster at its lowest leaf and, for
+    exact ultrametrics, children come in the order of their lowest leaves
+    (the reference is tests/oracles.py::union_find_reconstruct_tree).  Rows
+    go in chunks of about _CHUNK_ELEMENTS matrix entries.
     """
-    n, e = rows.shape
-    m = leaf_count_from_dim(e)
     t = np.arange(m - 1)
     steps = np.arange(m)
-    out = []  # per chunk: (parent, length, nodes, leaves, ids)
-    for part in _chunks(n, m * m):
-        order, joined = _prim(rows[part], m)
+    out = []  # per chunk: (parent, length, nodes, leaves, ids, position)
+    for part in _chunks(len(rows), m * m):
+        order, joined, step = _prim(rows[part], m)
         r = order.shape[1]
         at = np.arange(r)[:, None]
         h = joined[1:].T / 2.0  # h[:, t]: height of merge t
@@ -856,19 +859,17 @@ def _single_linkage(rows: np.ndarray, half_tol: np.ndarray) -> tuple[np.ndarray,
         left = np.where((t < t[:, None]) & (other >= own), t, -1).max(axis=2)
         right = np.where((t > t[:, None]) & (other > own), t, m - 1).min(axis=2)
         bound = np.append(h, np.full((r, 1), np.inf), axis=1)  # at -1 and m - 1: no bound
-        parent_height = np.minimum(bound[at, left], bound[at, right])
         # nodes: the leaf at each step, then the merges; node k runs over steps first[k]..last[k]
-        kept = np.concatenate([np.ones((r, m), dtype=bool), parent_height - h > half_tol[part, None]], axis=1)
         first = np.concatenate([np.broadcast_to(steps, (r, m)), left + 1], axis=1)
         last = np.concatenate([np.broadcast_to(steps, (r, m)), right], axis=1)
         height = np.concatenate([np.zeros((r, m)), h], axis=1)
-        holds = (
-            kept[:, None, m:]
-            & (first[:, None, m:] <= first[:, :, None])
-            & (last[:, None, m:] >= last[:, :, None])
-            & (height[:, None, m:] > height[:, :, None])
-        )
-        up = m + np.where(holds, height[:, None, m:], np.inf).argmin(axis=2)
+        h_left, h_right = bound[at, first - 1], bound[at, last]  # heights of the merges at the run's ends
+        up = m + np.where(h_left < h_right, first - 1, last)  # the lower merge, the right one on ties
+        up = np.where(up < 2 * m - 1, up, np.arange(2 * m - 1))  # the root is its own parent
+        kept = np.minimum(h_left, h_right) - height > half_tol[part, None]
+        kept[:, :m] = True  # leaves
+        while not np.all(kept[at, up]):
+            up = np.where(kept[at, up], up, up[at, up])
         node = np.argsort(np.where(kept, first * m + (m - 1) - (last - first), m * m), axis=1)  # in preorder
         index = np.empty_like(node)  # record index of each node
         index[at, node] = np.arange(2 * m - 1)
@@ -876,10 +877,9 @@ def _single_linkage(rows: np.ndarray, half_tol: np.ndarray) -> tuple[np.ndarray,
         parent = index[at, up]
         parent[:, 0] = -1
         length = height[at, up] - height[at, node]
-        length[:, 0] = 0.0
         count = kept.sum(axis=1)
         listed = np.arange(2 * m - 1) < count[:, None]
-        out.append((parent[listed], length[listed], count, index[:, :m], order.T))
+        out.append((parent[listed], length[listed], count, index[:, :m], order.T, step))
     return tuple(np.concatenate(arrays) for arrays in zip(*out))
 
 
@@ -921,11 +921,10 @@ def reconstruct_tree(u, names: Sequence[str] | None = None, tol: float | None = 
     names = default_leaf_names(m) if names is None else [str(name) for name in names]
     if len(names) != m or len(set(names)) != m:
         raise ValueError(f"need {m} distinct leaf names")
-    parent, length, nodes, leaves, ids = _single_linkage(rows, tol / 2.0)
-    n = len(rows)
-    position = np.empty_like(ids)
-    position[np.arange(n)[:, None], ids] = np.arange(m)
+    if not len(rows):
+        return []
+    parent, length, nodes, leaves, ids, position = _single_linkage(rows, m, tol / 2.0)
     labels = np.array(names, dtype=object)[ids].tolist()
-    trees, _ = _records(parent, length, leaves.ravel(), position.ravel(), nodes, np.full(n, m),
-                        labels, [list(names) for _ in range(n)])
+    trees, _ = _records(parent, length, leaves.ravel(), position.ravel(), nodes, np.full_like(nodes, m),
+                        labels, [list(names) for _ in nodes])
     return trees if batched else trees[0]

@@ -44,6 +44,7 @@ from troppca.treespace import (
     project_to_treespace,
     random_ultrametrics,
     reconstruct_tree,
+    scale_trees,
     topology_signature,
     ultrametric_violation,
 )
@@ -716,6 +717,10 @@ class TestReconstruct:
             with pytest.raises(ValueError, match="^tol must be nonnegative and finite"):
                 reconstruct_tree(np.array(u), tol=tol)
 
+    def test_empty_batch_is_an_empty_list(self):
+        assert project_to_treespace(np.empty((0, 3))).shape == (0, 3)
+        assert reconstruct_tree(np.empty((0, 3))) == []
+
 
 class TestRandomUltrametric:
     def test_exactly_ultrametric(self):
@@ -775,6 +780,14 @@ class TestTreeScaling:
         unit = tree.scaled(0.5)
         assert unit.height() == 1.0
         assert_array_equal(unit.cophenetic_vector(), [1.0, 2.0, 2.0])
+
+    def test_empty_batch_is_an_empty_list(self):
+        assert scale_trees([], []) == []
+
+    def test_factor_count_must_match_tree_count(self):
+        tree = parse_newick("((1:1,2:1):1,3:2);")
+        with pytest.raises(ValueError, match="^got 2 scale factors for 1 trees$"):
+            scale_trees([tree], [1.0, 2.0])
 
 
 @st.composite
@@ -940,6 +953,17 @@ def dendrogram_batches(draw, m=st.integers(3, 12), n=st.integers(1, 6)) -> np.nd
     return out
 
 
+def star_rows(m: int) -> np.ndarray:
+    """One row with every entry equal: all m-2 non-root merges collapse into the root."""
+    return np.full((1, m * (m - 1) // 2), 2.0)
+
+
+def caterpillar_rows(m: int, rise: float) -> np.ndarray:
+    """One row where leaf j joins leaves 0..j-1 at height 1 + j * rise: a chain of m-2 merges."""
+    _, j = np.triu_indices(m, 1)
+    return 2.0 * (1.0 + j * rise)[None, :]
+
+
 class TestBatchedReconstruct:
     """Batched reconstruction against the per-tree union-find oracle."""
 
@@ -954,10 +978,13 @@ class TestBatchedReconstruct:
         assert single.to_newick() == expected[-1].to_newick()
 
     @given(dendrogram_batches())
+    @example(star_rows(60))
+    @example(star_rows(300))
     def test_equal_to_union_find(self, x):
         self.assert_matches_oracle(x)
 
     @given(dendrogram_batches(), st.sampled_from([0.0, 1e-8, 0.05, 0.3]))
+    @example(caterpillar_rows(60, rise=0.02), 0.05)  # each merge within tol/2 of the next
     def test_equal_to_union_find_at_a_given_tolerance(self, x, tol):
         if np.all(ultrametric_violation(x) <= tol):
             self.assert_matches_oracle(x, tol)
