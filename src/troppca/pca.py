@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .treespace import (
+    _CHUNK_ELEMENTS,
     _chunks,
+    _seed,
     is_ultrametric,
     leaf_count_from_dim,
     project_to_treespace,
@@ -82,17 +84,31 @@ def _sample_matrix(sample, e: int | None = None) -> np.ndarray:
         raise ValueError("sample must be a nonempty list of vectors")
     if e is not None and u.shape[1] != e:
         raise ValueError(f"dimension mismatch: sample has {u.shape[1]} coordinates, expected {e}")
+    if not np.isfinite(u).all():
+        raise ValueError("sample coordinates must be finite")
     return u
 
 
-def _projection(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(diff, lam, w) of (n, e) rows u over vertices v: diff = u - D, lam = min(diff), w = max_k(lam[k] + D_k)."""
-    diff = u[:, None, :] - v
-    lam = diff.min(axis=2)
-    w = lam[:, 0, None] + v[0]
+def _workspace(s: int, e: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """evaluate's pair-major buffers: lam; w, a candidate and d; the j* masks of each vertex, top, bottom, either."""
+    return np.empty((s, n)), np.empty((3, e, n)), np.empty((s + 3, e, n), dtype=bool)
+
+
+def _projection(ut: np.ndarray, v: np.ndarray, work=None, tol: float | None = None):
+    """(lam, w) of the (e, n) columns ut over vertices v, in work: lam[k] = min(ut - D_k), w = max_k(lam[k] + D_k).
+
+    Every min and max runs along rows of n.  Given tol, vertex k's mask
+    marks where ut - D_k is within tol of lam[k], its tied minimizers j*.
+    """
+    lam, (w, cand, _), masks = work or _workspace(len(v), *ut.shape)
+    for k, vk in enumerate(v[:, :, None]):
+        np.min(np.subtract(ut, vk, out=cand), axis=0, out=lam[k])
+        if tol is not None:
+            np.less_equal(cand, lam[k] + tol, out=masks[k])
+    np.add(lam[0], v[0, :, None], out=w)
     for k in range(1, len(v)):
-        np.maximum(w, lam[:, k, None] + v[k], out=w)
-    return diff, lam, w
+        np.maximum(w, np.add(lam[k], v[k, :, None], out=cand), out=w)
+    return lam, w
 
 
 def project_to_polytope(sample, polytope: TropicalPolytope) -> tuple[np.ndarray, np.ndarray]:
@@ -103,28 +119,27 @@ def project_to_polytope(sample, polytope: TropicalPolytope) -> tuple[np.ndarray,
     each vertex's minimizing coordinate, and is a closest polytope point to
     u in the tropical metric.  sample is one vector (w has shape (e,) and
     lam (s,)) or an (n, e) batch (w is (n, e) and lam (n, s), row by row);
-    rows go in chunks of about _CHUNK_ELEMENTS entries of u - D.
+    rows go in chunks of about _CHUNK_ELEMENTS entries of u - D, but of at
+    least 64 as _projection's inner loops run along them, each copied into
+    its pair-major transpose, and its w and lam transposed back.
     """
     v = polytope.vertices
-    u = np.asarray(sample, dtype=float)
-    if u.ndim not in (1, 2) or u.shape[-1] != polytope.e:
-        raise ValueError(f"dimension mismatch: sample has shape {u.shape}, expected ({polytope.e},) per row")
-    rows = np.atleast_2d(u)
+    rows = _sample_matrix(sample, polytope.e)
     lam = np.empty((len(rows), polytope.s))
     w = np.empty_like(rows)
-    for part in _chunks(len(rows), v.size):
-        _, lam[part], w[part] = _projection(rows[part], v)
-    return (w, lam) if u.ndim == 2 else (w[0], lam[0])
+    for part in _chunks(len(rows), min(v.size, _CHUNK_ELEMENTS // 64)):
+        lam_t, w_t = _projection(np.ascontiguousarray(rows[part].T), v)
+        lam[part], w[part] = lam_t.T, w_t.T
+    return (w, lam) if np.ndim(sample) == 2 else (w[0], lam[0])
 
 
 def objective(sample, polytope: TropicalPolytope) -> float:
     """Sum of tropical distances from each observation to its projection."""
-    u = _sample_matrix(sample, polytope.e)
-    w, _ = project_to_polytope(u, polytope)
-    return float(np.sum(trop_dist(u, w)))
+    w, _ = project_to_polytope(sample, polytope)
+    return float(np.sum(trop_dist(sample, w)))
 
 
-def evaluate(sample, polytope: TropicalPolytope) -> tuple[float, np.ndarray]:
+def evaluate(sample, polytope: TropicalPolytope, work=None) -> tuple[float, np.ndarray]:
     """Objective and subgradient at one polytope, from one attribution pass.
 
     Returns (se, g): se equals objective(sample, polytope) exactly, and g
@@ -145,37 +160,48 @@ def evaluate(sample, polytope: TropicalPolytope) -> tuple[float, np.ndarray]:
     equal), and a lowest-index rule would keep taking one biased element of
     the generalized gradient there.  At tie-free points the result is the
     gradient, up to rounding.  Deterministic.
+
+    The pass reads the sample pair-major, as its (e, n) transpose, and puts
+    its array temporaries in work, which fit allocates once and passes with
+    its checked sample in F order; a call without work checks, copies and
+    allocates those itself.  Tied cells are taken by flat index in (t, i)
+    order, so each bincount adds a bin's terms in increasing i, as a
+    sequential sum over the observations does: g is exact to the bit.
     """
-    u = _sample_matrix(sample, polytope.e)
     v = polytope.vertices
-    n = u.shape[0]
     s, e = v.shape
-    tol = TIE_RTOL * max(np.abs(u).max(), np.abs(v).max())
-    diff, lam, w = _projection(u, v)
-    jtied = diff <= (lam + tol)[:, :, None]
-    d = w - u
-    dmax = d.max(axis=1)
-    dmin = d.min(axis=1)
+    if work is None:
+        sample = np.asfortranarray(_sample_matrix(sample, e))
+        work = _workspace(s, e, len(sample))
+    n, ut = len(sample), sample.T
+    _, (_, _, d), masks = work
+    top, bottom, either = masks[s:]
+    tol = TIE_RTOL * max(np.abs(ut, out=d).max(), np.abs(v).max())
+    lam, w = _projection(ut, v, work, tol)
+    np.subtract(w, ut, out=d)
+    dmax, dmin = d.max(axis=0), d.min(axis=0)
     # d is the exact negation of objective's u - w, so this sum is its value
     se = float(np.sum(dmax - dmin))
-    top = d >= (dmax - tol)[:, None]
-    bottom = d <= (dmin + tol)[:, None]
-    # c: averaged distance gradient at the cells where it is nonzero; it
-    # vanishes off the tied sets and for observations on the polytope
-    rows, cols = np.nonzero(top | bottom)
-    c = top[rows, cols] / top.sum(axis=1)[rows] - bottom[rows, cols] / bottom.sum(axis=1)[rows]
-    keep = c != 0
-    rows, cols, c = rows[keep], cols[keep], c[keep]
-    ktied = lam[rows, :] + v[:, cols].T >= (w[rows, cols] - tol)[:, None]
-    a = ktied * (c / ktied.sum(axis=1))[:, None]  # a[p, k]: share routed to vertex k
+    np.greater_equal(d, dmax - tol, out=top)
+    np.less_equal(d, dmin + tol, out=bottom)
+    # c: averaged distance gradient at each tied cell (t, i); where it is 0, it adds exact zeros
+    cells = np.flatnonzero(np.logical_or(top, bottom, out=either))
+    t, i = np.divmod(cells, n)
+    up, down = top.ravel()[cells], bottom.ravel()[cells]
+    c = up / np.bincount(i, up, minlength=n)[i] - down / np.bincount(i, down, minlength=n)[i]
+    wt = w.ravel()[cells] - tol
+    ktied = np.array([lam[k][i] + v[k][t] >= wt for k in range(s)])
+    c /= ktied.sum(axis=0)  # each tied winning vertex's share
     g = np.empty_like(v)
-    routed = np.empty((n, s))  # total share each observation routes to each vertex
     for k in range(s):
-        g[k] = np.bincount(cols, a[:, k], minlength=e)
-        routed[:, k] = np.bincount(rows, a[:, k], minlength=n)
-    # the -1 at j* is spread over the tied minimizers; when t itself is j*
-    # the two entries cancel, so that cell needs no special case
-    return se, g - np.einsum("nse,ns->se", jtied, routed / jtied.sum(axis=2))
+        a = ktied[k] * c
+        g[k] = np.bincount(t, a, minlength=e)
+        # the -1 at j* is spread over the tied minimizers; when t itself is j*
+        # the two entries cancel, so that cell needs no special case
+        jt, ji = np.divmod(np.flatnonzero(masks[k]), n)
+        routed = np.bincount(i, a, minlength=n) / np.bincount(ji, minlength=n)
+        g[k] -= np.bincount(jt, routed[ji], minlength=e)
+    return se, g
 
 
 def subgradient(sample, polytope: TropicalPolytope) -> np.ndarray:
@@ -206,6 +232,7 @@ class FitConfig:
             raise ValueError("decay must lie in (0, 1]")
         if self.update_mode not in ("simultaneous", "cyclic"):
             raise ValueError(f"unknown update mode {self.update_mode!r}")
+        _seed(self.seed)
 
 
 @dataclass
@@ -248,9 +275,11 @@ def fit(sample, cfg: FitConfig) -> tuple[TropicalPolytope, FitTrace]:
     for the next step.  The returned polytope is the best iterate by
     objective value, which for a subgradient method is not necessarily the
     last.  Runs are deterministic given (sample, cfg).  An iteration whose
-    step or evaluation overflows raises ValueError naming it and lr0.
+    step or evaluation overflows raises ValueError naming it and lr0.  The
+    sample is stored once in F order, and every evaluation writes its (e, n)
+    and larger arrays into one _workspace allocated here, not per iteration.
     """
-    u = _sample_matrix(sample)
+    u = np.asfortranarray(_sample_matrix(sample))
     n, e = u.shape
     leaf_count_from_dim(e)
     if cfg.s > n:
@@ -269,7 +298,8 @@ def fit(sample, cfg: FitConfig) -> tuple[TropicalPolytope, FitTrace]:
         _validate_ultrametric_rows(vertices, "initial vertices")
 
     polytope = TropicalPolytope(vertices)
-    best_se, g = evaluate(u, polytope)
+    work = _workspace(cfg.s, e, n)
+    best_se, g = evaluate(u, polytope, work)
     best_vertices = polytope.vertices.copy()
     trace = FitTrace(initial_se=best_se, best_se=best_se, best_iteration=-1)
 
@@ -281,7 +311,7 @@ def fit(sample, cfg: FitConfig) -> tuple[TropicalPolytope, FitTrace]:
                 updated = polytope.vertices.copy()
                 updated[rows] = project_to_treespace(updated[rows] - alpha * g[rows])
                 polytope = TropicalPolytope(updated)
-                se, g = evaluate(u, polytope)
+                se, g = evaluate(u, polytope, work)
         except FloatingPointError:
             raise ValueError(f"iteration {t} overflows: lr0={cfg.lr0:g} is too large") from None
         improved = se < best_se
@@ -311,7 +341,7 @@ def baseline_random_search(sample, s: int, budget_evals: int, seed: int) -> tupl
         raise ValueError("budget_evals must be positive")
     if s < 1 or s > n:
         raise ValueError(f"need at least s observations (s={s}, n={n})")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     best_se = np.inf
     best_vertices = None
     for _ in range(budget_evals):

@@ -808,13 +808,19 @@ def project_to_treespace(x) -> np.ndarray:
     return out if batched else out[0]
 
 
+def _seed(seed):
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def random_ultrametrics(m: int, n: int, seed: int) -> np.ndarray:
     """n random tree-space points drawn from a single seeded stream, one per row."""
     if m < 3:
         raise ValueError(f"m must be at least 3, got {m}")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     return project_to_treespace(rng.random((n, m * (m - 1) // 2)))
 
 

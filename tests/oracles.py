@@ -12,7 +12,11 @@ recursive walk over them instead of one array pass over the whole file
 and a range-minimum kernel, the reconstruction oracle merges one tree at
 a time over a sorted edge list with union-find instead of a batched
 spanning tree, and the subgradient oracle enumerates tied selections one
-by one instead of averaging over tied sets in closed form.  The lowest-index distance
+by one instead of averaging over tied sets in closed form.  The row-layout
+evaluation, one (n, s, e) pass with a 2-D nonzero and an einsum over the
+observations, is the bit-exact reference for the pair-major kernel's
+objective and subgradient, and its projection for the (w, lam) that
+project_to_polytope returns.  The lowest-index distance
 gradient and projection Jacobian are the finite-difference references for
 the pieces that subgradient chains together.  The tropical linear
 combination, computed as one stacked max instead of a running maximum
@@ -32,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from troppca.pca import TIE_RTOL, TropicalPolytope, _sample_matrix
 from troppca.tropical import _as_point, canonicalize
 from troppca.treespace import (
     NewickError,
@@ -630,6 +635,55 @@ def tie_averaged_subgradient(sample, vertices, rtol: float) -> np.ndarray:
                             g[k, t] += sign * weight
                             g[k, j] -= sign * weight
     return g
+
+
+def row_projection(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(diff, lam, w) of (n, e) rows u over vertices v: diff = u - D, lam = min(diff), w = max_k(lam[k] + D_k)."""
+    diff = u[:, None, :] - v
+    lam = diff.min(axis=2)
+    w = lam[:, 0, None] + v[0]
+    for k in range(1, len(v)):
+        np.maximum(w, lam[:, k, None] + v[k], out=w)
+    return diff, lam, w
+
+
+def row_evaluate(sample, polytope: TropicalPolytope) -> tuple[float, np.ndarray]:
+    """Objective and subgradient in the row layout: one (n, s, e) pass, 2-D nonzero, einsum over n.
+
+    The exact reference for the library's pair-major evaluate: every value
+    it reads and every sum it forms arrive in the same order, so se and g
+    agree bit for bit.
+    """
+    u = _sample_matrix(sample, polytope.e)
+    v = polytope.vertices
+    n = u.shape[0]
+    s, e = v.shape
+    tol = TIE_RTOL * max(np.abs(u).max(), np.abs(v).max())
+    diff, lam, w = row_projection(u, v)
+    jtied = diff <= (lam + tol)[:, :, None]
+    d = w - u
+    dmax = d.max(axis=1)
+    dmin = d.min(axis=1)
+    # d is the exact negation of objective's u - w, so this sum is its value
+    se = float(np.sum(dmax - dmin))
+    top = d >= (dmax - tol)[:, None]
+    bottom = d <= (dmin + tol)[:, None]
+    # c: averaged distance gradient at the cells where it is nonzero; it
+    # vanishes off the tied sets and for observations on the polytope
+    rows, cols = np.nonzero(top | bottom)
+    c = top[rows, cols] / top.sum(axis=1)[rows] - bottom[rows, cols] / bottom.sum(axis=1)[rows]
+    keep = c != 0
+    rows, cols, c = rows[keep], cols[keep], c[keep]
+    ktied = lam[rows, :] + v[:, cols].T >= (w[rows, cols] - tol)[:, None]
+    a = ktied * (c / ktied.sum(axis=1))[:, None]  # a[p, k]: share routed to vertex k
+    g = np.empty_like(v)
+    routed = np.empty((n, s))  # total share each observation routes to each vertex
+    for k in range(s):
+        g[k] = np.bincount(cols, a[:, k], minlength=e)
+        routed[:, k] = np.bincount(rows, a[:, k], minlength=n)
+    # the -1 at j* is spread over the tied minimizers; when t itself is j*
+    # the two entries cancel, so that cell needs no special case
+    return se, g - np.einsum("nse,ns->se", jtied, routed / jtied.sum(axis=2))
 
 
 def grad_dist(p, x) -> np.ndarray:

@@ -84,6 +84,12 @@ class TestGen:
         assert capsys.readouterr().err == f"error: {message}\n"  # one line, no traceback
         assert not out.exists()
 
+    def test_negative_seed_is_one_line_error(self, tmp_path, capsys):
+        out = tmp_path / "x.nwk"
+        assert main(["gen", "--m", "4", "--n", "5", "--seed", "-3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -3\n"
+        assert not out.exists()
+
     def test_allocation_that_cannot_succeed_is_one_line_error(self, tmp_path, capsys):
         # 10^13 rows of 45 coordinates need 3.20 PiB, beyond any 48-bit address space,
         # so the allocation fails at once without touching memory
@@ -281,6 +287,14 @@ class TestFit:
         assert code == 1
         err = capsys.readouterr().err
         assert err.splitlines() == [f"error: lr0 must be positive and finite, got {lr0}"]
+
+    def test_negative_seed_fails_with_one_line_error(self, tmp_path, sample_file, capsys):
+        capsys.readouterr()
+        out = tmp_path / "m.json"
+        code = main(["fit", "--input", str(sample_file), "--s", "2", "--seed", "-1", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["error: seed must be a non-negative integer, got -1"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["simultaneous", "cyclic"])
     def test_overflowing_step_fails_with_one_line_error(self, tmp_path, capsys, mode):

@@ -1,6 +1,10 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -11,6 +15,8 @@ from oracles import (
     grad_dist,
     instance_is_generic,
     jacobian_w,
+    row_evaluate,
+    row_projection,
     tie_averaged_subgradient,
     trop_combine,
 )
@@ -18,6 +24,7 @@ from troppca.pca import (
     TIE_RTOL,
     FitConfig,
     TropicalPolytope,
+    _workspace,
     baseline_random_search,
     evaluate,
     fit,
@@ -383,6 +390,122 @@ class TestSubgradient:
             assert np.max(np.abs(g - fd) / np.maximum(1.0, np.abs(fd))) <= 1e-4
 
 
+@st.composite
+def kernel_instances(draw):
+    """(sample, vertices) for the bit-exact kernel checks: s from 2 to min(6, e), many observations.
+
+    A grid draw rounds every value to a multiple of 1/2 or 1/8, so the tie
+    sets are large and each j* bin sums many terms.
+    """
+    m = draw(st.integers(3, 8))
+    s = draw(st.integers(2, min(6, m * (m - 1) // 2)))
+    seed = draw(st.integers(0, 2**16))
+    vertices = random_ultrametrics(m, s, seed=seed)
+    sample = random_ultrametrics(m, draw(st.sampled_from([1, 2, 5, 40, 120])), seed=seed + 1)
+    grid = draw(st.sampled_from([None, 2, 8]))
+    if grid:
+        vertices, sample = np.round(grid * vertices) / grid, np.round(grid * sample) / grid
+    return sample, vertices
+
+
+def laid_out(sample, layout):
+    """The same values as a C-ordered, F-ordered, row-strided or column-strided array."""
+    if layout == "F":
+        return np.asfortranarray(sample)
+    if layout == "rows":
+        return np.repeat(sample, 2, axis=0)[::2]
+    if layout == "columns":
+        return np.repeat(sample, 2, axis=1)[:, ::2]
+    return np.ascontiguousarray(sample)
+
+
+LAYOUTS = st.sampled_from(["C", "F", "rows", "columns"])
+
+
+class TestPairMajorKernel:
+    """evaluate and project_to_polytope against the row-layout kernel they replace, bit for bit."""
+
+    @staticmethod
+    def assert_same_bits(result, reference):
+        (se, g), (ref_se, ref_g) = result, reference
+        assert se == ref_se
+        assert np.array_equal(g, ref_g) and np.array_equal(np.signbit(g), np.signbit(ref_g))
+
+    @given(kernel_instances(), LAYOUTS)
+    def test_evaluate(self, instance, layout):
+        sample, vertices = instance
+        p = TropicalPolytope(vertices)
+        self.assert_same_bits(evaluate(laid_out(sample, layout), p), row_evaluate(sample, p))
+
+    @given(kernel_instances(), st.integers(0, 2**16))
+    def test_one_workspace_over_several_polytopes(self, instance, seed):
+        # as in fit: an F-ordered sample and one workspace for every evaluation
+        sample, vertices = instance
+        work = _workspace(*vertices.shape, len(sample))
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            p = TropicalPolytope(vertices)
+            self.assert_same_bits(evaluate(np.asfortranarray(sample), p, work), row_evaluate(sample, p))
+            vertices = np.maximum(vertices + rng.normal(0, 0.1, vertices.shape), 0)
+
+    @given(kernel_instances(), LAYOUTS)
+    def test_projection(self, instance, layout):
+        sample, vertices = instance
+        w, lam = project_to_polytope(laid_out(sample, layout), TropicalPolytope(vertices))
+        _, ref_lam, ref_w = row_projection(sample, vertices)
+        assert np.array_equal(w, ref_w) and np.array_equal(lam, ref_lam)
+
+    @settings(max_examples=12)
+    @given(st.integers(3, 8), st.integers(2, 6), st.integers(0, 2**16), st.booleans(), LAYOUTS)
+    def test_projection_across_row_chunks(self, m, s, seed, grid, layout):
+        vertices = random_ultrametrics(m, min(s, m * (m - 1) // 2), seed=seed)
+        rows = max(_CHUNK_ELEMENTS // vertices.size, 64)  # observations per chunk
+        sample = random_ultrametrics(m, 2 * rows + 7, seed=seed + 1)
+        if grid:
+            vertices, sample = np.round(8 * vertices) / 8, np.round(8 * sample) / 8
+        w, lam = project_to_polytope(laid_out(sample, layout), TropicalPolytope(vertices))
+        _, ref_lam, ref_w = row_projection(sample, vertices)
+        assert np.array_equal(w, ref_w) and np.array_equal(lam, ref_lam)
+
+
+@pytest.mark.parametrize("m,n", [(10, 1000), (8, 800)])
+def test_fit_faults_do_not_grow_with_iterations(m, n):
+    """A fit reuses its buffers, so 90 more iterations fault few more pages in (fresh processes)."""
+    pytest.importorskip("resource")
+    code = (
+        "import resource, sys\n"
+        "from troppca.pca import FitConfig, fit\n"
+        "from troppca.treespace import random_ultrametrics\n"
+        f"sample = random_ultrametrics({m}, {n}, seed=1)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "fit(sample, FitConfig(s=3, max_iters=int(sys.argv[1])))\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    env = dict(os.environ)
+    src_dir = os.path.dirname(os.path.dirname(troppca.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+
+    def faults(iters):
+        run = subprocess.run([sys.executable, "-c", code, str(iters)], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        return int(run.stdout)
+
+    assert faults(100) - faults(10) < 1000
+
+
+@pytest.mark.parametrize("function", [evaluate, objective, subgradient, project_to_polytope],
+                         ids=lambda function: function.__name__)
+def test_non_finite_sample_is_one_error(function):
+    p = TropicalPolytope(random_ultrametrics(4, 2, seed=70))
+    sample = random_ultrametrics(4, 5, seed=71)
+    for bad in (np.nan, np.inf, -np.inf):
+        u = sample.copy()
+        u[2, 3] = bad
+        for arg in (u, u[2]):  # a batch and one vector
+            with pytest.raises(ValueError, match="^sample coordinates must be finite$"):
+                function(arg, p)
+
+
 class TestEvaluate:
     @given(instances())
     def test_objective_exactly_and_the_tie_averaged_subgradient(self, instance):
@@ -528,6 +651,12 @@ class TestFit:
         with pytest.raises(ValueError, match="three-point"):
             fit(sample, FitConfig(s=2, max_iters=5, seed=9))
 
+    def test_rejects_non_finite_sample(self):
+        sample = random_ultrametrics(5, 5, seed=45).copy()
+        sample[3, 1] = np.nan
+        with pytest.raises(ValueError, match="^sample coordinates must be finite$"):
+            fit(sample, FitConfig(s=2, max_iters=5, seed=9))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FitConfig(s=1)
@@ -538,6 +667,10 @@ class TestFit:
                 FitConfig(s=2, lr0=lr0)
         with pytest.raises(ValueError):
             FitConfig(s=2, update_mode="both")
+        for seed in (-1, 1.5, None):
+            with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed}$"):
+                FitConfig(s=3, seed=seed)
+        assert FitConfig(s=3, seed=np.int64(7)).seed == 7
 
 
 class TestBaseline:
@@ -571,3 +704,5 @@ class TestBaseline:
             baseline_random_search(sample, 3, budget_evals=0, seed=0)
         with pytest.raises(ValueError):
             baseline_random_search(sample, 9, budget_evals=1, seed=0)
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -2$"):
+            baseline_random_search(sample, 3, budget_evals=1, seed=-2)

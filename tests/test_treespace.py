@@ -748,6 +748,8 @@ class TestRandomUltrametric:
             random_ultrametrics(2, 1, seed=0)
         with pytest.raises(ValueError):
             random_ultrametrics(5, 0, seed=0)
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -3$"):
+            random_ultrametrics(5, 2, seed=-3)
 
 
 class TestTopologySignature:
