@@ -11,9 +11,9 @@ from .model import Model, load_model, save_model
 from .pca import FitConfig, TropicalPolytope, fit, objective, project_to_polytope
 from .svgplot import scatter_svg
 from .treespace import (
+    _checked_vectors,
     cophenetic_vector,
     default_tolerance,
-    is_ultrametric,
     leaf_depths,
     load_newick_file,
     project_to_treespace,
@@ -64,8 +64,8 @@ def _load_sample(path, project_inputs: bool, normalize_height: bool):
         batch = scale_trees(batch, factors)
 
     line_numbers = [ln for ln, _ in trees]
-    vectors = cophenetic_vector(batch)
-    bad = ~is_ultrametric(vectors)
+    vectors, ok = _checked_vectors(batch)  # the three-point check only where leaf depths leave it open
+    bad = ~ok
     if bad.any():
         if not project_inputs:
             offenders = ", ".join(str(ln) for ln, b in zip(line_numbers, bad) if b)

@@ -94,6 +94,12 @@ def _workspace(s: int, e: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return np.empty((s, n)), np.empty((3, e, n)), np.empty((s + 3, e, n), dtype=bool)
 
 
+def _evaluation_work(sample: np.ndarray, s: int):
+    """evaluate's work for an F-ordered (n, e) sample: a _workspace and the sample's largest magnitude, in its d."""
+    buffers = _workspace(s, sample.shape[1], len(sample))
+    return buffers, np.abs(sample.T, out=buffers[1][2]).max()
+
+
 def _projection(ut: np.ndarray, v: np.ndarray, work=None, tol: float | None = None):
     """(lam, w) of the (e, n) columns ut over vertices v, in work: lam[k] = min(ut - D_k), w = max_k(lam[k] + D_k).
 
@@ -162,22 +168,25 @@ def evaluate(sample, polytope: TropicalPolytope, work=None) -> tuple[float, np.n
     gradient, up to rounding.  Deterministic.
 
     The pass reads the sample pair-major, as its (e, n) transpose, and puts
-    its array temporaries in work, which fit allocates once and passes with
-    its checked sample in F order; a call without work checks, copies and
-    allocates those itself.  Tied cells are taken by flat index in (t, i)
-    order, so each bincount adds a bin's terms in increasing i, as a
-    sequential sum over the observations does: g is exact to the bit.
+    its array temporaries in work, a _workspace and the sample's largest
+    magnitude (_evaluation_work), which fit makes once and passes with its
+    checked sample in F order; a call without work checks, copies,
+    allocates and measures those itself.  Tied cells are taken by flat
+    index in (t, i) order, so each bincount adds a bin's terms in
+    increasing i, as a sequential sum over the observations does: g is
+    exact to the bit.
     """
     v = polytope.vertices
     s, e = v.shape
     if work is None:
         sample = np.asfortranarray(_sample_matrix(sample, e))
-        work = _workspace(s, e, len(sample))
+        work = _evaluation_work(sample, s)
     n, ut = len(sample), sample.T
-    _, (_, _, d), masks = work
+    buffers, largest = work
+    _, (_, _, d), masks = buffers
     top, bottom, either = masks[s:]
-    tol = TIE_RTOL * max(np.abs(ut, out=d).max(), np.abs(v).max())
-    lam, w = _projection(ut, v, work, tol)
+    tol = TIE_RTOL * max(largest, np.abs(v).max())
+    lam, w = _projection(ut, v, buffers, tol)
     np.subtract(w, ut, out=d)
     dmax, dmin = d.max(axis=0), d.min(axis=0)
     # d is the exact negation of objective's u - w, so this sum is its value
@@ -277,7 +286,8 @@ def fit(sample, cfg: FitConfig) -> tuple[TropicalPolytope, FitTrace]:
     last.  Runs are deterministic given (sample, cfg).  An iteration whose
     step or evaluation overflows raises ValueError naming it and lr0.  The
     sample is stored once in F order, and every evaluation writes its (e, n)
-    and larger arrays into one _workspace allocated here, not per iteration.
+    and larger arrays into one _workspace allocated here, not per iteration,
+    and reads the sample's largest magnitude measured here.
     """
     u = np.asfortranarray(_sample_matrix(sample))
     n, e = u.shape
@@ -298,7 +308,7 @@ def fit(sample, cfg: FitConfig) -> tuple[TropicalPolytope, FitTrace]:
         _validate_ultrametric_rows(vertices, "initial vertices")
 
     polytope = TropicalPolytope(vertices)
-    work = _workspace(cfg.s, e, n)
+    work = _evaluation_work(u, cfg.s)
     best_se, g = evaluate(u, polytope, work)
     best_vertices = polytope.vertices.copy()
     trace = FitTrace(initial_se=best_se, best_se=best_se, best_iteration=-1)

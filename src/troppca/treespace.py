@@ -276,6 +276,12 @@ def cophenetic_vector(trees) -> np.ndarray:
     range-table entries.
     """
     batch, m, batched = _tree_batch(trees)
+    out = _cophenetic(batch, m)[0]
+    return out if batched else out[0]
+
+
+def _cophenetic(batch: list[PhyloTree], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """cophenetic_vector of a list of trees on m leaves, (n, e), and the (n, m) leaf depths it sums."""
     iu, ju = np.triu_indices(m, 1)  # the pair order, as leaf indices
     position = np.stack([tree._position for tree in batch])
     depth = np.stack([tree._leaf_depth for tree in batch])
@@ -284,7 +290,39 @@ def cophenetic_vector(trees) -> np.ndarray:
     for part in _chunks(len(batch), m * m):
         d = depth[part]
         out[part] = d[:, iu] + d[:, ju] - 2.0 * _between(position[part], sep[part].T, np.minimum)
-    return out if batched else out[0]
+    return out, depth
+
+
+def _checked_vectors(trees) -> tuple[np.ndarray, np.ndarray]:
+    """Cophenetic vectors of a sequence of trees and is_ultrametric of each: (n, e) and (n,).
+
+    Every boolean equals is_ultrametric's, but the O(m^3) three-point
+    check runs only on the trees a cheap exact screen cannot clear.  Let
+    a tree's leaf depths d span delta = max d - min d.  In every leaf
+    triple two of the three lowest common ancestors are one node, at
+    depth l, and the third is at depth l' >= l, as no branch length is
+    negative; so the exact defect is |d_i - d_j| or d_j - d_k - 2(l' - l)
+    or less, at most delta.  cophenetic_vector rounds each entry twice,
+    u = fl(fl(d_i + d_j) - 2l) with fl(d_i + d_j) >= 2l, and so moves it
+    by at most 4eps*D + 2eps^2*D (eps = 2^-53, D = max d); the defect,
+    a selected difference rounded once, is then at most
+    (delta/(1-eps) + 8eps*D + 4eps^2*D)(1+eps) with delta as rounded.
+    delta*(1 + 2^-50) + 2^-49*D exceeds that by more than the rounding
+    of its own evaluation, and with subnormal depths u is exact.  Trees
+    whose bound is within their default tolerance pass; the bound assumes
+    no overflow, so only rows of finite tolerance are cleared.  The
+    depths are those the vectors were summed from.
+    """
+    batch, m, _ = _tree_batch(trees)
+    vectors, depth = _cophenetic(batch, m)
+    tol = default_tolerance(vectors)
+    top = depth.max(axis=1)
+    bound = (top - depth.min(axis=1)) * (1 + 2.0**-50) + top * 2.0**-49
+    ok = (bound <= tol) & (tol < math.inf)
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        ok[rest] = is_ultrametric(vectors[rest], tol[rest])
+    return vectors, ok
 
 
 def topology_signature(tree: PhyloTree) -> str:
@@ -828,8 +866,11 @@ def random_ultrametrics(m: int, n: int, seed: int) -> np.ndarray:
 # tree reconstruction
 
 
-def _single_linkage(rows: np.ndarray, m: int, half_tol: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Single-linkage dendrogram of every row on m leaves, as flat preorder records laid end to end.
+def _single_linkage(prims: list, m: int, half_tol: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Single-linkage dendrogram of rows on m leaves, as flat preorder records laid end to end.
+
+    prims holds (part, order, joined, step) per chunk of rows: a row slice
+    and _prim of its rows.
 
     Returns (parent, length, nodes, leaves, ids, position): per node, its
     parent (an index within its row's record, -1 at the root) and the
@@ -850,14 +891,12 @@ def _single_linkage(rows: np.ndarray, m: int, half_tol: np.ndarray) -> tuple[np.
     nodes by first step, the longer run first.  On ties argmin takes the
     lowest leaf, so Prim enters every cluster at its lowest leaf and, for
     exact ultrametrics, children come in the order of their lowest leaves
-    (the reference is tests/oracles.py::union_find_reconstruct_tree).  Rows
-    go in chunks of about _CHUNK_ELEMENTS matrix entries.
+    (the reference is tests/oracles.py::union_find_reconstruct_tree).
     """
     t = np.arange(m - 1)
     steps = np.arange(m)
     out = []  # per chunk: (parent, length, nodes, leaves, ids, position)
-    for part in _chunks(len(rows), m * m):
-        order, joined, step = _prim(rows[part], m)
+    for part, order, joined, step in prims:
         r = order.shape[1]
         at = np.arange(r)[:, None]
         h = joined[1:].T / 2.0  # h[:, t]: height of merge t
@@ -906,6 +945,17 @@ def reconstruct_tree(u, names: Sequence[str] | None = None, tol: float | None = 
     nonnegative and finite.  Raises ValueError, naming the first such row
     of a batch, when a vector violates the three-point condition beyond
     tol or has a nonpositive entry.
+
+    Rows go in chunks of about _CHUNK_ELEMENTS matrix entries, and _prim
+    runs once per chunk, for the check and for the dendrograms.  Its
+    _between maximum of join weights is sub, the subdominant ultrametric
+    (see project_to_treespace): sub <= u and sub is exactly ultrametric.
+    So in a triple whose largest entry a sits at pair P and whose middle
+    entry is b, sub_P is at most the larger sub of the two other pairs,
+    at most b, and the defect fl(a - b) <= fl(a - sub_P) <= max(u - sub),
+    bit for bit.  Rows where that maximum is within tol pass; only the
+    others go through ultrametric_violation, so every decision and every
+    reported violation is the exact check's.
     """
     rows, m, batched = _as_rows(u)
     if not np.all(np.isfinite(rows)):
@@ -913,7 +963,15 @@ def reconstruct_tree(u, names: Sequence[str] | None = None, tol: float | None = 
     if tol is not None and not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be nonnegative and finite, got {tol}")
     tol = default_tolerance(rows) if tol is None else np.full(len(rows), float(tol))
-    violation = ultrametric_violation(rows)
+    violation = np.empty(len(rows))  # first max(u - sub), which no triple defect exceeds
+    prims = []
+    for part in _chunks(len(rows), m * m):
+        order, joined, step = _prim(rows[part], m)
+        np.max(rows[part] - _between(step, joined[1:], np.maximum), axis=1, out=violation[part])
+        prims.append((part, order, joined, step))
+    rest = np.flatnonzero(violation > tol)
+    if rest.size:
+        violation[rest] = ultrametric_violation(rows[rest])
     bad = np.flatnonzero((violation > tol) | (rows.min(axis=1) <= 0))
     if bad.size:
         r = bad[0]
@@ -929,7 +987,7 @@ def reconstruct_tree(u, names: Sequence[str] | None = None, tol: float | None = 
         raise ValueError(f"need {m} distinct leaf names")
     if not len(rows):
         return []
-    parent, length, nodes, leaves, ids, position = _single_linkage(rows, m, tol / 2.0)
+    parent, length, nodes, leaves, ids, position = _single_linkage(prims, m, tol / 2.0)
     labels = np.array(names, dtype=object)[ids].tolist()
     trees, _ = _records(parent, length, leaves.ravel(), position.ravel(), nodes, np.full_like(nodes, m),
                         labels, [list(names) for _ in nodes])

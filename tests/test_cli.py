@@ -13,7 +13,9 @@ import pytest
 from numpy.testing import assert_array_equal
 
 import troppca
-from troppca.cli import _build_parser, main
+import troppca.cli
+import troppca.treespace
+from troppca.cli import _build_parser, _load_sample, main
 from troppca.model import Model, load_model, save_model
 from troppca.pca import TropicalPolytope, objective
 from troppca.treespace import (
@@ -183,6 +185,53 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: --tol must be nonnegative and finite, got {float(tol)}"]
+
+
+@pytest.fixture
+def checked_rows(monkeypatch):
+    """Row count of every call to the three-point check, wherever the program calls it from."""
+    counts = []
+    exact = troppca.treespace.ultrametric_violation
+
+    def spy(u):
+        counts.append(len(np.atleast_2d(u)))
+        return exact(u)
+
+    monkeypatch.setattr(troppca.treespace, "ultrametric_violation", spy)
+    monkeypatch.setattr(troppca.cli, "ultrametric_violation", spy)
+    return counts
+
+
+class TestThreePointWork:
+    """The O(m^3) check runs only on rows that leaf depths or Prim's record leave undecided."""
+
+    @pytest.fixture
+    def wide_file(self, tmp_path):
+        path = tmp_path / "wide.nwk"
+        assert main(["gen", "--m", "60", "--n", "50", "--seed", "1", "--out", str(path)]) == 0
+        return path
+
+    def test_ingest_checks_no_generated_tree(self, wide_file, checked_rows):
+        for flags in ((False, False), (True, False), (False, True), (True, True)):
+            _, _, vectors = _load_sample(wide_file, *flags)
+            assert vectors.shape == (50, 1770)
+        assert checked_rows == []
+
+    def test_commands_check_only_what_ingest_does_not(self, tmp_path, wide_file, checked_rows, capsys):
+        model = tmp_path / "model.json"
+        assert main(["fit", "--input", str(wide_file), "--s", "3", "--iters", "2", "--out", str(model)]) == 0
+        assert checked_rows == [50]  # fit's own check of its sample
+        inputs = ["--model", str(model), "--input", str(wide_file), "--normalize-height"]
+        for argv in (["eval"], ["project", "--out", str(tmp_path / "p.csv")],
+                     ["plot", "--out", str(tmp_path / "p.svg")],
+                     ["plot", "--color-by", "topology", "--out", str(tmp_path / "t.svg")]):
+            checked_rows.clear()
+            assert main(argv + inputs) == 0
+            assert checked_rows == [3]  # load_model's check of the vertices
+
+    def test_check_checks_every_tree(self, wide_file, checked_rows, capsys):
+        assert main(["check", "--input", str(wide_file)]) == 0
+        assert sum(checked_rows) == 50
 
 
 class TestFit:

@@ -24,7 +24,7 @@ from troppca.pca import (
     TIE_RTOL,
     FitConfig,
     TropicalPolytope,
-    _workspace,
+    _evaluation_work,
     baseline_random_search,
     evaluate,
     fit,
@@ -441,7 +441,7 @@ class TestPairMajorKernel:
     def test_one_workspace_over_several_polytopes(self, instance, seed):
         # as in fit: an F-ordered sample and one workspace for every evaluation
         sample, vertices = instance
-        work = _workspace(*vertices.shape, len(sample))
+        work = _evaluation_work(np.asfortranarray(sample), len(vertices))
         rng = np.random.default_rng(seed)
         for _ in range(3):
             p = TropicalPolytope(vertices)

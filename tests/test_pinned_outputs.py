@@ -1,4 +1,4 @@
-"""Pinned bytes of the seeded pipeline: gen, check, fit, eval, project and plot.
+"""Pinned bytes of the seeded pipeline: gen, check, fit, eval, project and plot, and of one wide gen.
 
 Each file the CLI writes, and each stdout, is compared by SHA-256 with a
 digest recorded on x86-64 with numpy 2.4.6.  fit's stdout drops its
@@ -102,6 +102,16 @@ PINNED = {
         "trees.nwk": "02913501c41f8aed02c64700347ab42e6987ad8f9c85e5ba3a68d2999d3ba42b",
     },
 }
+
+
+# gen --m 300 --n 2 --seed 1: wide trees that reconstruct_tree checks with Prim's record alone
+GEN_M300 = "816fa61b23d5b9bce059409a11f96465cec0a689103b5db9b60218c220b79e58"
+
+
+def test_wide_gen_bytes_are_pinned(tmp_path):
+    path = tmp_path / "trees.nwk"
+    assert main(["gen", "--m", "300", "--n", "2", "--seed", "1", "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GEN_M300
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))

@@ -1,7 +1,9 @@
 import itertools
 import os
+import re
 import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,9 +32,11 @@ from oracles import (
     tree_from_nodes,
     union_find_reconstruct_tree,
 )
+import troppca.treespace
 from troppca.tropical import trop_dist
 from troppca.treespace import (
     _CHUNK_ELEMENTS,
+    _checked_vectors,
     NewickError,
     cophenetic_vector,
     default_leaf_names,
@@ -1046,3 +1050,155 @@ class TestBatchedReconstruct:
         bad[1, 4] = np.nan
         with pytest.raises(ValueError, match="finite"):
             reconstruct_tree(bad)
+
+
+class CheckedRows:
+    """Spy on ultrametric_violation: the rows of every call, and the exact check itself unchanged."""
+
+    def __init__(self):
+        self.rows: list[np.ndarray] = []
+        self.exact = troppca.treespace.ultrametric_violation
+
+    def __call__(self, u):
+        self.rows.extend(np.atleast_2d(np.asarray(u, dtype=float)))
+        return self.exact(u)
+
+    def __enter__(self):
+        self.patch = mock.patch.object(troppca.treespace, "ultrametric_violation", self)
+        self.patch.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.patch.stop()
+
+    def assert_checked(self, rows: np.ndarray) -> None:
+        """Every row of rows that fails its default tolerance went through the exact check."""
+        seen = {row.tobytes() for row in self.rows}
+        failing = ~(self.exact(rows) <= default_tolerance(rows))
+        assert all(row.tobytes() in seen for row in rows[failing])
+
+
+def chain_row(delta: float) -> np.ndarray:
+    """u_ij = 1 + delta (|i - j| - 1) on 4 leaves: violation delta, but max(u - sub) = 2 delta."""
+    return np.array([1 + delta * (abs(i - j) - 1) for i, j in itertools.combinations(range(4), 2)])
+
+
+def scale_leaf_branch(text: str, leaf: str, scale: float) -> str:
+    """Newick text with the branch length of the leaf labelled leaf multiplied by scale."""
+    return re.sub(rf"(?<=[(,]){leaf}:([^,)]+)", lambda k: f"{leaf}:{float(k[1]) * scale!r}", text)
+
+
+@st.composite
+def near_ultrametric_trees(draw) -> list:
+    """Trees on one leaf set: exact, perturbed near the tolerance, with one leaf branch far off, or arbitrary.
+
+    The trees may be rescaled, to height 1 as --normalize-height does or
+    by a common factor.  Exact trees pass the default tolerance, perturbed
+    ones pass or fail it narrowly, and some with a far-off leaf branch
+    pass it with leaf depths far apart.
+    """
+    m, n = draw(st.integers(3, 12)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    texts = []
+    size = draw(st.sampled_from([1.0, 1e-3, 1e5]))
+    for tree in reconstruct_tree(random_ultrametrics(m, n, int(rng.integers(2**31))) * size):
+        text = tree.to_newick()
+        family = draw(st.sampled_from(["exact", "perturbed", "long", "arbitrary"]))
+        if family == "perturbed":  # one leaf longer or shorter by up to about twice the default tolerance
+            text = scale_leaf_branch(text, "1", 1 + float(rng.choice([-1, 1])) * 10 ** rng.uniform(-11, -7))
+        elif family == "long":  # leaf depths far apart; within tol where "1" hangs off the root
+            text = scale_leaf_branch(text, "1", 10 ** rng.uniform(-3, 3))
+        elif family == "arbitrary":
+            text = random_newick(rng, m)
+        texts.append(text)
+    trees = [parse_newick(text) for text in texts]
+    scale = draw(st.sampled_from([None, "height", 1e-7, 3.0]))
+    if scale == "height":  # as --normalize-height
+        return scale_trees(trees, [1.0 / tree.height() for tree in trees])
+    return trees if scale is None else scale_trees(trees, [scale] * len(trees))
+
+
+@st.composite
+def line_noise_ultrametrics(draw) -> np.ndarray:
+    """Ultrametrics plus delta |x_i - x_j| for leaves at random points x of [0, 1], delta near the tolerance.
+
+    On a star such a row has violation at most delta/2 but max(u - sub)
+    close to delta, so some rows fail the Prim screen and pass tol.
+    """
+    m, n = draw(st.integers(3, 12)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = random_ultrametrics(m, n, int(rng.integers(2**31)))
+    if draw(st.booleans()):
+        base[:] = 1.0  # a star
+    x = rng.random((n, m))
+    i, j = np.triu_indices(m, 1)
+    return base + 10 ** rng.uniform(-8.5, -7.3, (n, 1)) * np.abs(x[:, i] - x[:, j])
+
+
+class TestScreenedChecks:
+    """The depth screen of ingest and the Prim screen of reconstruct_tree decide like the exact check."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(near_ultrametric_trees())
+    @example([parse_newick("((a:1,b:1):1,c:5);")])  # leaf depths 3 apart, violation 0
+    @example(scale_trees([parse_newick("((a:2,b:1):0.1,c:0.5);")], [1e308]))  # u = (inf, inf, 1.6e308)
+    def test_depth_screen_decides_like_the_check(self, trees):
+        with np.errstate(invalid="ignore"):  # inf - inf in the check of overflowed rows
+            with CheckedRows() as spy:
+                vectors, ok = _checked_vectors(trees)
+            assert np.array_equal(ok, is_ultrametric(vectors))
+            spy.assert_checked(vectors)
+        assert np.array_equal(vectors, cophenetic_vector(trees), equal_nan=True)
+
+    def test_depth_screen_passes_depths_far_apart_through_the_check(self):
+        trees = [parse_newick("((a:1,b:1):1,c:5);"), parse_newick("((a:1,b:1):1,c:2);")]
+        with CheckedRows() as spy:
+            vectors, ok = _checked_vectors(trees)
+        assert ok.tolist() == [True, True]
+        assert np.array_equal(spy.rows, vectors[:1])  # only the first fails the screen
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(near_ultrametric_trees().map(cophenetic_vector), line_noise_ultrametrics()),
+           st.sampled_from([None, None, 0.0, 1e-9]))
+    @example(chain_row(0.6e-8)[None], None)
+    def test_prim_screen_decides_like_the_check(self, rows, tol):
+        expected = default_tolerance(rows) if tol is None else np.full(len(rows), tol)
+        violation = ultrametric_violation(rows)
+        with CheckedRows() as spy:
+            if np.all(violation <= expected):
+                reconstructed = reconstruct_tree(rows, tol=tol)
+                assert len(reconstructed) == len(rows)
+            else:
+                r = int(np.argmax(violation > expected))
+                message = (f"row {r}: not ultrametric: worst three-point violation {violation[r]:.3g}"
+                           f" exceeds tolerance {expected[r]:.3g}")
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    reconstruct_tree(rows, tol=tol)
+        seen = {row.tobytes() for row in spy.rows}
+        assert all(row.tobytes() in seen for row in rows[violation > expected])
+
+    @pytest.mark.parametrize("delta", [0.6e-8, 0.9e-8])
+    def test_prim_screen_passes_a_row_within_tol_through_the_check(self, delta):
+        # tol is about 1e-8: the violation delta is within it, max(u - sub) = 2 delta is not
+        row = chain_row(delta)
+        assert ultrametric_violation(row) <= default_tolerance(row) < 2 * delta
+        with CheckedRows() as spy:
+            tree = reconstruct_tree(row)
+        assert np.array_equal(spy.rows, [row])
+        assert topology_signature(tree) == "{1,2,3,4}"
+
+    def test_first_bad_row_of_a_screened_batch_is_named(self):
+        rows = np.vstack([random_ultrametrics(4, 2, seed=3), chain_row(0.6e-8), chain_row(3e-8), chain_row(1.0)])
+        with CheckedRows() as spy:
+            with pytest.raises(ValueError, match=r"^row 3: not ultrametric: worst three-point violation 3e-08"
+                                                 r" exceeds tolerance 1e-08$"):
+                reconstruct_tree(rows)
+        assert np.array_equal(spy.rows, rows[2:])
+        rows[0, 0] = -rows[0, 0]  # a nonpositive entry, on a row the screen does not clear
+        with pytest.raises(ValueError, match=r"^row 0: all entries must be positive to realize a tree$"):
+            reconstruct_tree(rows)
+
+    def test_exact_ultrametrics_skip_the_check(self):
+        with CheckedRows() as spy:
+            trees = reconstruct_tree(random_ultrametrics(60, 50, 1))
+        assert len(trees) == 50 and spy.rows == []
