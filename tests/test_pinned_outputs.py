@@ -4,28 +4,64 @@ Each file the CLI writes, and each stdout, is compared by SHA-256 with a
 digest recorded on x86-64 with numpy 2.4.6.  fit's stdout drops its
 ``time_s`` field and gen's names the output directory as ``DIR``.  A change
 that is meant to move these bytes is a declared re-baseline: it updates
-PINNED in the same commit and says so in CHANGES.md.
+PINNED in the same commit and says so in CHANGES.md.  Run as a script,
+``python tests/test_pinned_outputs.py`` prints the digests the current code
+gives, laid out as PINNED and GEN_M300 are.
 """
 
+import contextlib
 import hashlib
+import io
 import re
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 
-from troppca.cli import main
+if __name__ == "__main__":  # run as a script: use the package next to the tests
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from troppca.cli import main  # noqa: E402
 
 SHAPES = {"m10_n200": (10, 200), "m60_n12": (60, 12)}
 SEED = "1"
 
+# Gene trees as they come: root-to-leaf depths differ, nodes have up to four
+# children, one is unary, some carry internal labels, and one branch is 0.
+# Read with --project-inputs --normalize-height, the ingest the gene-trees
+# benchmark workload runs.
+GENE_TREES = """\
+# hand-written gene trees on 8 taxa
+((A:0.5,B:0.7):0.3,(C:0.2,D:0.4,E:0.9):0.6,(F:1.1,(G:0.3,H:0.5):0.2):0.4);
+((A:0.4,B:0.6,C:0.5):0.5,((D:0.3,E:0.2):0.4,F:0.8)x:0.3,(G:0.6,H:0.6):0.7);
+(A:1.2,(B:0.3,C:0.9):0.8,(D:0.7,E:0.4,F:0.2,G:1.0):0.3,H:1.4);
+(((A:0.2,B:0.25):0.6,C:0.9):0.2,((D:0.5,E:0.55):0.3,(F:0.4,G:0.45,H:0.6):0.35):0.5);
+((A:0.9,(B:0.4,(C:0.1,D:0.3):0.5):0.2):0.4,(E:0.7,F:0.6):0.9,(G:1.3,H:0.2):0);
+((A:0.6,H:0.5):0.8,(B:0.7,G:0.9):0.4,(C:0.3,F:0.2,(D:0.4,E:0.4):0.6)y:0.5);
+((A:0.3,B:0.3,C:0.3,D:1.0):0.7,((E:0.8):0.2,(F:0.5,(G:0.2,H:0.9):0.3):0.4):0.6);
+(((A:0.45,C:0.35):0.3,(B:0.6,D:0.2):0.4):0.5,(E:1.1,F:0.7,G:0.5,H:0.8):0.3);
+((A:0.8,B:0.1):0.9,(C:0.5,(D:0.6,(E:0.3,F:0.4):0.25):0.35):0.2,(G:0.7,H:0.75):0.65);
+(A:0.9,B:1.1,(C:0.4,D:0.4):0.6,((E:0.2,G:0.3):0.5,(F:0.6,H:0.1):0.4):0.3);
+((A:0.35,(B:0.5,C:0.55):0.2,D:0.9):0.6,(E:0.4,(F:0.3,G:0.3,H:0.3):0.45):0.8);
+(((A:0.7,B:0.6):0.2,(C:0.8,D:0.5):0.3)z:0.4,((E:0.6,F:0.9):0.1,(G:0.4,H:0.4):0.5):0.6);
+"""
+INGEST = ["--project-inputs", "--normalize-height"]
+CASES = sorted([*SHAPES, "gene_trees"])
 
-def pipeline_digests(directory, capsys, m: int, n: int) -> dict[str, str]:
-    """SHA-256 of every output file and stdout of one seeded pipeline run in directory."""
+
+def pipeline_digests(directory: Path, shape: str) -> dict[str, str]:
+    """SHA-256 of every output file and stdout of one seeded pipeline run in directory.
+
+    A shape of SHAPES starts from gen; "gene_trees" starts from GENE_TREES
+    and reads it with INGEST.
+    """
     out = {}
 
     def run(name: str, argv: list[str]) -> None:
-        assert main(argv) == 0
-        text = capsys.readouterr().out
-        text = text.replace(str(directory), "DIR")
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert main(argv) == 0
+        text = stdout.getvalue().replace(str(directory), "DIR")
         text = re.sub(r" time_s=\S+", "", text)
         out[name + ".stdout"] = hashlib.sha256(text.encode()).hexdigest()
 
@@ -33,13 +69,19 @@ def pipeline_digests(directory, capsys, m: int, n: int) -> dict[str, str]:
         return str(directory / name)
 
     trees = path("trees.nwk")
-    run("gen", ["gen", "--m", str(m), "--n", str(n), "--seed", SEED, "--out", trees])
+    if shape == "gene_trees":
+        Path(trees).write_text(GENE_TREES, encoding="utf-8")
+        flags = INGEST
+    else:
+        m, n = SHAPES[shape]
+        run("gen", ["gen", "--m", str(m), "--n", str(n), "--seed", SEED, "--out", trees])
+        flags = []
     run("check", ["check", "--input", trees])
     for mode in ("simultaneous", "cyclic"):
         run(f"fit_{mode}", ["fit", "--input", trees, "--s", "3", "--iters", "30", "--seed", SEED,
                             "--update-mode", mode, "--out", path(f"model_{mode}.json"),
-                            "--trace", path(f"trace_{mode}.csv")])
-        model = ["--model", path(f"model_{mode}.json"), "--input", trees]
+                            "--trace", path(f"trace_{mode}.csv"), *flags])
+        model = ["--model", path(f"model_{mode}.json"), "--input", trees, *flags]
         run(f"eval_{mode}", ["eval", *model])
         run(f"project_{mode}", ["project", *model, "--out", path(f"project_{mode}.csv")])
         run(f"plot_{mode}", ["plot", *model, "--out", path(f"plot_{mode}.svg")])
@@ -50,7 +92,39 @@ def pipeline_digests(directory, capsys, m: int, n: int) -> dict[str, str]:
     return out
 
 
+def wide_gen_digest(directory: Path) -> str:
+    """SHA-256 of gen --m 300 --n 2 --seed 1 written in directory."""
+    path = directory / "trees.nwk"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", "--m", "300", "--n", "2", "--seed", "1", "--out", str(path)]) == 0
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 PINNED = {
+    "gene_trees": {
+        "check.stdout": "416982154d448600fa08d8c53af25d4e21840f95472c5b21e18a4f33c52c39d3",
+        "eval_cyclic.stdout": "ad65906df85c99d7e8c284328313261f560ea4fcefce920393bcea50af2d6fff",
+        "eval_simultaneous.stdout": "55e340df4ba1d6f7e9439b39425a974f66ece8ecf08d289fb0177a63d685a07e",
+        "fit_cyclic.stdout": "ad65906df85c99d7e8c284328313261f560ea4fcefce920393bcea50af2d6fff",
+        "fit_simultaneous.stdout": "55e340df4ba1d6f7e9439b39425a974f66ece8ecf08d289fb0177a63d685a07e",
+        "model_cyclic.json": "ccb3c83d070fa8b315648649e52c3c88a760547855cadc7489fbfa2bf6a3ccbf",
+        "model_simultaneous.json": "a84335647679a81e691c333ad64a69a75c177d20623e129faa1537f7f4f2638e",
+        "plot_cyclic.stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "plot_cyclic.svg": "249cc6c9135ec65315176eb7c297c04259feb79ae1989f7419799da99ccbbc0a",
+        "plot_simultaneous.stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "plot_simultaneous.svg": "632760c3de27a57dc04b4b5afccb69eacd1b4220079d526268f584c10168a103",
+        "plot_topology_cyclic.stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "plot_topology_cyclic.svg": "3656dd71db50787b813832d869d38a1d03fbd85e5ad4d378d40bbe40782120cf",
+        "plot_topology_simultaneous.stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "plot_topology_simultaneous.svg": "a07a2d23d7d4bb0b9bb970cc76b5006c0a0b5f4623262fc49b1addefdec270c4",
+        "project_cyclic.csv": "a5115ad849973ef8edafc325518ce27d4cfa56e5dbc420c3a3ebec180191b95b",
+        "project_cyclic.stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "project_simultaneous.csv": "2765371747bda79cd4290f265d526871d0d46ddd7e6d02941fa9c1f0dd0aff4a",
+        "project_simultaneous.stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "trace_cyclic.csv": "9cdaf13054964c2c058fff7f6e39e7b191e717b8106285805ceb368a69a19071",
+        "trace_simultaneous.csv": "88977d900fe7d48554145da1fb76e9aa959657204b6980e7e52e0f6cca25e423",
+        "trees.nwk": "9c6c4a5c627f5649ac71df58aef7587d3ccd53b513503c57bd9bd7e681c56fd3",
+    },
     "m10_n200": {
         "check.stdout": "cfe9111addf6c28450f167b919579bf4654d2dd504340f7fe2ed1ea33eb1327d",
         "eval_cyclic.stdout": "d4adb49f0abc6c1bb55170afe93fde1a63276d0e475527ba0193a920097a2322",
@@ -109,11 +183,24 @@ GEN_M300 = "816fa61b23d5b9bce059409a11f96465cec0a689103b5db9b60218c220b79e58"
 
 
 def test_wide_gen_bytes_are_pinned(tmp_path):
-    path = tmp_path / "trees.nwk"
-    assert main(["gen", "--m", "300", "--n", "2", "--seed", "1", "--out", str(path)]) == 0
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GEN_M300
+    assert wide_gen_digest(tmp_path) == GEN_M300
 
 
-@pytest.mark.parametrize("shape", sorted(SHAPES))
-def test_seeded_pipeline_bytes_are_pinned(shape, tmp_path, capsys):
-    assert pipeline_digests(tmp_path, capsys, *SHAPES[shape]) == PINNED[shape]
+@pytest.mark.parametrize("shape", CASES)
+def test_seeded_pipeline_bytes_are_pinned(shape, tmp_path):
+    assert pipeline_digests(tmp_path, shape) == PINNED[shape]
+
+
+if __name__ == "__main__":
+    print("PINNED = {")
+    for shape in CASES:
+        with tempfile.TemporaryDirectory() as directory:
+            digests = pipeline_digests(Path(directory), shape)
+        print(f'    "{shape}": {{')
+        for name, digest in sorted(digests.items()):
+            print(f'        "{name}": "{digest}",')
+        print("    },")
+    print("}")
+    with tempfile.TemporaryDirectory() as directory:
+        print("\n\n# gen --m 300 --n 2 --seed 1: wide trees that reconstruct_tree checks with Prim's record alone")
+        print(f'GEN_M300 = "{wide_gen_digest(Path(directory))}"')
