@@ -12,6 +12,7 @@ from .pca import FitConfig, TropicalPolytope, fit, objective, project_to_polytop
 from .svgplot import scatter_svg
 from .treespace import (
     _checked_vectors,
+    _dendrogram_newick,
     cophenetic_vector,
     default_tolerance,
     leaf_depths,
@@ -177,8 +178,7 @@ def cmd_plot(args) -> int:
     w, lam = project_to_polytope(vectors, model.polytope)
     groups = None
     if args.color_by == "topology":
-        trees = reconstruct_tree(_positive_representatives(w), names=model.leaf_labels)
-        groups = [topology_signature(tree) for tree in trees]
+        groups = topology_signature(reconstruct_tree(_positive_representatives(w), names=model.leaf_labels))
     svg = scatter_svg(
         (lam[:, 1] - lam[:, 0]).tolist(),
         (lam[:, 2] - lam[:, 0]).tolist(),
@@ -230,11 +230,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    vectors = random_ultrametrics(args.m, args.n, args.seed)
-    trees = reconstruct_tree(vectors)
+    texts = _dendrogram_newick(random_ultrametrics(args.m, args.n, args.seed))
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"# random equidistant trees: m={args.m} n={args.n} seed={args.seed}\n")
-        handle.writelines(tree.to_newick() + "\n" for tree in trees)
+        handle.writelines(texts)
     print(f"wrote {args.n} trees to {args.out}")
     return 0
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .pca import TropicalPolytope
 from .tropical import canonicalize
-from .treespace import is_ultrametric, leaf_count_from_dim
+from .treespace import _check_labels, _three_point, leaf_count_from_dim
 
 FORMAT_VERSION = 1
 
@@ -80,6 +80,7 @@ def load_model(path) -> Model:
     if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)
             and len(labels) == len(set(labels)) == m):
         raise ValueError(f"leaf label table must hold {m} distinct labels")
+    _check_labels(labels)
     rows = doc["vertices"]
     if not isinstance(rows, list) or not all(
         isinstance(row, list) and all(type(x) in (int, float) for x in row) for row in rows
@@ -97,7 +98,8 @@ def load_model(path) -> Model:
         raise ValueError("vertex dimension does not match the declared m")
     if not np.all(np.isfinite(vertices)):
         raise ValueError("vertex coordinates must be finite")
-    bad = np.flatnonzero(~is_ultrametric(vertices, tol=LOAD_TOLERANCE))
+    violation, _ = _three_point(vertices, m, LOAD_TOLERANCE)
+    bad = np.flatnonzero(~(violation <= LOAD_TOLERANCE))
     if bad.size:
         raise ValueError(f"vertex {bad[0] + 1} fails the three-point condition")
     config, summary = doc.get("config", {}), doc.get("trace_summary", {})

@@ -18,7 +18,8 @@ from .treespace import (
     _CHUNK_ELEMENTS,
     _chunks,
     _seed,
-    is_ultrametric,
+    _three_point,
+    default_tolerance,
     leaf_count_from_dim,
     project_to_treespace,
 )
@@ -265,7 +266,9 @@ class FitTrace:
 
 
 def _validate_ultrametric_rows(u: np.ndarray, what: str) -> None:
-    bad = np.flatnonzero(~is_ultrametric(u))
+    tol = default_tolerance(u)
+    violation, _ = _three_point(u, leaf_count_from_dim(u.shape[1]), tol)
+    bad = np.flatnonzero(~(violation <= tol))  # as ~is_ultrametric(u)
     if bad.size:
         shown = ", ".join(map(str, bad[:10]))
         more = "" if len(bad) <= 10 else f" (+{len(bad) - 10} more)"

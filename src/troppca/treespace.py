@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from typing import Sequence
 
 import numpy as np
@@ -100,21 +101,8 @@ class PhyloTree:
 
     def clades(self) -> list[frozenset[str]]:
         """Leaf-label set below each internal node, root included, in preorder."""
-        parent = self._parent.tolist()
-        below = [0] * len(parent)  # leaves below each node
-        leaves = set(self._leaves.tolist())
-        for leaf in leaves:
-            below[leaf] = 1
-        for i in range(len(below) - 1, 0, -1):
-            below[parent[i]] += below[i]
-        out = []
-        seen = 0  # leaves before the node; its own leaves follow them in leaf order
-        for i, count in enumerate(below):
-            if i in leaves:
-                seen += 1
-            else:
-                out.append(frozenset(self._labels[seen:seen + count]))
-        return out
+        _, lo, hi = _clade_ranges(self._parent, np.array([len(self._parent)]))
+        return [frozenset(self._labels[a:b]) for a, b in zip(lo.tolist(), hi.tolist())]
 
     def scaled(self, factor: float) -> "PhyloTree":
         """Copy of the tree with every branch length multiplied by factor."""
@@ -122,23 +110,7 @@ class PhyloTree:
 
     def to_newick(self) -> str:
         """Newick text with branch lengths at 12 significant digits."""
-        length = self._length.tolist()
-        names = dict(zip(self._leaves.tolist(), self._labels))
-        out: list[str] = []
-        open_nodes: list[int] = []  # internal nodes whose ')' is still to come
-        for i, up in enumerate(self._parent.tolist()):
-            while open_nodes and open_nodes[-1] != up:
-                out.append(f"):{length[open_nodes.pop()]:.12g}")
-            if i != up + 1:  # not the first child
-                out.append(",")
-            if i in names:
-                out.append(f"{names[i]}:{length[i]:.12g}")
-            else:
-                out.append("(")
-                open_nodes.append(i)
-        while len(open_nodes) > 1:
-            out.append(f"):{length[open_nodes.pop()]:.12g}")
-        return "".join(out) + ");"
+        return _newick(self._parent, self._length, np.array([len(self._parent)]), self._labels)[:-1]
 
     def __repr__(self) -> str:
         return f"PhyloTree(m={self.m}, height={self.height():.6g})"
@@ -325,15 +297,125 @@ def _checked_vectors(trees) -> tuple[np.ndarray, np.ndarray]:
     return vectors, ok
 
 
-def topology_signature(tree: PhyloTree) -> str:
-    """Canonical nested-set string of the tree topology.
+# ---------------------------------------------------------------------------
+# records to text: Newick lines and topology signatures, for trees laid end
+# to end as flat preorder records: per node its parent, an index within its
+# tree (-1 at the root), and per tree its node count
+
+
+def _spans(parent: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(up, last): each node's parent as a flat index (-1 at the roots) and the last node of its subtree.
+
+    A subtree is a run of nodes that ends where its last child's ends, or
+    at itself for a leaf: pointer jumping takes O(log depth) passes.
+    """
+    up = np.where(parent < 0, -1, parent + np.repeat(np.cumsum(nodes) - nodes, nodes))
+    last = np.arange(len(up))
+    child = np.flatnonzero(up >= 0)
+    np.maximum.at(last, up[child], child)  # each internal node's last child
+    while not np.array_equal(deeper := last[last], last):
+        last = deeper
+    return up, last
+
+
+def _clade_ranges(parent: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(inner, lo, hi): the internal nodes in preorder and the span lo:hi of flat leaf order below each."""
+    _, last = _spans(parent, nodes)
+    seen = np.cumsum(last == np.arange(len(last)))  # leaves up to each node
+    inner = np.flatnonzero(last != np.arange(len(last)))
+    return inner, seen[inner], seen[last[inner]]
+
+
+# Newick pieces by kind (a leaf, a later leaf, '(', a later '(', a non-root ')', the root's ')')
+# and how many arguments each takes
+_PIECES = np.array(["%s:%.12g", ",%s:%.12g", "(", ",(", "):%.12g", ");\n"], dtype=object)
+_PIECE_ARGS = np.array([2, 2, 0, 0, 1, 0])
+
+
+def _newick(parent: np.ndarray, length: np.ndarray, nodes: np.ndarray, labels) -> str:
+    """Newick lines of flat preorder records, each ended by a newline; labels holds the leaf labels in leaf order.
+
+    Each node writes ',' unless it is a first child, then its label and
+    length or '('; each internal node writes ')' and its length (the root
+    ');') after the last leaf of its subtree, deeper nodes first.  One '%'
+    format fills the pieces in, so each length is formatted once, as
+    f"{length:.12g}" writes it.
+    """
+    up, last = _spans(parent, nodes)
+    index = np.arange(len(up))
+    leaf = last == index
+    inner = np.flatnonzero(~leaf)[::-1]
+    inner = inner[np.argsort(last[inner], kind="stable")]  # in the order they close: by leaf, deeper first
+    rooted = up[inner] >= 0
+    own = index + np.searchsorted(last[inner], index)  # each node's piece follows the closes of earlier leaves
+    close = last[inner] + 1 + np.arange(len(inner))
+    kind = np.empty(len(own) + len(close), dtype=np.intp)
+    kind[own] = 2 * ~leaf + ((up >= 0) & (up != index - 1))
+    kind[close] = np.where(rooted, 4, 5)
+    count = _PIECE_ARGS[kind]
+    at = np.cumsum(count) - count  # the first argument of each piece
+    args = np.empty(at[-1] + count[-1], dtype=object)
+    args[at[own[leaf]]] = labels
+    args[at[own[leaf]] + 1] = length[leaf]
+    args[at[close[rooted]]] = length[inner[rooted]]
+    return "".join(_PIECES[kind].tolist()) % tuple(args.tolist())
+
+
+def _row_keys(a: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D array as one scalar, equal where the rows are equal and ordered as their bytes are."""
+    a = np.ascontiguousarray(a)
+    return a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()
+
+
+# what follows a label: in its clade, at its tree's end, before its tree's next clade
+_SEPARATORS = np.array([",", "}", "}|{"], dtype=object)
+
+
+def topology_signature(trees):
+    """Canonical nested-set string of a tree topology; a list of them for a sequence of trees.
 
     Clades are listed with sorted labels and ordered by size then
     lexicographically, so two trees share a signature exactly when they
     share a topology regardless of branch lengths or input label order.
+    A batch is keyed by its padded parent rows and label ranks, and one
+    np.unique leaves one tree per key to sign (for exact ultrametrics
+    reconstruct_tree lists children by lowest leaf, so each topology has
+    one key).  Of two clades of one size, the one with the smaller sorted
+    labels holds the first label where their rows in a membership table
+    over the sorted labels differ; so sorting clades by tree, size and
+    packed rows (a 0 bit per member) lists them in signature order.
     """
-    clades = sorted((len(c), tuple(sorted(c))) for c in tree.clades())
-    return "|".join("{" + ",".join(labels) + "}" for _, labels in clades)
+    batch, m, batched = _tree_batch(trees)
+    nodes = np.array([len(tree._parent) for tree in batch])
+    labels = list(itertools.chain.from_iterable(tree._labels for tree in batch))
+    vocabulary = sorted(set(labels))
+    rank = np.fromiter(map(dict(zip(vocabulary, itertools.count())).__getitem__, labels), np.intp, len(labels))
+    width = nodes.max()
+    key = np.full((len(batch), width + m), -2)
+    key[:, :width][np.arange(width) < nodes[:, None]] = np.concatenate([tree._parent for tree in batch])
+    key[:, width:] = rank.reshape(-1, m)
+    _, first, inverse = np.unique(_row_keys(key), return_index=True, return_inverse=True)
+    nodes = nodes[first]
+    inner, lo, hi = _clade_ranges(np.concatenate([batch[k]._parent for k in first.tolist()]), nodes)
+    tree, size = np.repeat(np.arange(len(nodes)), nodes)[inner], hi - lo
+    member = np.zeros((len(inner), len(vocabulary)), dtype=bool)
+    row = np.repeat(np.arange(len(inner)), size)
+    below = np.arange(len(row)) + np.repeat(lo - (np.cumsum(size) - size), size)  # each clade's flat leaf positions
+    member[row, key[first, width:].ravel()[below]] = True
+    head = (tree * (len(vocabulary) + 1) + size).astype(">u8").view(np.uint8).reshape(-1, 8)
+    order = np.argsort(_row_keys(np.hstack([head, np.packbits(~member, axis=1)])))
+    clade, column = np.nonzero(member[order])
+    tree = tree[order]
+    ends = np.append(clade[1:] != clade[:-1], True)  # the last label of its clade
+    followed = np.append(tree[1:] == tree[:-1], False)[clade]  # by a clade of the same tree
+    tokens = np.empty(2 * len(clade), dtype=object)
+    tokens[0::2] = np.array(vocabulary, dtype=object)[column]
+    tokens[1::2] = _SEPARATORS[ends * (1 + followed)]
+    tokens = tokens.tolist()
+    cuts = (2 * np.flatnonzero(ends & ~followed) + 2).tolist()
+    signatures = ["{" + "".join(tokens[a:b]) for a, b in zip([0] + cuts, cuts)]
+    out = [signatures[k] for k in inverse.tolist()]
+    return out if batched else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -866,13 +948,13 @@ def random_ultrametrics(m: int, n: int, seed: int) -> np.ndarray:
 # tree reconstruction
 
 
-def _single_linkage(prims: list, m: int, half_tol: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Single-linkage dendrogram of rows on m leaves, as flat preorder records laid end to end.
+def _single_linkage(prims: list, m: int, half_tol: np.ndarray):
+    """Single-linkage dendrograms of rows on m leaves, as flat preorder records laid end to end.
 
     prims holds (part, order, joined, step) per chunk of rows: a row slice
     and _prim of its rows.
 
-    Returns (parent, length, nodes, leaves, ids, position): per node, its
+    Yields, chunk by chunk, (parent, length, nodes, leaves, ids, position): per node, its
     parent (an index within its row's record, -1 at the root) and the
     length of the edge to it; per row, its node count; per row and step,
     the record index and the leaf index of the leaf joining then, which
@@ -895,7 +977,6 @@ def _single_linkage(prims: list, m: int, half_tol: np.ndarray) -> tuple[np.ndarr
     """
     t = np.arange(m - 1)
     steps = np.arange(m)
-    out = []  # per chunk: (parent, length, nodes, leaves, ids, position)
     for part, order, joined, step in prims:
         r = order.shape[1]
         at = np.arange(r)[:, None]
@@ -924,54 +1005,53 @@ def _single_linkage(prims: list, m: int, half_tol: np.ndarray) -> tuple[np.ndarr
         length = height[at, up] - height[at, node]
         count = kept.sum(axis=1)
         listed = np.arange(2 * m - 1) < count[:, None]
-        out.append((parent[listed], length[listed], count, index[:, :m], order.T, step))
-    return tuple(np.concatenate(arrays) for arrays in zip(*out))
+        yield parent[listed], length[listed], count, index[:, :m], order.T, step
 
 
-def reconstruct_tree(u, names: Sequence[str] | None = None, tol: float | None = None):
-    """Unique equidistant tree whose cophenetic vector is u.
+def _three_point(rows: np.ndarray, m: int, tol) -> tuple[np.ndarray, list]:
+    """Per row, a value within tol exactly where ultrametric_violation is, and _prim of each row chunk.
 
-    u is one vector (the result is a PhyloTree) or an (n, e) batch with
-    one vector per row (a list of n trees).  Clusters are merged bottom-up
-    at height u/2 (single-linkage dendrogram); a merge whose height is
-    within tol/2 of an operand's merges with it into one multifurcating
-    node.  ``names`` assigns leaf labels by index (default "1".."m") and
-    the given order is kept, so the round trip through cophenetic_vector
-    preserves coordinates.  Children are listed by lowest leaf when u is
-    exactly ultrametric, as in the reference
-    tests/oracles.py::union_find_reconstruct_tree; within tol of an
-    ultrametric only the order of children may differ from it.  tol
-    defaults to default_tolerance per row, and a given tol must be
-    nonnegative and finite.  Raises ValueError, naming the first such row
-    of a batch, when a vector violates the three-point condition beyond
-    tol or has a nonpositive entry.
-
-    Rows go in chunks of about _CHUNK_ELEMENTS matrix entries, and _prim
-    runs once per chunk, for the check and for the dendrograms.  Its
-    _between maximum of join weights is sub, the subdominant ultrametric
-    (see project_to_treespace): sub <= u and sub is exactly ultrametric.
-    So in a triple whose largest entry a sits at pair P and whose middle
-    entry is b, sub_P is at most the larger sub of the two other pairs,
-    at most b, and the defect fl(a - b) <= fl(a - sub_P) <= max(u - sub),
-    bit for bit.  Rows where that maximum is within tol pass; only the
-    others go through ultrametric_violation, so every decision and every
-    reported violation is the exact check's.
+    tol is a scalar or one value per row.  _prim's _between maximum of
+    join weights is sub, the subdominant ultrametric (see
+    project_to_treespace): sub <= u and sub is exactly ultrametric.  So in
+    a triple whose largest entry a sits at pair P and whose middle entry
+    is b, sub_P is at most the larger sub of the two other pairs, at most
+    b, and the defect fl(a - b) <= fl(a - sub_P) <= max(u - sub), bit for
+    bit.  A row keeps that maximum where it is within a finite tol; the
+    others get ultrametric_violation itself, so every decision and every
+    value beyond tol is the exact check's.  prims holds (part, order,
+    joined, step) per chunk of about _CHUNK_ELEMENTS matrix entries.
     """
+    tol = np.broadcast_to(tol, (len(rows),))
+    violation = np.empty(len(rows))
+    prims = []
+    with np.errstate(invalid="ignore"):  # inf - inf in rows that are not finite, which the exact check decides
+        for part in _chunks(len(rows), m * m):
+            order, joined, step = _prim(rows[part], m)
+            np.max(rows[part] - _between(step, joined[1:], np.maximum), axis=1, out=violation[part])
+            prims.append((part, order, joined, step))
+    rest = np.flatnonzero(~((violation <= tol) & (tol < math.inf)))
+    if rest.size:
+        violation[rest] = ultrametric_violation(rows[rest])
+    return violation, prims
+
+
+def _check_labels(names: list[str]) -> None:
+    """Raise ValueError naming the first name that the Newick parser would not read back as a leaf label."""
+    bad = [name for name in names if not re.fullmatch(r"[A-Za-z0-9_.]+", name)]
+    if bad:
+        raise ValueError(f"leaf label {bad[0]!r} is not a run of [A-Za-z0-9_.], as Newick labels are")
+
+
+def _linkage(u, names, tol):
+    """reconstruct_tree's checks, then (names, batched, chunks): chunks yields its records, after every check."""
     rows, m, batched = _as_rows(u)
     if not np.all(np.isfinite(rows)):
         raise ValueError("coordinates must be finite")
     if tol is not None and not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be nonnegative and finite, got {tol}")
     tol = default_tolerance(rows) if tol is None else np.full(len(rows), float(tol))
-    violation = np.empty(len(rows))  # first max(u - sub), which no triple defect exceeds
-    prims = []
-    for part in _chunks(len(rows), m * m):
-        order, joined, step = _prim(rows[part], m)
-        np.max(rows[part] - _between(step, joined[1:], np.maximum), axis=1, out=violation[part])
-        prims.append((part, order, joined, step))
-    rest = np.flatnonzero(violation > tol)
-    if rest.size:
-        violation[rest] = ultrametric_violation(rows[rest])
+    violation, prims = _three_point(rows, m, tol)
     bad = np.flatnonzero((violation > tol) | (rows.min(axis=1) <= 0))
     if bad.size:
         r = bad[0]
@@ -985,10 +1065,43 @@ def reconstruct_tree(u, names: Sequence[str] | None = None, tol: float | None = 
     names = default_leaf_names(m) if names is None else [str(name) for name in names]
     if len(names) != m or len(set(names)) != m:
         raise ValueError(f"need {m} distinct leaf names")
-    if not len(rows):
+    _check_labels(names)
+    return names, batched, _single_linkage(prims, m, tol / 2.0)
+
+
+def reconstruct_tree(u, names: Sequence[str] | None = None, tol: float | None = None):
+    """Unique equidistant tree whose cophenetic vector is u.
+
+    u is one vector (the result is a PhyloTree) or an (n, e) batch with
+    one vector per row (a list of n trees).  Clusters are merged bottom-up
+    at height u/2 (single-linkage dendrogram); a merge whose height is
+    within tol/2 of an operand's merges with it into one multifurcating
+    node.  ``names`` assigns leaf labels by index (default "1".."m") and
+    the given order is kept, so the round trip through cophenetic_vector
+    preserves coordinates; each must be a Newick label, a run of
+    [A-Za-z0-9_.].  Children are listed by lowest leaf when u is exactly
+    ultrametric, as in the reference
+    tests/oracles.py::union_find_reconstruct_tree; within tol of an
+    ultrametric only the order of children may differ from it.  tol
+    defaults to default_tolerance per row, and a given tol must be
+    nonnegative and finite.  Raises ValueError, naming the first such row
+    of a batch, when a vector violates the three-point condition beyond
+    tol or has a nonpositive entry.  _prim runs once per row chunk, for the
+    check (_three_point) and for the dendrograms (_single_linkage).
+    """
+    names, batched, chunks = _linkage(u, names, tol)
+    records = [np.concatenate(arrays) for arrays in zip(*chunks)]
+    if not records:  # an empty batch has no chunks
         return []
-    parent, length, nodes, leaves, ids, position = _single_linkage(prims, m, tol / 2.0)
+    parent, length, nodes, leaves, ids, position = records
     labels = np.array(names, dtype=object)[ids].tolist()
-    trees, _ = _records(parent, length, leaves.ravel(), position.ravel(), nodes, np.full_like(nodes, m),
+    trees, _ = _records(parent, length, leaves.ravel(), position.ravel(), nodes, np.full_like(nodes, len(names)),
                         labels, [list(names) for _ in nodes])
     return trees if batched else trees[0]
+
+
+def _dendrogram_newick(u):
+    """The Newick lines of reconstruct_tree(u) straight from its records, one text per row chunk; checks raise first."""
+    names, _, chunks = _linkage(u, None, None)
+    labels = np.array(names, dtype=object)
+    return (_newick(parent, length, nodes, labels[ids.ravel()]) for parent, length, nodes, _, ids, _ in chunks)

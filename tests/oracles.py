@@ -23,7 +23,9 @@ combination, computed as one stacked max instead of a running maximum
 over the vertices, is the reference for the projection's w.  The nested
 ``Node`` view, its flattening into a ``PhyloTree``, the equidistance
 helpers, the pair order, torus equality and hyperplane sectors serve the
-tests alone.
+tests alone.  The Newick writer, clade lists and topology signatures walk
+one tree node by node, with a stack of open nodes and per-node leaf counts, as
+the references for the batch text of the records.
 """
 
 from __future__ import annotations
@@ -137,6 +139,52 @@ def equidistance_gap(tree: PhyloTree) -> float:
     """Spread of the root-to-leaf path weights (0 for an equidistant tree)."""
     d = leaf_depths(tree)
     return float(d.max() - d.min())
+
+
+def walk_newick(tree: PhyloTree) -> str:
+    """Newick text of one tree by one walk over its preorder record, closing nodes from a stack."""
+    length = tree._length.tolist()
+    names = dict(zip(tree._leaves.tolist(), tree._labels))
+    out: list[str] = []
+    open_nodes: list[int] = []  # internal nodes whose ')' is still to come
+    for i, up in enumerate(tree._parent.tolist()):
+        while open_nodes and open_nodes[-1] != up:
+            out.append(f"):{length[open_nodes.pop()]:.12g}")
+        if i != up + 1:  # not the first child
+            out.append(",")
+        if i in names:
+            out.append(f"{names[i]}:{length[i]:.12g}")
+        else:
+            out.append("(")
+            open_nodes.append(i)
+    while len(open_nodes) > 1:
+        out.append(f"):{length[open_nodes.pop()]:.12g}")
+    return "".join(out) + ");"
+
+
+def walk_clades(tree: PhyloTree) -> list[frozenset[str]]:
+    """Leaf-label set below each internal node of one tree, root included, in preorder, by counting up the record."""
+    parent = tree._parent.tolist()
+    below = [0] * len(parent)  # leaves below each node
+    leaves = set(tree._leaves.tolist())
+    for leaf in leaves:
+        below[leaf] = 1
+    for i in range(len(below) - 1, 0, -1):
+        below[parent[i]] += below[i]
+    out = []
+    seen = 0  # leaves before the node; its own leaves follow them in leaf order
+    for i, count in enumerate(below):
+        if i in leaves:
+            seen += 1
+        else:
+            out.append(frozenset(tree._labels[seen:seen + count]))
+    return out
+
+
+def walk_topology_signature(tree: PhyloTree) -> str:
+    """walk_clades with sorted labels, ordered by size then lexicographically, as one string."""
+    clades = sorted((len(c), tuple(sorted(c))) for c in walk_clades(tree))
+    return "|".join("{" + ",".join(labels) + "}" for _, labels in clades)
 
 
 def is_equidistant(tree: PhyloTree, tol: float | None = None) -> bool:

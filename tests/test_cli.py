@@ -203,7 +203,11 @@ def checked_rows(monkeypatch):
 
 
 class TestThreePointWork:
-    """The O(m^3) check runs only on rows that leaf depths or Prim's record leave undecided."""
+    """The O(m^3) check runs only on rows that leaf depths or Prim's record leave undecided.
+
+    That holds for ingest, fit's checks of its sample and load_model's check
+    of the vertices alike; only check runs it on every tree.
+    """
 
     @pytest.fixture
     def wide_file(self, tmp_path):
@@ -220,14 +224,14 @@ class TestThreePointWork:
     def test_commands_check_only_what_ingest_does_not(self, tmp_path, wide_file, checked_rows, capsys):
         model = tmp_path / "model.json"
         assert main(["fit", "--input", str(wide_file), "--s", "3", "--iters", "2", "--out", str(model)]) == 0
-        assert checked_rows == [50]  # fit's own check of its sample
+        assert checked_rows == []  # fit's own check of its sample clears every row by Prim's record
         inputs = ["--model", str(model), "--input", str(wide_file), "--normalize-height"]
         for argv in (["eval"], ["project", "--out", str(tmp_path / "p.csv")],
                      ["plot", "--out", str(tmp_path / "p.svg")],
                      ["plot", "--color-by", "topology", "--out", str(tmp_path / "t.svg")]):
             checked_rows.clear()
             assert main(argv + inputs) == 0
-            assert checked_rows == [3]  # load_model's check of the vertices
+            assert checked_rows == []  # and so does load_model's check of the vertices
 
     def test_check_checks_every_tree(self, wide_file, checked_rows, capsys):
         assert main(["check", "--input", str(wide_file)]) == 0
@@ -571,6 +575,19 @@ class TestModelFile:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="three-point"):
             load_model(path)
+
+    @pytest.mark.parametrize("name", ["a,b", "a b", "", "x(y"])
+    def test_label_that_is_not_a_newick_label_ends_in_one_line_error(self, tmp_path, sample_file, capsys, name):
+        model_path, _ = fit_model(tmp_path, sample_file)
+        doc = json.loads(model_path.read_text())
+        doc["leaf_labels"][0] = name
+        model_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["plot", "--model", str(model_path), "--input", str(sample_file), "--color-by", "topology",
+                     "--out", str(tmp_path / "plot.svg")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: leaf label {name!r} is not a run of [A-Za-z0-9_.], as Newick labels are"]
+        assert not (tmp_path / "plot.svg").exists()
 
     @pytest.mark.parametrize(
         "edit",

@@ -31,12 +31,19 @@ from oracles import (
     sorted_triple_violation,
     tree_from_nodes,
     union_find_reconstruct_tree,
+    walk_clades,
+    walk_newick,
+    walk_topology_signature,
 )
 import troppca.treespace
+from troppca.cli import _positive_representatives
+from troppca.pca import FitConfig, _validate_ultrametric_rows, fit, project_to_polytope
 from troppca.tropical import trop_dist
 from troppca.treespace import (
     _CHUNK_ELEMENTS,
     _checked_vectors,
+    _dendrogram_newick,
+    _newick,
     NewickError,
     cophenetic_vector,
     default_leaf_names,
@@ -714,6 +721,17 @@ class TestReconstruct:
         with pytest.raises(ValueError, match="names"):
             reconstruct_tree(np.array([2.0, 4.0, 4.0]), names=["a", "a", "b"])
 
+    @pytest.mark.parametrize("name", ["a,b", "a b", "", "x(y"])
+    def test_rejects_names_that_are_not_newick_labels(self, name):
+        # "a,b" used to write a 5-leaf tree, "a b" and "" text that does not parse
+        u = random_ultrametrics(4, 2, seed=1)
+        message = f"^leaf label {re.escape(repr(name))} is not a run of \\[A-Za-z0-9_.\\], as Newick labels are$"
+        for names in ([name, "c", "d", "e"], ["c", "d", "e", name]):
+            with pytest.raises(ValueError, match=message):
+                reconstruct_tree(u, names=names)
+            with pytest.raises(ValueError, match=message):
+                reconstruct_tree(u[0], names=names)
+
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0])
     def test_rejects_a_bad_tolerance(self, tol):
         # at tol=nan no violation exceeds tol, and every vector would come back as a star tree
@@ -1052,6 +1070,73 @@ class TestBatchedReconstruct:
             reconstruct_tree(bad)
 
 
+SUBNORMAL_LENGTHS = st.one_of(LENGTHS, st.sampled_from([5e-324, 1e-310, 2.2250738585072e-308]))
+
+
+def assert_text_matches_walks(trees) -> None:
+    """The batch Newick lines, clades and signatures of trees equal the per-tree walks'."""
+    parent = np.concatenate([tree._parent for tree in trees])
+    length = np.concatenate([tree._length for tree in trees])
+    nodes = np.array([len(tree._parent) for tree in trees])
+    labels = [label for tree in trees for label in tree._labels]
+    expected = [walk_newick(tree) for tree in trees]
+    assert _newick(parent, length, nodes, labels) == "".join(text + "\n" for text in expected)
+    assert [tree.to_newick() for tree in trees] == expected
+    assert [tree.clades() for tree in trees] == [walk_clades(tree) for tree in trees]
+    signatures = [walk_topology_signature(tree) for tree in trees]
+    assert [topology_signature(tree) for tree in trees] == signatures
+    assert topology_signature(trees) == signatures
+
+
+class TestBatchText:
+    """Text straight from flat records against the per-tree walks of tests/oracles.py."""
+
+    @given(dendrogram_batches(), st.sampled_from([None, None, 0.05, 0.3]))
+    @example(star_rows(300), None)
+    @example(caterpillar_rows(300, rise=0.01), None)
+    @example(caterpillar_rows(60, rise=0.02), 0.05)  # each merge within tol/2 of the next
+    def test_reconstructed_rows(self, x, tol):
+        if np.all(ultrametric_violation(x) <= (default_tolerance(x) if tol is None else tol)):
+            trees = reconstruct_tree(x, tol=tol)
+            assert_text_matches_walks(trees)
+            if tol is None:  # what gen writes
+                assert "".join(_dendrogram_newick(x)) == "".join(walk_newick(tree) + "\n" for tree in trees)
+
+    @settings(max_examples=10)
+    @given(dendrogram_batches(m=st.just(60), n=st.integers(1, 3)))
+    def test_reconstructed_rows_at_m60(self, x):
+        assert "".join(_dendrogram_newick(x)) == "".join(walk_newick(tree) + "\n" for tree in reconstruct_tree(x))
+        assert_text_matches_walks(reconstruct_tree(x))
+
+    def test_rows_spanning_several_chunks(self):
+        x = random_ultrametrics(10, 1000, seed=1)
+        assert len(list(_dendrogram_newick(x))) > 1
+        assert "".join(_dendrogram_newick(x)) == "".join(walk_newick(tree) + "\n" for tree in reconstruct_tree(x))
+
+    @given(st.data())
+    def test_parsed_trees(self, data):
+        """Multifurcations, unary nodes, internal labels, missing, zero and subnormal lengths; two label sets."""
+        labels = data.draw(LABELS)
+        label_sets = st.sampled_from([labels, [label + "x" for label in labels]])
+        texts = data.draw(st.lists(label_sets.flatmap(lambda names: newick_texts(names, SUBNORMAL_LENGTHS)),
+                                   min_size=1, max_size=4))
+        assert_text_matches_walks([parse_newick(text) for text in texts])
+
+    def test_deep_trees(self):
+        assert_text_matches_walks([parse_newick(TestDeepTrees().caterpillar())])
+        assert_text_matches_walks([parse_newick("(" * 700 + "((a:1,b:1):1,c:2)" + "):0" * 700 + ";")] * 2)
+
+    def test_plot_groups_equal_per_tree_signatures(self):
+        """Projected points of a fitted polytope, as plot colours them: most share a topology with another."""
+        sample = random_ultrametrics(8, 300, seed=4)
+        polytope, _ = fit(sample, FitConfig(s=3, max_iters=20, seed=1))
+        w, _ = project_to_polytope(sample, polytope)
+        trees = reconstruct_tree(_positive_representatives(w), names=list("abcdefgh"))
+        groups = topology_signature(trees)
+        assert groups == [walk_topology_signature(tree) for tree in trees]
+        assert len(set(groups)) < len(trees) / 2
+
+
 class CheckedRows:
     """Spy on ultrametric_violation: the rows of every call, and the exact check itself unchanged."""
 
@@ -1176,6 +1261,26 @@ class TestScreenedChecks:
                     reconstruct_tree(rows, tol=tol)
         seen = {row.tobytes() for row in spy.rows}
         assert all(row.tobytes() in seen for row in rows[violation > expected])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(near_ultrametric_trees().map(cophenetic_vector), line_noise_ultrametrics()))
+    @example(chain_row(0.6e-8)[None])
+    # initial vertices reach the check unscreened for finiteness; in the last row the screen reads inf at
+    # pairs 01 and 02, within tol = inf, but triple 012 has defect inf - inf = nan
+    @example(np.array([[1.0, 1.0, np.inf], [1.0, np.nan, 1.0], [2.0, 4.0, 4.0]]))
+    @example(np.array([[np.inf, np.inf, 1.0, 1.0, 1.0, 1.0]]))
+    def test_prim_screen_decides_fit_checks_like_the_check(self, rows):
+        with np.errstate(invalid="ignore"):  # inf - inf in the exact check of rows that are not finite
+            bad = np.flatnonzero(~is_ultrametric(rows))
+        with np.errstate(invalid="ignore"), CheckedRows() as spy:
+            if bad.size:
+                shown = ", ".join(map(str, bad[:10])) + ("" if len(bad) <= 10 else f" (+{len(bad) - 10} more)")
+                with pytest.raises(ValueError, match=f"^rows at indices {re.escape(shown)} fail the three-point"):
+                    _validate_ultrametric_rows(rows, "rows")
+            else:
+                _validate_ultrametric_rows(rows, "rows")
+        seen = {row.tobytes() for row in spy.rows}
+        assert all(row.tobytes() in seen for row in rows[bad])
 
     @pytest.mark.parametrize("delta", [0.6e-8, 0.9e-8])
     def test_prim_screen_passes_a_row_within_tol_through_the_check(self, delta):
