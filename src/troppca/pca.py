@@ -55,6 +55,8 @@ class TropicalPolytope:
             raise ValueError(f"invalid vertex array of shape {v.shape}")
         if s > e:
             raise ValueError(f"more vertices than coordinates: s={s} > e={e}")
+        if not np.isfinite(v).all():
+            raise ValueError("vertex coordinates must be finite")
         v.setflags(write=False)
         self.vertices = v
 
@@ -90,24 +92,47 @@ def _sample_matrix(sample, e: int | None = None) -> np.ndarray:
     return u
 
 
-def _workspace(s: int, e: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """evaluate's pair-major buffers: lam; w, a candidate and d; the j* masks of each vertex, top, bottom, either."""
-    return np.empty((s, n)), np.empty((3, e, n)), np.empty((s + 3, e, n), dtype=bool)
+def _kernel_order(e: int, n: int) -> str:
+    """Memory order of the kernel's (e, n) arrays: "C" (pair-major) when n >= e, else "F" (observation-major).
+
+    numpy runs reductions and broadcast ufuncs as inner loops along the
+    contiguous axis, so the longer axis is made the contiguous one; the
+    sweep behind the crossover is in CHANGES.md.
+    """
+    return "C" if n >= e else "F"
+
+
+def _stored(u: np.ndarray) -> np.ndarray:
+    """The (n, e) sample u, copied if need be so that u.T is in _kernel_order."""
+    return np.asarray(u.T, order=_kernel_order(*u.T.shape)).T
+
+
+def _workspace(s: int, e: int, n: int):
+    """evaluate's buffers: lam and d's max, min and spread; float, bool and index rows; (e, n) views of some rows.
+
+    The views, in _kernel_order, are w, a candidate and d, then the j*
+    masks of each vertex, top, bottom and either.  The other rows are the
+    sparse phase's, filled in a prefix as long as the tied cells (at most
+    e * n): four of scratch, s of ktied, and t, i, jt and ji.
+    """
+    order = _kernel_order(e, n)
+    floats, flags = np.empty((7, e * n)), np.empty((2 * s + 3, e * n), dtype=bool)
+    planes = ([row.reshape(e, n, order=order) for row in rows] for rows in (floats[:3], flags[: s + 3]))
+    return np.empty((s + 3, n)), floats, flags, np.empty((4, e * n), dtype=np.intp), *planes
 
 
 def _evaluation_work(sample: np.ndarray, s: int):
-    """evaluate's work for an F-ordered (n, e) sample: a _workspace and the sample's largest magnitude, in its d."""
+    """evaluate's work for an (n, e) sample whose transpose is in _kernel_order: a _workspace and the largest magnitude."""
     buffers = _workspace(s, sample.shape[1], len(sample))
-    return buffers, np.abs(sample.T, out=buffers[1][2]).max()
+    return buffers, np.abs(sample.T, out=buffers[4][2]).max()
 
 
-def _projection(ut: np.ndarray, v: np.ndarray, work=None, tol: float | None = None):
-    """(lam, w) of the (e, n) columns ut over vertices v, in work: lam[k] = min(ut - D_k), w = max_k(lam[k] + D_k).
+def _projection(ut: np.ndarray, v: np.ndarray, lam, w, cand, masks=(), tol: float | None = None) -> None:
+    """Writes lam and w of the (e, n) columns ut over vertices v: lam[k] = min(ut - D_k), w = max_k(lam[k] + D_k).
 
-    Every min and max runs along rows of n.  Given tol, vertex k's mask
-    marks where ut - D_k is within tol of lam[k], its tied minimizers j*.
+    cand is (e, n) scratch.  Given tol, vertex k's mask marks where
+    ut - D_k is within tol of lam[k], its tied minimizers j*.
     """
-    lam, (w, cand, _), masks = work or _workspace(len(v), *ut.shape)
     for k, vk in enumerate(v[:, :, None]):
         np.min(np.subtract(ut, vk, out=cand), axis=0, out=lam[k])
         if tol is not None:
@@ -115,7 +140,6 @@ def _projection(ut: np.ndarray, v: np.ndarray, work=None, tol: float | None = No
     np.add(lam[0], v[0, :, None], out=w)
     for k in range(1, len(v)):
         np.maximum(w, np.add(lam[k], v[k, :, None], out=cand), out=w)
-    return lam, w
 
 
 def project_to_polytope(sample, polytope: TropicalPolytope) -> tuple[np.ndarray, np.ndarray]:
@@ -127,17 +151,32 @@ def project_to_polytope(sample, polytope: TropicalPolytope) -> tuple[np.ndarray,
     u in the tropical metric.  sample is one vector (w has shape (e,) and
     lam (s,)) or an (n, e) batch (w is (n, e) and lam (n, s), row by row);
     rows go in chunks of about _CHUNK_ELEMENTS entries of u - D, but of at
-    least 64 as _projection's inner loops run along them, each copied into
-    its pair-major transpose, and its w and lam transposed back.
+    least 64.  The kernel runs on each chunk's (e, rows) transpose in
+    _kernel_order for the chunk's shape: observation-major, the transpose of
+    C-ordered rows is used as it is and w is written straight into the
+    result; pair-major, the chunk is copied into its transpose and w is
+    transposed back.
     """
     v = polytope.vertices
     rows = _sample_matrix(sample, polytope.e)
-    lam = np.empty((len(rows), polytope.s))
-    w = np.empty_like(rows)
+    lam, w = np.empty((len(rows), polytope.s)), np.empty(rows.shape)
     for part in _chunks(len(rows), min(v.size, _CHUNK_ELEMENTS // 64)):
-        lam_t, w_t = _projection(np.ascontiguousarray(rows[part].T), v)
-        lam[part], w[part] = lam_t.T, w_t.T
+        ut = _stored(rows[part]).T
+        pair_major = _kernel_order(*ut.shape) == "C"
+        lam_t, cand = np.empty((len(v), ut.shape[1])), np.empty_like(ut)
+        w_t = np.empty_like(ut) if pair_major else w[part].T
+        _projection(ut, v, lam_t, w_t, cand)
+        lam[part] = lam_t.T
+        if pair_major:
+            w[part] = w_t.T
     return (w, lam) if np.ndim(sample) == 2 else (w[0], lam[0])
+
+
+def _decode(cells: np.ndarray, e: int, n: int, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(t, i) of flat indices into (e, n) arrays in _kernel_order, in a prefix of out's two rows."""
+    pair_major = _kernel_order(e, n) == "C"
+    q, r = np.divmod(cells, n if pair_major else e, out=tuple(out[:, : len(cells)]))
+    return (q, r) if pair_major else (r, q)
 
 
 def objective(sample, polytope: TropicalPolytope) -> float:
@@ -168,49 +207,63 @@ def evaluate(sample, polytope: TropicalPolytope, work=None) -> tuple[float, np.n
     the generalized gradient there.  At tie-free points the result is the
     gradient, up to rounding.  Deterministic.
 
-    The pass reads the sample pair-major, as its (e, n) transpose, and puts
-    its array temporaries in work, a _workspace and the sample's largest
-    magnitude (_evaluation_work), which fit makes once and passes with its
-    checked sample in F order; a call without work checks, copies,
-    allocates and measures those itself.  Tied cells are taken by flat
-    index in (t, i) order, so each bincount adds a bin's terms in
-    increasing i, as a sequential sum over the observations does: g is
-    exact to the bit.
+    The pass reads the sample as its (e, n) transpose in _kernel_order and
+    puts its array temporaries in work, a _workspace and the sample's
+    largest magnitude (_evaluation_work), which fit makes once and passes
+    with its checked sample _stored to match; a call without work checks,
+    copies, allocates and measures those itself.  Tied cells are taken by
+    flat index in memory order, (t, i) pair-major and (i, t)
+    observation-major, and decoded by one divmod.  In both orders each
+    bincount bin, keyed by t or by i, receives its terms in increasing
+    order of the other index, as a sequential sum does: g is exact to the
+    bit, and the same in both orders.
     """
     v = polytope.vertices
     s, e = v.shape
     if work is None:
-        sample = np.asfortranarray(_sample_matrix(sample, e))
+        sample = _stored(_sample_matrix(sample, e))
         work = _evaluation_work(sample, s)
     n, ut = len(sample), sample.T
-    buffers, largest = work
-    _, (_, _, d), masks = buffers
+    (per_obs, floats, flags, ints, (w, cand, d), masks), largest = work
+    lam, (dmax, dmin, spread) = per_obs[:s], per_obs[s:]
     top, bottom, either = masks[s:]
     tol = TIE_RTOL * max(largest, np.abs(v).max())
-    lam, w = _projection(ut, v, buffers, tol)
+    _projection(ut, v, lam, w, cand, masks, tol)
     np.subtract(w, ut, out=d)
-    dmax, dmin = d.max(axis=0), d.min(axis=0)
+    np.max(d, axis=0, out=dmax)
+    np.min(d, axis=0, out=dmin)
     # d is the exact negation of objective's u - w, so this sum is its value
-    se = float(np.sum(dmax - dmin))
-    np.greater_equal(d, dmax - tol, out=top)
-    np.less_equal(d, dmin + tol, out=bottom)
+    se = float(np.sum(np.subtract(dmax, dmin, out=spread)))
+    np.greater_equal(d, np.subtract(dmax, tol, out=dmax), out=top)
+    np.less_equal(d, np.add(dmin, tol, out=dmin), out=bottom)
+    np.logical_or(top, bottom, out=either)
+    # the sparse phase writes each per-cell array into a prefix of a workspace row;
+    # take's mode="clip" writes straight into out, where "raise" would stage a copy
+    cells = np.flatnonzero(flags[s + 2])
+    t, i = _decode(cells, e, n, ints[:2])
+    c, x, y, wt = floats[3:, : len(cells)]
+    ktied = flags[s + 3 :, : len(cells)]
     # c: averaged distance gradient at each tied cell (t, i); where it is 0, it adds exact zeros
-    cells = np.flatnonzero(np.logical_or(top, bottom, out=either))
-    t, i = np.divmod(cells, n)
-    up, down = top.ravel()[cells], bottom.ravel()[cells]
-    c = up / np.bincount(i, up, minlength=n)[i] - down / np.bincount(i, down, minlength=n)[i]
-    wt = w.ravel()[cells] - tol
-    ktied = np.array([lam[k][i] + v[k][t] >= wt for k in range(s)])
-    c /= ktied.sum(axis=0)  # each tied winning vertex's share
+    for flag, share in ((flags[s], c), (flags[s + 1], y)):
+        np.copyto(x, flag.take(cells, out=ktied[0], mode="clip"))  # the cell's flag as 0.0 or 1.0
+        np.divide(x, np.bincount(i, x, minlength=n).take(i, out=share, mode="clip"), out=share)
+    np.subtract(c, y, out=c)
+    np.subtract(floats[0].take(cells, out=wt, mode="clip"), tol, out=wt)  # w at the cells
+    for k in range(s):
+        np.add(lam[k].take(i, out=x, mode="clip"), v[k].take(t, out=y, mode="clip"), out=x)
+        np.greater_equal(x, wt, out=ktied[k])
+    np.divide(c, np.add.reduce(ktied, axis=0, out=x), out=c)  # each tied winning vertex's share
     g = np.empty_like(v)
     for k in range(s):
-        a = ktied[k] * c
+        a = np.multiply(ktied[k], c, out=x)
         g[k] = np.bincount(t, a, minlength=e)
         # the -1 at j* is spread over the tied minimizers; when t itself is j*
         # the two entries cancel, so that cell needs no special case
-        jt, ji = np.divmod(np.flatnonzero(masks[k]), n)
+        jcells = np.flatnonzero(flags[k])
+        jt, ji = _decode(jcells, e, n, ints[2:])
         routed = np.bincount(i, a, minlength=n) / np.bincount(ji, minlength=n)
-        g[k] -= np.bincount(jt, routed[ji], minlength=e)
+        at_j = routed.take(ji, out=floats[5, : len(jcells)], mode="clip")  # y's row, free once ktied is set
+        g[k] -= np.bincount(jt, at_j, minlength=e)
     return se, g
 
 
@@ -288,11 +341,12 @@ def fit(sample, cfg: FitConfig) -> tuple[TropicalPolytope, FitTrace]:
     objective value, which for a subgradient method is not necessarily the
     last.  Runs are deterministic given (sample, cfg).  An iteration whose
     step or evaluation overflows raises ValueError naming it and lr0.  The
-    sample is stored once in F order, and every evaluation writes its (e, n)
-    and larger arrays into one _workspace allocated here, not per iteration,
-    and reads the sample's largest magnitude measured here.
+    sample is _stored once, so that its transpose is in _kernel_order, and
+    every evaluation writes its per-pair and per-cell arrays into one
+    _workspace allocated here, not per iteration, and reads the sample's
+    largest magnitude measured here.
     """
-    u = np.asfortranarray(_sample_matrix(sample))
+    u = _stored(_sample_matrix(sample))
     n, e = u.shape
     leaf_count_from_dim(e)
     if cfg.s > n:
@@ -302,15 +356,14 @@ def fit(sample, cfg: FitConfig) -> tuple[TropicalPolytope, FitTrace]:
     start = time.perf_counter()
     if cfg.init_vertices is None:
         rng = np.random.default_rng(cfg.seed)
-        chosen = rng.choice(n, size=cfg.s, replace=False)
-        vertices = u[chosen].copy()
+        polytope = TropicalPolytope(u[rng.choice(n, size=cfg.s, replace=False)])
     else:
         vertices = np.array(cfg.init_vertices, dtype=float)
         if vertices.shape != (cfg.s, e):
             raise ValueError(f"init_vertices must have shape ({cfg.s}, {e})")
-        _validate_ultrametric_rows(vertices, "initial vertices")
+        polytope = TropicalPolytope(vertices)  # finite before the three-point check
+        _validate_ultrametric_rows(polytope.vertices, "initial vertices")
 
-    polytope = TropicalPolytope(vertices)
     work = _evaluation_work(u, cfg.s)
     best_se, g = evaluate(u, polytope, work)
     best_vertices = polytope.vertices.copy()

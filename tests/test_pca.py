@@ -25,6 +25,8 @@ from troppca.pca import (
     FitConfig,
     TropicalPolytope,
     _evaluation_work,
+    _stored,
+    _workspace,
     baseline_random_search,
     evaluate,
     fit,
@@ -33,7 +35,7 @@ from troppca.pca import (
     subgradient,
 )
 from troppca.tropical import trop_dist
-from troppca.treespace import _CHUNK_ELEMENTS, random_ultrametrics, ultrametric_violation
+from troppca.treespace import _CHUNK_ELEMENTS, project_to_treespace, random_ultrametrics, ultrametric_violation
 
 
 def finite_difference_gradient(sample, vertices, h=1e-6):
@@ -468,7 +470,68 @@ class TestPairMajorKernel:
         assert np.array_equal(w, ref_w) and np.array_equal(lam, ref_lam)
 
 
-@pytest.mark.parametrize("m,n", [(10, 1000), (8, 800)])
+# n = e - 1, e and e + 1 at e = 10, then wide rows with few observations
+ORDER_SHAPES = [(5, 9), (5, 10), (5, 11), (60, 12), (60, 50)]
+
+
+class TestKernelOrders:
+    """The kernel in both memory orders, pair-major when n >= e and observation-major below, bit for bit."""
+
+    @pytest.mark.parametrize("e,n", [(10, 9), (10, 10), (10, 11), (1770, 12), (1770, 50), (45, 1000)])
+    def test_the_longer_axis_is_contiguous(self, e, n):
+        _, _, _, _, planes, masks = _workspace(3, e, n)
+        axis = 1 if n >= e else 0
+        for plane in (*planes, *masks):
+            assert plane.shape == (e, n) and plane.strides[axis] == plane.itemsize
+        assert _stored(np.zeros((n, e))).T.strides[axis] == 8
+
+    @staticmethod
+    def instance(m, n, seed, grid):
+        vertices, sample = random_ultrametrics(m, 3, seed=seed), random_ultrametrics(m, n, seed=seed + 1)
+        if grid:  # many exact ties
+            vertices, sample = np.round(8 * vertices) / 8, np.round(8 * sample) / 8
+        return sample, vertices
+
+    @pytest.mark.parametrize("grid", [False, True])
+    @pytest.mark.parametrize("m,n", ORDER_SHAPES)
+    def test_evaluate_over_one_workspace(self, m, n, grid):
+        sample, vertices = self.instance(m, n, 80, grid)
+        stored = _stored(sample)
+        work = _evaluation_work(stored, len(vertices))
+        rng = np.random.default_rng(81)
+        for _ in range(3):
+            p = TropicalPolytope(vertices)
+            TestPairMajorKernel.assert_same_bits(evaluate(stored, p, work), row_evaluate(sample, p))
+            TestPairMajorKernel.assert_same_bits(evaluate(sample, p), row_evaluate(sample, p))
+            vertices = project_to_treespace(np.maximum(vertices + rng.normal(0, 0.1, vertices.shape), 0))
+
+    @pytest.mark.parametrize("grid", [False, True])
+    @pytest.mark.parametrize("m,n", ORDER_SHAPES)
+    def test_projection(self, m, n, grid):
+        sample, vertices = self.instance(m, n, 82, grid)
+        for layout in ("C", "F"):
+            w, lam = project_to_polytope(laid_out(sample, layout), TropicalPolytope(vertices))
+            _, ref_lam, ref_w = row_projection(sample, vertices)
+            assert np.array_equal(w, ref_w) and np.array_equal(lam, ref_lam)
+
+    @pytest.mark.parametrize("m,n", ORDER_SHAPES)
+    def test_short_fit(self, m, n):
+        sample, _ = self.instance(m, n, 84, False)
+        cfg = FitConfig(s=3, max_iters=4, lr0=0.05, seed=11)
+        _, trace = fit(sample, cfg)
+        vertices = sample[np.random.default_rng(cfg.seed).choice(n, size=3, replace=False)]
+        se, g = row_evaluate(sample, TropicalPolytope(vertices))
+        assert trace.initial_se == se
+        alpha, expected = cfg.lr0, []
+        for _ in range(cfg.max_iters):
+            vertices = project_to_treespace(vertices - alpha * g)
+            se, g = row_evaluate(sample, TropicalPolytope(vertices))
+            expected.append(se)
+            alpha *= cfg.decay
+        assert trace.se == expected
+
+
+@pytest.mark.parametrize("m,n", [(10, 1000), (8, 800), (5, 3000), (60, 50)])
 def test_fit_faults_do_not_grow_with_iterations(m, n):
     """A fit reuses its buffers, so 90 more iterations fault few more pages in (fresh processes)."""
     pytest.importorskip("resource")
@@ -504,6 +567,14 @@ def test_non_finite_sample_is_one_error(function):
         for arg in (u, u[2]):  # a batch and one vector
             with pytest.raises(ValueError, match="^sample coordinates must be finite$"):
                 function(arg, p)
+
+
+def test_non_finite_vertices_are_one_error():
+    for bad in (np.nan, np.inf, -np.inf):
+        vertices = random_ultrametrics(4, 2, seed=72)
+        vertices[1, 3] = bad
+        with pytest.raises(ValueError, match="^vertex coordinates must be finite$"):
+            TropicalPolytope(vertices)
 
 
 class TestEvaluate:
@@ -656,6 +727,12 @@ class TestFit:
         sample[3, 1] = np.nan
         with pytest.raises(ValueError, match="^sample coordinates must be finite$"):
             fit(sample, FitConfig(s=2, max_iters=5, seed=9))
+
+    def test_rejects_non_finite_initial_vertices(self):
+        sample = random_ultrametrics(4, 5, seed=45)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="^vertex coordinates must be finite$"):
+                fit(sample, FitConfig(s=2, init_vertices=np.full((2, 6), bad)))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
