@@ -13,6 +13,8 @@ from .svgplot import scatter_svg
 from .treespace import (
     _checked_vectors,
     _dendrogram_newick,
+    _joined,
+    _scaled,
     cophenetic_vector,
     default_tolerance,
     leaf_depths,
@@ -20,7 +22,6 @@ from .treespace import (
     project_to_treespace,
     random_ultrametrics,
     reconstruct_tree,
-    scale_trees,
     topology_signature,
     ultrametric_violation,
 )
@@ -35,36 +36,45 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
+def _differences(expected, got, missing="missing", extra="extra") -> str:
+    """The labels of expected that got lacks and those of got that expected lacks, as error text."""
+    return (f"{missing}: {', '.join(sorted(set(expected) - set(got))) or 'none'};"
+            f" {extra}: {', '.join(sorted(set(got) - set(expected))) or 'none'}")
+
+
+def _check_leaf_sets(line_numbers, batch) -> None:
+    """Raise CliError on the first tree whose leaf labels differ from the first tree's; compared as label rows."""
+    count = batch.count
+    n = int(np.argmax(count != count[0])) or len(count)  # the trees before the first of another leaf count
+    table = batch.names[:n * count[0]].reshape(n, -1)
+    t = int(np.argmax(np.append((table != table[0]).any(axis=1), True)))  # the first row that differs, or n
+    if t == len(count):
+        return
+    start = int(count[:t].sum())
+    raise CliError(f"line {line_numbers[t]}: leaf set differs from line {line_numbers[0]}"
+                   f" ({_differences(batch.names[:count[0]], batch.names[start:start + count[t]])})")
+
+
 def _load_sample(path, project_inputs: bool, normalize_height: bool):
-    """Read a Newick file into (leaf_labels, line_numbers, vector matrix)."""
+    """Read a Newick file into (leaf_labels, line_numbers, vector matrix), from the flat records of its trees."""
     trees, errors = load_newick_file(path)
     if errors:
         raise CliError("; ".join(f"line {ln}: {err}" for ln, err in errors))
     if not trees:
         raise CliError(f"no trees found in {path}")
+    line_numbers = [ln for ln, _ in trees]
+    batch = _joined([tree for _, tree in trees])  # the batch the trees are views of, not a copy
+    _check_leaf_sets(line_numbers, batch)
 
-    first_ln, first = trees[0]
-    labels = first.leaf_names
-    for ln, tree in trees[1:]:
-        if tree.leaf_names != labels:
-            missing = sorted(set(labels) - set(tree.leaf_names))
-            extra = sorted(set(tree.leaf_names) - set(labels))
-            raise CliError(
-                f"line {ln}: leaf set differs from line {first_ln}"
-                f" (missing: {', '.join(missing) or 'none'}; extra: {', '.join(extra) or 'none'})"
-            )
-
-    batch = [tree for _, tree in trees]
     if normalize_height:
-        heights = leaf_depths(batch).max(axis=1)
+        heights = batch.depth.reshape(len(line_numbers), -1).max(axis=1)
         with np.errstate(divide="ignore", over="ignore"):
             factors = 1.0 / heights
         bad = np.flatnonzero(~np.isfinite(factors))  # height 0, or so small that 1/h overflows
         if bad.size:
-            raise CliError(f"line {trees[bad[0]][0]}: cannot normalize a tree of height {heights[bad[0]]:.3g}")
-        batch = scale_trees(batch, factors)
+            raise CliError(f"line {line_numbers[bad[0]]}: cannot normalize a tree of height {heights[bad[0]]:.3g}")
+        batch = _scaled(batch, factors)
 
-    line_numbers = [ln for ln, _ in trees]
     vectors, ok = _checked_vectors(batch)  # the three-point check only where leaf depths leave it open
     bad = ~ok
     if bad.any():
@@ -75,20 +85,15 @@ def _load_sample(path, project_inputs: bool, normalize_height: bool):
                 " rerun with --project-inputs to project them onto tree space"
             )
         vectors[bad] = project_to_treespace(vectors[bad])
-    return labels, line_numbers, vectors
+    return batch.names[:batch.count[0]].tolist(), line_numbers, vectors
 
 
 def _load_model_and_sample(args):
     model = load_model(args.model)
     labels, lines, vectors = _load_sample(args.input, args.project_inputs, args.normalize_height)
     if labels != model.leaf_labels:
-        missing = sorted(set(model.leaf_labels) - set(labels))
-        extra = sorted(set(labels) - set(model.leaf_labels))
-        raise CliError(
-            f"leaf sets of model and input differ"
-            f" (missing from input: {', '.join(missing) or 'none'};"
-            f" extra in input: {', '.join(extra) or 'none'})"
-        )
+        raise CliError(f"leaf sets of model and input differ"
+                       f" ({_differences(model.leaf_labels, labels, 'missing from input', 'extra in input')})")
     return model, lines, vectors
 
 
@@ -200,7 +205,7 @@ def cmd_check(args) -> int:
     report = [(ln, f"parse error: {err}") for ln, err in errors]
     n_equidistant = 0
     n_ultrametric = 0
-    for m in {tree.m for _, tree in trees}:  # one batch per leaf count
+    for m in sorted({tree.m for _, tree in trees}):  # one batch per leaf count
         lines, batch = zip(*[(ln, tree) for ln, tree in trees if tree.m == m])
         depths = leaf_depths(batch)
         vectors = cophenetic_vector(batch)
@@ -213,13 +218,9 @@ def cmd_check(args) -> int:
         n_ultrametric += int(ultrametric.sum())
         rows = zip(lines, heights.tolist(), gaps.tolist(), equidistant.tolist(),
                    violations.tolist(), ultrametric.tolist())
-        for ln, height, gap, eq, violation, um in rows:
-            report.append((
-                ln,
-                f"m={m} height={height:.6g}"
-                f" equidistant={'yes' if eq else 'no'} (gap={gap:.3g})"
-                f" ultrametric={'yes' if um else 'no'} (violation={violation:.3g})",
-            ))
+        report += [(ln, f"m={m} height={height:.6g} equidistant={'yes' if eq else 'no'} (gap={gap:.3g})"
+                        f" ultrametric={'yes' if um else 'no'} (violation={violation:.3g})")
+                   for ln, height, gap, eq, violation, um in rows]
     for ln, text in sorted(report, key=lambda item: item[0]):
         print(f"line {ln}: {text}")
     print(

@@ -83,7 +83,7 @@ def load_model(path) -> Model:
     _check_labels(labels)
     rows = doc["vertices"]
     if not isinstance(rows, list) or not all(
-        isinstance(row, list) and all(type(x) in (int, float) for x in row) for row in rows
+        isinstance(row, list) and set(map(type, row)) <= {int, float} for row in rows  # bool is neither
     ):
         raise ValueError("vertices must be lists of numbers")
     if len({len(row) for row in rows}) > 1:

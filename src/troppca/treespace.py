@@ -10,6 +10,7 @@ twice), and such a vector determines its tree uniquely.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import re
@@ -61,36 +62,40 @@ def default_leaf_names(m: int) -> list[str]:
 class PhyloTree:
     """Rooted phylogenetic tree with weighted edges and uniquely labeled leaves.
 
-    The tree is a flat preorder record: per node, the index of its parent
-    (-1 at the root) and the length of the edge to it; the node and the
-    label of each leaf, in leaf (left-to-right) order.  With the record
-    come the arrays the kernels gather from: per leaf index, its position
-    in leaf order and its root-to-leaf depth, and per pair of consecutive
-    leaves the depth of the node whose ',' separates them, which is their
-    lowest common ancestor.  No method recurses, so trees may nest
-    arbitrarily deep.  The constructor takes all of it as is; _records
-    builds valid records for a whole batch of trees at once, and
-    parse_newick, load_newick_file, reconstruct_tree and scale_trees go
-    through it.
+    A tree is a view of one tree of a _Batch, the flat records of many
+    trees that parse_newick, load_newick_file, reconstruct_tree and
+    scale_trees build and _trees cuts up; making one copies nothing.  Its
+    record, sliced from the batch when read, is flat and in preorder: per
+    node, the index of its parent (-1 at the root) and the length of the
+    edge to it; the node and the label of each leaf, in leaf
+    (left-to-right) order; per leaf index, its position in leaf order and
+    its root-to-leaf depth; and per pair of consecutive leaves the depth
+    of the node whose ',' separates them, which is their lowest common
+    ancestor.  No method recurses, so trees may nest arbitrarily deep.
 
     ``leaf_names`` fixes the label-to-index assignment for vectorization:
     parsed trees sort their labels lexicographically, reconstructed trees
     keep the names they are given.
     """
 
-    def __init__(self, parent, length, leaves, labels, leaf_names, position, leaf_depth, sep_depth):
-        self._parent = parent
-        self._length = length
-        self._leaves = leaves
-        self._labels = labels
-        self.leaf_names: list[str] = leaf_names
-        self._position = position  # leaf position of each index
-        self._leaf_depth = leaf_depth  # by index
-        self._sep_depth = sep_depth  # in leaf order
+    def __init__(self, batch, span: tuple[int, int, int, int, int]):
+        self._batch = batch
+        self._span = span  # its first node, end of nodes, first leaf, end of leaves and tree index in batch
+
+    def _part(self, field: str) -> np.ndarray:
+        return getattr(self._batch, field)[_SLICE[_PER[field]](*self._span)]
+
+    _parent, _length, _leaves, _labels, _position, _leaf_depth, _sep_depth = (
+        property(lambda tree, field=field: tree._part(field))
+        for field in ("parent", "length", "leaves", "labels", "position", "depth", "sep"))
+
+    @property
+    def leaf_names(self) -> list[str]:
+        return self._part("names").tolist()
 
     @property
     def m(self) -> int:
-        return len(self.leaf_names)
+        return self._span[3] - self._span[2]
 
     def height(self) -> float:
         return float(self._leaf_depth.max())
@@ -101,8 +106,9 @@ class PhyloTree:
 
     def clades(self) -> list[frozenset[str]]:
         """Leaf-label set below each internal node, root included, in preorder."""
+        labels = self._labels.tolist()
         _, lo, hi = _clade_ranges(self._parent, np.array([len(self._parent)]))
-        return [frozenset(self._labels[a:b]) for a, b in zip(lo.tolist(), hi.tolist())]
+        return [frozenset(labels[a:b]) for a, b in zip(lo.tolist(), hi.tolist())]
 
     def scaled(self, factor: float) -> "PhyloTree":
         """Copy of the tree with every branch length multiplied by factor."""
@@ -145,34 +151,69 @@ def _depths(parent: np.ndarray, length: np.ndarray) -> np.ndarray:
     return depth
 
 
-def _records(parent, length, leaves, position, nodes, count, labels, leaf_names) -> tuple[list[PhyloTree], np.ndarray]:
-    """PhyloTree records of trees laid end to end in flat arrays, and their leaf depths.
+# Trees laid end to end in flat arrays.  Per node: parent (within its tree, -1 at
+# the root) and length.  Per leaf in leaf order: leaves (its node within its tree)
+# and labels.  Per leaf index: position (in leaf order), names and depth.  Per tree:
+# nodes and count, its node and leaf counts.  sep: the separator depths, count - 1
+# per tree.  labels and names hold str objects.
+_Batch = collections.namedtuple("_Batch", "parent length leaves position nodes count labels names depth sep")
+# what each field has one entry per: node, leaf, tree, or gap between two consecutive leaves of a tree
+_PER = dict(parent="node", length="node", leaves="leaf", position="leaf", nodes="tree", count="tree",
+            labels="leaf", names="leaf", depth="leaf", sep="gap")
+# the entries of each kind that tree t holds, from its nodes a:b and leaves c:d
+_SLICE = dict(node=lambda a, b, c, d, t: slice(a, b), leaf=lambda a, b, c, d, t: slice(c, d),
+              tree=lambda a, b, c, d, t: slice(t, t + 1), gap=lambda a, b, c, d, t: slice(c - t, d - t - 1))
 
-    Per node: parent (an index within its tree, -1 at the root) and
-    length; per leaf in leaf order: leaves, its node index within its tree;
-    per leaf index: position, its place in leaf order; per tree: nodes and
-    count, its node and leaf counts, and labels and leaf_names, one list
-    each.  Depths are summed by one _depths call over every tree.  The
-    trees hold views of the flat arrays.  Also returns the (sum(count),)
-    leaf depths by index, tree after tree.
-    """
+
+def _batch(parent, length, leaves, position, nodes, count, labels, names) -> _Batch:
+    """The _Batch of flat records, its depths summed by one _depths call over every tree."""
     node_start = np.cumsum(nodes) - nodes
     leaf_start = np.cumsum(count) - count
     up = np.where(parent < 0, -1, parent + np.repeat(node_start, nodes))
     depth = _depths(up, length)
     leaf_node = leaves + np.repeat(node_start, count)
     leaf_depth = depth[leaf_node][position + np.repeat(leaf_start, count)]
-    # the node after leaf k in preorder is a child of the node separating leaves k and k+1;
-    # after the last leaf of a tree it is not, and that entry is dropped
-    sep_depth = depth[up[np.minimum(leaf_node + 1, len(up) - 1)]]
-    spans = zip(node_start.tolist(), (node_start + nodes).tolist(), leaf_start.tolist(),
-                (leaf_start + count).tolist(), labels, leaf_names)
-    trees = [
-        PhyloTree(parent[a:b], length[a:b], leaves[c:d], tree_labels, names,
-                  position[c:d], leaf_depth[c:d], sep_depth[c:d - 1])
-        for a, b, c, d, tree_labels, names in spans
-    ]
-    return trees, leaf_depth
+    # the node after leaf k in preorder is a child of the node separating leaves k and k+1
+    sep_depth = depth[up[np.delete(leaf_node, leaf_start + count - 1) + 1]]
+    return _Batch(parent, length, leaves, position, nodes, count, labels, names, leaf_depth, sep_depth)
+
+
+def _trees(batch: _Batch) -> list[PhyloTree]:
+    """The trees of a batch, as views that copy nothing."""
+    node_end, leaf_end = np.cumsum(batch.nodes).tolist(), np.cumsum(batch.count).tolist()
+    spans = zip([0, *node_end], node_end, [0, *leaf_end], leaf_end, itertools.count())
+    return list(map(PhyloTree, itertools.repeat(batch), spans))
+
+
+def _fields(trees, names) -> list[np.ndarray]:
+    """The named _Batch fields of trees: their batch's own arrays if they are its trees in order, else a copy.
+
+    load_newick_file, reconstruct_tree and scale_trees return whole batches.
+    """
+    batch = trees[0]._batch
+    if len(trees) == len(batch.count) and all(tree._span[4] == t and tree._batch is batch for t, tree in enumerate(trees)):
+        return [getattr(batch, name) for name in names]
+    return [np.concatenate([tree._part(name) for tree in trees]) for name in names]
+
+
+def _joined(trees) -> _Batch:
+    """The batch of a nonempty sequence of trees: their own batch if they are all of it in order, else a copy."""
+    return _Batch(*_fields(trees, _Batch._fields))
+
+
+def _take(batch: _Batch, keep: np.ndarray) -> _Batch:
+    """The trees of a batch where keep, one boolean per tree, holds."""
+    if keep.all():
+        return batch
+    masks = {"node": np.repeat(keep, batch.nodes), "leaf": np.repeat(keep, batch.count), "tree": keep,
+             "gap": np.repeat(keep, batch.count - 1)}
+    return _Batch(*(field[masks[_PER[name]]] for name, field in zip(_Batch._fields, batch)))
+
+
+def _scaled(batch: _Batch, factors: np.ndarray) -> _Batch:
+    """The batch with each tree's branch lengths multiplied by its factor, depths summed anew."""
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats overflow, to inf or nan
+        return _batch(batch.parent, batch.length * np.repeat(factors, batch.nodes), *batch[2:8])
 
 
 def scale_trees(trees, factors) -> list[PhyloTree]:
@@ -189,18 +230,7 @@ def scale_trees(trees, factors) -> list[PhyloTree]:
         raise ValueError(f"scale factor must be nonnegative, got {factors[bad[0]]}")
     if not trees:
         return []
-    nodes = np.array([len(tree._parent) for tree in trees], dtype=np.intp)
-    count = np.array([tree.m for tree in trees], dtype=np.intp)
-
-    def joined(attr):
-        return np.concatenate([getattr(tree, attr) for tree in trees])
-
-    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats overflow, to inf or nan
-        return _records(
-            joined("_parent"), joined("_length") * np.repeat(factors, nodes), joined("_leaves"),
-            joined("_position"), nodes, count, [tree._labels for tree in trees],
-            [list(tree.leaf_names) for tree in trees],
-        )[0]
+    return _trees(_scaled(_joined(trees), factors))
 
 
 def _label_problem(labels: list[str]) -> str | None:
@@ -227,8 +257,8 @@ def _tree_batch(trees) -> tuple[list[PhyloTree], int, bool]:
 
 def leaf_depths(trees) -> np.ndarray:
     """Root-to-leaf path weights by leaf index: an (m,) vector for one tree, (n, m) for a sequence."""
-    batch, _, batched = _tree_batch(trees)
-    out = np.stack([tree._leaf_depth for tree in batch])
+    batch, m, batched = _tree_batch(trees)
+    out = _fields(batch, ("depth",))[0].reshape(-1, m).copy()  # not a view of the trees' own depths
     return out if batched else out[0]
 
 
@@ -248,25 +278,24 @@ def cophenetic_vector(trees) -> np.ndarray:
     range-table entries.
     """
     batch, m, batched = _tree_batch(trees)
-    out = _cophenetic(batch, m)[0]
+    out = _cophenetic(*_fields(batch, ("position", "depth", "sep")), m)[0]
     return out if batched else out[0]
 
 
-def _cophenetic(batch: list[PhyloTree], m: int) -> tuple[np.ndarray, np.ndarray]:
-    """cophenetic_vector of a list of trees on m leaves, (n, e), and the (n, m) leaf depths it sums."""
+def _cophenetic(position, depth, sep, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """cophenetic_vector of trees on m leaves each from their flat _Batch fields: (n, e), and the (n, m) depths."""
+    position, depth, sep = position.reshape(-1, m), depth.reshape(-1, m), sep.reshape(-1, m - 1)
+    n = len(depth)
     iu, ju = np.triu_indices(m, 1)  # the pair order, as leaf indices
-    position = np.stack([tree._position for tree in batch])
-    depth = np.stack([tree._leaf_depth for tree in batch])
-    sep = np.stack([tree._sep_depth for tree in batch])
-    out = np.empty((len(batch), len(iu)))
-    for part in _chunks(len(batch), m * m):
+    out = np.empty((n, len(iu)))
+    for part in _chunks(n, m * m):
         d = depth[part]
         out[part] = d[:, iu] + d[:, ju] - 2.0 * _between(position[part], sep[part].T, np.minimum)
     return out, depth
 
 
-def _checked_vectors(trees) -> tuple[np.ndarray, np.ndarray]:
-    """Cophenetic vectors of a sequence of trees and is_ultrametric of each: (n, e) and (n,).
+def _checked_vectors(batch: _Batch) -> tuple[np.ndarray, np.ndarray]:
+    """Cophenetic vectors of a batch of trees on m leaves each and is_ultrametric of each: (n, e) and (n,).
 
     Every boolean equals is_ultrametric's, but the O(m^3) three-point
     check runs only on the trees a cheap exact screen cannot clear.  Let
@@ -285,8 +314,7 @@ def _checked_vectors(trees) -> tuple[np.ndarray, np.ndarray]:
     no overflow, so only rows of finite tolerance are cleared.  The
     depths are those the vectors were summed from.
     """
-    batch, m, _ = _tree_batch(trees)
-    vectors, depth = _cophenetic(batch, m)
+    vectors, depth = _cophenetic(batch.position, batch.depth, batch.sep, batch.count[0])
     tol = default_tolerance(vectors)
     top = depth.max(axis=1)
     bound = (top - depth.min(axis=1)) * (1 + 2.0**-50) + top * 2.0**-49
@@ -386,13 +414,11 @@ def topology_signature(trees):
     packed rows (a 0 bit per member) lists them in signature order.
     """
     batch, m, batched = _tree_batch(trees)
-    nodes = np.array([len(tree._parent) for tree in batch])
-    labels = list(itertools.chain.from_iterable(tree._labels for tree in batch))
-    vocabulary = sorted(set(labels))
-    rank = np.fromiter(map(dict(zip(vocabulary, itertools.count())).__getitem__, labels), np.intp, len(labels))
+    parent, nodes, labels = _fields(batch, ("parent", "nodes", "labels"))
+    vocabulary, rank = np.unique(labels, return_inverse=True)  # sorted as str compares
     width = nodes.max()
     key = np.full((len(batch), width + m), -2)
-    key[:, :width][np.arange(width) < nodes[:, None]] = np.concatenate([tree._parent for tree in batch])
+    key[:, :width][np.arange(width) < nodes[:, None]] = parent
     key[:, width:] = rank.reshape(-1, m)
     _, first, inverse = np.unique(_row_keys(key), return_index=True, return_inverse=True)
     nodes = nodes[first]
@@ -409,7 +435,7 @@ def topology_signature(trees):
     ends = np.append(clade[1:] != clade[:-1], True)  # the last label of its clade
     followed = np.append(tree[1:] == tree[:-1], False)[clade]  # by a clade of the same tree
     tokens = np.empty(2 * len(clade), dtype=object)
-    tokens[0::2] = np.array(vocabulary, dtype=object)[column]
+    tokens[0::2] = vocabulary[column]
     tokens[1::2] = _SEPARATORS[ends * (1 + followed)]
     tokens = tokens.tolist()
     cuts = (2 * np.flatnonzero(ends & ~followed) + 2).tolist()
@@ -442,6 +468,7 @@ def topology_signature(trees):
 # first error is reported; the others become trees.
 
 _PAD = 3  # blanks after the text, so that looking ahead past its end stays in bounds
+_PARSE_CHUNK = 1 << 16  # characters per parser chunk; each costs ~150 numpy calls, and 2^17 cost ~5% peak memory
 _BLANK, _LABEL, _DIGIT, _SIGN, _EXP = 1, 2, 4, 8, 16
 _WORD = _LABEL | _DIGIT | _SIGN
 
@@ -638,7 +665,8 @@ def _scan(codes: np.ndarray, flags: np.ndarray, ends: np.ndarray):
 def _parse(codes: np.ndarray, flags: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     """Parse the Newick texts codes[starts[k]:ends[k]] together, laid out as _scan reads them.
 
-    Returns (trees, errors), lists of (k, PhyloTree) and (k, NewickError)
+    Returns (lines, batch, errors): the k of the texts that parse, in
+    increasing order, the _Batch of their trees, and (k, NewickError)
     pairs in increasing k; error offsets count from starts[k].  A text's
     error is the first the grammar meets, so it is where a parser reading
     the text token by token stops.  A text that parses but has duplicate
@@ -676,7 +704,7 @@ def _parse(codes: np.ndarray, flags: np.ndarray, starts: np.ndarray, ends: np.nd
     # last earlier '(' one level up, which is also the '(' a ')' closes
     keep = ok[owner]
     order = (np.cumsum(keep) - 1)[order[keep[order]]]
-    labels = list(itertools.compress(labels, keep))
+    labels = np.array(labels, dtype=object)[keep]
     ids = ids[keep]
     node = np.flatnonzero(ok[tline] & ((tk == _OPEN) | (tk == _LEAF) | (tk == _CLOSE)))
     nk, nlevel, npos = tk[node], level[node], pos[node]
@@ -696,28 +724,22 @@ def _parse(codes: np.ndarray, flags: np.ndarray, starts: np.ndarray, ends: np.nd
     node_length[index[enclosing[nk == _CLOSE]]] = length[node[nk == _CLOSE]]
     leaves = index[nk == _LEAF] - np.repeat(node_start, count)
     leaf_start = np.cumsum(count) - count
-    names = list(map(vocabulary.__getitem__, ids[order].tolist()))
-    bounds = list(zip(leaf_start.tolist(), (leaf_start + count).tolist()))
+    names = np.array(vocabulary, dtype=object)[ids[order]]
     with np.errstate(over="ignore"):
-        trees, depth = _records(
-            parent, node_length, leaves, order - np.repeat(leaf_start, count), nodes, count,
-            [labels[lo:hi] for lo, hi in bounds], [names[lo:hi] for lo, hi in bounds],
-        )
-        deepest = np.maximum.reduceat(depth, leaf_start) if len(trees) else depth
+        batch = _batch(parent, node_length, leaves, order - np.repeat(leaf_start, count), nodes, count, labels, names)
+        deepest = np.maximum.reduceat(batch.depth, leaf_start) if len(nodes) else batch.depth
         # the longest leaf-to-leaf path joins the two deepest leaves, and it can
         # overflow only where twice the deepest depth does
         doubled = 2.0 * deepest
-    lines = np.flatnonzero(ok).tolist()
+    lines = np.flatnonzero(ok)
     for t in np.flatnonzero(doubled == math.inf).tolist():
-        k = lines[t]
+        k = int(lines[t])
         if deepest[t] == math.inf:
             errors[k] = ("non-finite root-to-leaf depth", terminator[k])
-        elif sum(sorted(depth[slice(*bounds[t])].tolist())[-2:]) == math.inf:
+        elif sum(sorted(batch.depth[leaf_start[t]:leaf_start[t] + count[t]].tolist())[-2:]) == math.inf:
             errors[k] = ("non-finite leaf-to-leaf path length", terminator[k])
-    return (
-        [(k, tree) for k, tree in zip(lines, trees) if k not in errors],
-        [(k, NewickError(*errors[k])) for k in sorted(errors)],
-    )
+    kept = ~np.isin(lines, list(errors))
+    return lines[kept].tolist(), _take(batch, kept), [(k, NewickError(*errors[k])) for k in sorted(errors)]
 
 
 def parse_newick(text: str) -> PhyloTree:
@@ -732,10 +754,17 @@ def parse_newick(text: str) -> PhyloTree:
     unlimited.
     """
     codes = _codes(text)
-    trees, errors = _parse(codes, _flags(codes), np.array([0]), np.array([len(text)]))
+    _, batch, errors = _parse(codes, _flags(codes), np.array([0]), np.array([len(text)]))
     if errors:
         raise errors[0][1]
-    return trees[0][1]
+    return _trees(batch)[0]
+
+
+def _concat(batches: list[_Batch]) -> _Batch:
+    """Batches laid end to end; no batches give a batch of no trees."""
+    if not batches:
+        return _batch(np.zeros(0, np.intp), np.zeros(0), *[np.zeros(0, np.intp)] * 4, *[np.zeros(0, object)] * 2)
+    return _Batch(*map(np.concatenate, zip(*batches)))
 
 
 def load_newick_file(path) -> tuple[list[tuple[int, PhyloTree]], list[tuple[int, NewickError]]]:
@@ -745,7 +774,9 @@ def load_newick_file(path) -> tuple[list[tuple[int, PhyloTree]], list[tuple[int,
     1-based line numbers.  The file is UTF-8, and a leading byte-order mark
     is skipped.  Lines end at '\n', '\r\n' or '\r' and are stripped by
     str.strip(); the lines kept are joined by '\n' and parsed by one _parse
-    call per chunk.
+    call per chunk of about _PARSE_CHUNK characters into one flat _Batch,
+    which the trees are views of, in order, so _joined gives it back
+    without a copy.
     """
     with open(path, "rb") as handle:
         text = handle.read().decode("utf-8").removeprefix("\ufeff")
@@ -757,16 +788,17 @@ def load_newick_file(path) -> tuple[list[tuple[int, PhyloTree]], list[tuple[int,
     starts = ends - size
     codes = _codes("\n".join(lines))
     flags = _flags(codes)
-    trees, errors = [], []
-    # lines go in chunks of about _CHUNK_ELEMENTS characters, which bounds the parser's temporaries
-    cuts = np.unique(np.searchsorted(starts, np.arange(0, len(codes), _CHUNK_ELEMENTS)))
+    tree_numbers, batches, errors = [], [], []
+    # lines go in chunks of about _PARSE_CHUNK characters, which bounds the parser's temporaries
+    cuts = np.unique(np.searchsorted(starts, np.arange(0, len(codes), _PARSE_CHUNK)))
     bounds = np.append(cuts[cuts < len(starts)], len(starts)).tolist()
     for lo, hi in zip(bounds, bounds[1:]):
         a, b = starts[lo], ends[hi - 1] + _PAD
-        chunk_trees, chunk_errors = _parse(codes[a:b], flags[a:b], starts[lo:hi] - a, ends[lo:hi] - a)
-        trees += [(numbers[lo + k], tree) for k, tree in chunk_trees]
+        chunk_lines, batch, chunk_errors = _parse(codes[a:b], flags[a:b], starts[lo:hi] - a, ends[lo:hi] - a)
+        tree_numbers += [numbers[lo + k] for k in chunk_lines]
+        batches.append(batch)
         errors += [(numbers[lo + k], err) for k, err in chunk_errors]
-    return trees, errors
+    return list(zip(tree_numbers, _trees(_concat(batches)))), errors
 
 
 # ---------------------------------------------------------------------------
@@ -1094,9 +1126,9 @@ def reconstruct_tree(u, names: Sequence[str] | None = None, tol: float | None = 
     if not records:  # an empty batch has no chunks
         return []
     parent, length, nodes, leaves, ids, position = records
-    labels = np.array(names, dtype=object)[ids].tolist()
-    trees, _ = _records(parent, length, leaves.ravel(), position.ravel(), nodes, np.full_like(nodes, len(names)),
-                        labels, [list(names) for _ in nodes])
+    names = np.array(names, dtype=object)
+    trees = _trees(_batch(parent, length, leaves.ravel(), position.ravel(), nodes, np.full_like(nodes, len(names)),
+                          names[ids.ravel()], np.tile(names, len(nodes))))
     return trees if batched else trees[0]
 
 

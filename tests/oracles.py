@@ -42,8 +42,9 @@ from troppca.pca import TIE_RTOL, TropicalPolytope, _sample_matrix
 from troppca.tropical import _as_point, canonicalize
 from troppca.treespace import (
     NewickError,
+    _batch,
     _label_problem,
-    _records,
+    _trees,
     PhyloTree,
     default_leaf_names,
     default_tolerance,
@@ -116,12 +117,12 @@ def record(parent, length, leaves, labels, leaf_names=None) -> PhyloTree:
     """
     names = sorted(labels) if leaf_names is None else list(leaf_names)
     place = {name: k for k, name in enumerate(labels)}
-    trees, _ = _records(
+    batch = _batch(
         np.array(parent, dtype=np.intp), np.array(length, dtype=float), np.array(leaves, dtype=np.intp),
         np.array([place[name] for name in names], dtype=np.intp), np.array([len(parent)]),
-        np.array([len(leaves)]), [list(labels)], [names],
+        np.array([len(leaves)]), np.array(labels, dtype=object), np.array(names, dtype=object),
     )
-    return trees[0]
+    return _trees(batch)[0]
 
 
 def node_view(tree: PhyloTree) -> Node:

@@ -238,6 +238,54 @@ class TestThreePointWork:
         assert sum(checked_rows) == 50
 
 
+class TestViewIngest:
+    """Ingest and check make one PhyloTree view per tree read and take every array from the file's one batch.
+
+    A view reads its own part of a batch field (PhyloTree._part) only when
+    something works tree by tree or lays trees' records end to end again.
+    """
+
+    @pytest.fixture
+    def spied(self, monkeypatch):
+        calls = {"views": 0, "parts": 0}
+        init, part = troppca.treespace.PhyloTree.__init__, troppca.treespace.PhyloTree._part
+
+        def counting_init(tree, *args):
+            calls["views"] += 1
+            init(tree, *args)
+
+        def counting_part(tree, field):
+            calls["parts"] += 1
+            return part(tree, field)
+
+        monkeypatch.setattr(troppca.treespace.PhyloTree, "__init__", counting_init)
+        monkeypatch.setattr(troppca.treespace.PhyloTree, "_part", counting_part)
+        return calls
+
+    def test_load_sample_reads_the_batch(self, sample_file, spied):
+        for flags in ((False, False), (True, False), (False, True), (True, True)):
+            _, _, vectors = _load_sample(sample_file, *flags)
+            assert vectors.shape == (40, 10)
+        assert spied == {"views": 4 * 40, "parts": 0}
+        assert load_newick_file(sample_file)[0][0][1].leaf_names
+        assert spied == {"views": 5 * 40, "parts": 1}  # the spies see the library path
+
+    def test_check_reads_the_batch(self, tmp_path, sample_file, spied, capsys):
+        assert main(["check", "--input", str(sample_file)]) == 0
+        assert spied == {"views": 40, "parts": 0}
+        mixed = tmp_path / "mixed.nwk"
+        mixed.write_text("(a:1,b:1,c:1);\n((a:1,b:1):1,(c:1,d:1):1);\n(a:1,b:1;\n((a:1,b:2):1,c:3);\n")
+        assert main(["check", "--input", str(mixed)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[-5:] == [
+            "line 1: m=3 height=1 equidistant=yes (gap=0) ultrametric=yes (violation=0)",
+            "line 2: m=4 height=2 equidistant=yes (gap=0) ultrametric=yes (violation=0)",
+            "line 3: parse error: expected ',' or ')' at offset 8",
+            "line 4: m=3 height=3 equidistant=no (gap=1) ultrametric=no (violation=1)",
+            "checked 3 trees: 2 equidistant, 2 ultrametric, 1 parse errors",
+        ]
+
+
 class TestFit:
     def test_fit_writes_model_and_trace(self, tmp_path, sample_file, capsys):
         model_path, trace_path = fit_model(tmp_path, sample_file, **{"--iters": "100"})
@@ -598,6 +646,7 @@ class TestModelFile:
             "huge integer coordinate",
             "ragged vertices",
             "boolean vertex",
+            "boolean coordinate",
             "string m",
             "null config",
             "list trace_summary",
@@ -620,6 +669,8 @@ class TestModelFile:
             doc["vertices"][1].pop()
         elif edit == "boolean vertex":
             doc["vertices"][2] = [True] * len(doc["vertices"][2])
+        elif edit == "boolean coordinate":
+            doc["vertices"][1][3] = True
         elif edit == "string m":
             doc["m"] = "5"
         elif edit == "null config":

@@ -36,13 +36,15 @@ from oracles import (
     walk_topology_signature,
 )
 import troppca.treespace
-from troppca.cli import _positive_representatives
+from troppca.cli import CliError, _load_sample, _positive_representatives
 from troppca.pca import FitConfig, _validate_ultrametric_rows, fit, project_to_polytope
 from troppca.tropical import trop_dist
 from troppca.treespace import (
     _CHUNK_ELEMENTS,
+    _PARSE_CHUNK,
     _checked_vectors,
     _dendrogram_newick,
+    _joined,
     _newick,
     NewickError,
     cophenetic_vector,
@@ -50,6 +52,7 @@ from troppca.treespace import (
     default_tolerance,
     is_ultrametric,
     leaf_count_from_dim,
+    leaf_depths,
     load_newick_file,
     parse_newick,
     project_to_treespace,
@@ -415,12 +418,14 @@ class TestNewickAgainstRecursiveOracle:
 
 
 @st.composite
-def newick_files(draw) -> str:
+def newick_files(draw, shared: bool = False) -> str:
     r"""Text of a Newick file: trees, one-character edits of them, comments and blanks.
 
     Line ends are '\n', '\r\n' or '\r', and lines may end in whitespace
-    that str.strip() removes but the grammar does not allow.
+    that str.strip() removes but the grammar does not allow.  With shared,
+    every tree has the same leaf labels.
     """
+    labels = draw(LABELS) if shared else None
     lines = []
     for _ in range(draw(st.integers(1, 8))):
         shape = draw(st.sampled_from(["tree", "tree", "edit", "edit", "comment", "blank"]))
@@ -429,7 +434,7 @@ def newick_files(draw) -> str:
         elif shape == "blank":
             line = draw(st.sampled_from(["", " ", "\t", "\x0c", "\xa0"]))
         else:
-            line = draw(newick_texts(draw(LABELS)))
+            line = draw(newick_texts(labels or draw(LABELS)))
             if shape == "edit":
                 at = draw(st.integers(0, len(line)))
                 if draw(st.booleans()) or at == len(line):
@@ -478,7 +483,7 @@ def file_spanning_chunks(wide: bool) -> tuple[str, int]:
     Every chunk holds '#' and blank lines, '\r\n' and '\r' line ends,
     surrounding whitespace and malformed lines.  In the kept lines joined
     by '\n', a line ending in a digit starts just before each of the first
-    three multiples of _CHUNK_ELEMENTS, and the next line, which starts at
+    three multiples of _PARSE_CHUNK, and the next line, which starts at
     the multiple, begins with digits.  wide adds non-ASCII lines, so the
     file is read as four-byte code points.
     """
@@ -503,26 +508,44 @@ def file_spanning_chunks(wide: bool) -> tuple[str, int]:
             if k % 11 == 0:
                 lines.append(" \t\x0c")
 
-    for mark in range(_CHUNK_ELEMENTS, 4 * _CHUNK_ELEMENTS, _CHUNK_ELEMENTS):
+    for mark in range(_PARSE_CHUNK, 4 * _PARSE_CHUNK, _PARSE_CHUNK):
         fill(mark - 60)
         add("x" * (mark - 18 - kept))  # a malformed line
         add("((a:1,b:1):1,c:2")  # starts 17 before the mark
         add("12")
-    fill(3 * _CHUNK_ELEMENTS + 300)
+    fill(3 * _PARSE_CHUNK + 300)
     ends = ["\n", "\r\n", "\r", "\n"]
     return "".join(line + ends[k % len(ends)] for k, line in enumerate(lines)), kept
+
+
+def write_file(folder, text: str) -> str:
+    path = os.path.join(folder, "trees.nwk")
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+    return path
+
+
+def loaded(path) -> tuple[list, list]:
+    """load_newick_file's result as plain values: (line, labels, leaf names, record) and (line, message, offset)."""
+    trees, errors = load_newick_file(path)
+    return ([(number, tree._labels.tolist(), tree.leaf_names, tree._parent.tobytes(), tree._length.tobytes(),
+              tree._leaf_depth.tobytes(), tree._sep_depth.tobytes()) for number, tree in trees],
+            [(number, str(err), err.offset) for number, err in errors])
 
 
 class TestNewickFileAgainstLineOracle:
     """The whole-file parser against the recursive parser applied line by line."""
 
     @given(newick_files())
+    @example("(a:1,b:1,c:1);\n(a,b);\n((a:1,b:1):1,c:2);\n# x\n(a:2,b:2,c:2);\n")
     def test_files_parse_like_the_line_oracle(self, text):
         with tempfile.TemporaryDirectory() as folder:
-            path = os.path.join(folder, "trees.nwk")
-            with open(path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
+            path = write_file(folder, text)
             assert_file_parses_like_the_oracle(path)
+            expected = loaded(path)
+            for chunk in (64, len(text) + 64):  # chunks of a line or two, and one chunk
+                with mock.patch.object(troppca.treespace, "_PARSE_CHUNK", chunk):
+                    assert loaded(path) == expected
 
     @pytest.mark.parametrize(
         "text",
@@ -542,12 +565,16 @@ class TestNewickFileAgainstLineOracle:
     @pytest.mark.parametrize("wide", [False, True], ids=["ascii", "wide"])
     def test_file_spanning_several_chunks(self, tmp_path, wide):
         text, kept = file_spanning_chunks(wide)
-        assert kept > 3 * _CHUNK_ELEMENTS  # so the parser reads it in at least 4 chunks
+        assert kept > 3 * _PARSE_CHUNK  # so the parser reads it in at least 4 chunks
         path = tmp_path / "trees.nwk"
         path.write_bytes(text.encode("utf-8"))
         assert_file_parses_like_the_oracle(path)
         trees, errors = load_newick_file(path)
         assert len(trees) > 1000 and len(errors) > 100
+        expected = loaded(path)
+        for chunk in (1000, 10**7):  # about 400 chunks, and one
+            with mock.patch.object(troppca.treespace, "_PARSE_CHUNK", chunk):
+                assert loaded(path) == expected
 
     def test_deep_trees_through_a_file(self, tmp_path):
         deep = TestDeepTrees()
@@ -560,6 +587,102 @@ class TestNewickFileAgainstLineOracle:
         assert np.array_equal(trees[0][1].cophenetic_vector(), expected)
         assert np.array_equal(trees[1][1].cophenetic_vector(), [2.0, 4.0, 4.0])
         assert np.array_equal(cophenetic_vector([trees[0][1], trees[2][1]]), [expected, expected])
+
+
+def library_sample(path, project_inputs: bool, normalize_height: bool):
+    """_load_sample by the public tree API, PhyloTree by PhyloTree, with the CLI's error texts.
+
+    load_newick_file, then scale_trees to height 1 if asked, then
+    cophenetic_vector, then project_to_treespace of the rows that fail the
+    exact three-point check at the default tolerance.  Scaling and vectors
+    go one tree at a time, so no tree hands over its whole batch's arrays.
+    """
+    trees, errors = load_newick_file(path)
+    if errors:
+        raise CliError("; ".join(f"line {ln}: {err}" for ln, err in errors))
+    if not trees:
+        raise CliError(f"no trees found in {path}")
+    (first_ln, first), batch = trees[0], [tree for _, tree in trees]
+    for ln, tree in trees[1:]:
+        if tree.leaf_names != first.leaf_names:
+            missing = ", ".join(sorted(set(first.leaf_names) - set(tree.leaf_names))) or "none"
+            extra = ", ".join(sorted(set(tree.leaf_names) - set(first.leaf_names))) or "none"
+            raise CliError(f"line {ln}: leaf set differs from line {first_ln} (missing: {missing}; extra: {extra})")
+    if normalize_height:
+        heights = np.array([tree.height() for tree in batch])
+        with np.errstate(divide="ignore", over="ignore"):
+            factors = 1.0 / heights
+        for (ln, _), height, factor in zip(trees, heights, factors):
+            if not np.isfinite(factor):
+                raise CliError(f"line {ln}: cannot normalize a tree of height {height:.3g}")
+        batch = [scale_trees([tree], [factor])[0] for tree, factor in zip(batch, factors)]
+    vectors = np.stack([cophenetic_vector(tree) for tree in batch])
+    bad = ~is_ultrametric(vectors)
+    if bad.any():
+        if not project_inputs:
+            offenders = ", ".join(str(ln) for (ln, _), b in zip(trees, bad) if b)
+            raise CliError(f"non-ultrametric input trees at lines {offenders};"
+                           " rerun with --project-inputs to project them onto tree space")
+        vectors[bad] = project_to_treespace(vectors[bad])
+    return first.leaf_names, [ln for ln, _ in trees], vectors
+
+
+def sample_outcome(load, path, flags):
+    """What load(path, *flags) returns, with the vectors as bytes, or the text of the CliError it raises."""
+    try:
+        labels, lines, vectors = load(path, *flags)
+    except CliError as err:
+        return str(err)
+    return labels, lines, vectors.shape, vectors.tobytes()
+
+
+class TestFlatIngest:
+    """The CLI's ingest from flat records against the library path through PhyloTree objects."""
+
+    @settings(max_examples=100)
+    @given(st.one_of(newick_files(), newick_files(shared=True)),
+           st.sampled_from([(False, False), (True, False), (False, True), (True, True)]))
+    @example("((a:1,b:1):1,c:2);\n((a:1,c:1):2,b:3);\n# x\n(a:1,b:2,c:5);\n", (True, True))
+    @example("((a:1,b:1):1,c:2);\n((a:1,c:1):2,b:3);\n(a:1,b:2,c:5);\n", (False, True))
+    @example("(a:1,b:1,c:1);\n(a,b,c);\n", (False, True))
+    @example("(a,b,c);\n(a,b,c,d);\n(a,b,e);\n", (False, False))
+    @example("(a,b,c,d);\n(a,b,c);\n", (False, False))
+    @example("# only a comment\n", (False, False))
+    def test_load_sample_matches_the_library_path(self, text, flags):
+        with tempfile.TemporaryDirectory() as folder:
+            path = write_file(folder, text)
+            assert sample_outcome(_load_sample, path, flags) == sample_outcome(library_sample, path, flags)
+
+
+class TestTreeViews:
+    """Trees are views of one batch: all of its trees in order hand over its own arrays, other sequences a copy."""
+
+    @pytest.fixture
+    def trees(self, tmp_path):
+        path = tmp_path / "trees.nwk"
+        lines = [tree.to_newick() for tree in reconstruct_tree(random_ultrametrics(6, 12, 3))]
+        path.write_text("\n".join([*lines, "((a:1,b:2):1,(c:1,d:1,e:1,f:1):2);"]) + "\n")
+        return [tree for _, tree in load_newick_file(path)[0]]
+
+    def test_all_trees_in_order_give_the_batch_itself(self, trees):
+        batch = trees[0]._batch
+        assert all(field is getattr(batch, name) for name, field in zip(batch._fields, _joined(trees)))
+        assert _joined(trees[1:]).nodes is not batch.nodes
+
+    def test_every_sequence_gives_the_values_of_its_trees(self, trees):
+        other = parse_newick("(((x:1,y:1):1,z:2):1,(u:2,v:2,w:2):1);")
+        for sequence in (trees, trees[::-1], trees[1:], [trees[3], trees[3]], [*trees[:5], other], [other]):
+            assert np.array_equal(cophenetic_vector(sequence), np.stack([tree.cophenetic_vector() for tree in sequence]))
+            assert np.array_equal(leaf_depths(sequence), np.stack([leaf_depths(tree) for tree in sequence]))
+            assert topology_signature(sequence) == [topology_signature(tree) for tree in sequence]
+            scaled = scale_trees(sequence, np.arange(len(sequence)) + 0.5)
+            assert [tree.to_newick() for tree in scaled] == [tree.scaled(k + 0.5).to_newick()
+                                                             for k, tree in enumerate(sequence)]
+
+    def test_leaf_depths_are_a_copy(self, trees):
+        heights = [tree.height() for tree in trees]
+        leaf_depths(trees)[:] = -1.0
+        assert [tree.height() for tree in trees] == heights
 
 
 class TestIsUltrametric:
@@ -1230,7 +1353,7 @@ class TestScreenedChecks:
     def test_depth_screen_decides_like_the_check(self, trees):
         with np.errstate(invalid="ignore"):  # inf - inf in the check of overflowed rows
             with CheckedRows() as spy:
-                vectors, ok = _checked_vectors(trees)
+                vectors, ok = _checked_vectors(_joined(trees))
             assert np.array_equal(ok, is_ultrametric(vectors))
             spy.assert_checked(vectors)
         assert np.array_equal(vectors, cophenetic_vector(trees), equal_nan=True)
@@ -1238,7 +1361,7 @@ class TestScreenedChecks:
     def test_depth_screen_passes_depths_far_apart_through_the_check(self):
         trees = [parse_newick("((a:1,b:1):1,c:5);"), parse_newick("((a:1,b:1):1,c:2);")]
         with CheckedRows() as spy:
-            vectors, ok = _checked_vectors(trees)
+            vectors, ok = _checked_vectors(_joined(trees))
         assert ok.tolist() == [True, True]
         assert np.array_equal(spy.rows, vectors[:1])  # only the first fails the screen
 
