@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .treespace import (
-    _CHUNK_ELEMENTS,
     _chunks,
     _seed,
     _three_point,
@@ -150,17 +149,17 @@ def project_to_polytope(sample, polytope: TropicalPolytope) -> tuple[np.ndarray,
     each vertex's minimizing coordinate, and is a closest polytope point to
     u in the tropical metric.  sample is one vector (w has shape (e,) and
     lam (s,)) or an (n, e) batch (w is (n, e) and lam (n, s), row by row);
-    rows go in chunks of about _CHUNK_ELEMENTS entries of u - D, but of at
-    least 64.  The kernel runs on each chunk's (e, rows) transpose in
-    _kernel_order for the chunk's shape: observation-major, the transpose of
-    C-ordered rows is used as it is and w is written straight into the
-    result; pair-major, the chunk is copied into its transpose and w is
-    transposed back.
+    rows go in chunks of about treespace._CHUNK_ELEMENTS (2^18) entries of
+    u - D, s e per row, but of at least 64 rows.  The kernel runs on each
+    chunk's (e, rows) transpose in _kernel_order for the chunk's shape:
+    observation-major, the transpose of C-ordered rows is used as it is and
+    w is written straight into the result; pair-major, the chunk is copied
+    into its transpose and w is transposed back.
     """
     v = polytope.vertices
     rows = _sample_matrix(sample, polytope.e)
     lam, w = np.empty((len(rows), polytope.s)), np.empty(rows.shape)
-    for part in _chunks(len(rows), min(v.size, _CHUNK_ELEMENTS // 64)):
+    for part in _chunks(len(rows), v.size, 64):
         ut = _stored(rows[part]).T
         pair_major = _kernel_order(*ut.shape) == "C"
         lam_t, cand = np.empty((len(v), ut.shape[1])), np.empty_like(ut)

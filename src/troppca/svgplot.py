@@ -79,10 +79,10 @@ def scatter_svg(
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
-    def sx(value: float) -> float:
+    def sx(value):  # a float or an array of them
         return _MARGIN_LEFT + (value - x0) / (x1 - x0) * plot_w
 
-    def sy(value: float) -> float:
+    def sy(value):
         return _HEIGHT - _MARGIN_BOTTOM - (value - y0) / (y1 - y0) * plot_h
 
     parts = [
@@ -123,9 +123,10 @@ def scatter_svg(
         f'font-size="13" transform="rotate(-90 {cx} {cy:.1f})">{_escape(ylabel)}</text>'
     )
 
-    for px, py, color in zip(x, y, colors):
+    # sx and sy over whole arrays: the same float operations in the same order
+    for px, py, color in zip(sx(x).tolist(), sy(y).tolist(), colors):
         parts.append(
-            f'<circle cx="{sx(px):.2f}" cy="{sy(py):.2f}" r="4" fill="{color}" '
+            f'<circle cx="{px:.2f}" cy="{py:.2f}" r="4" fill="{color}" '
             f'fill-opacity="0.75" stroke="none"/>'
         )
 

@@ -275,7 +275,7 @@ def cophenetic_vector(trees) -> np.ndarray:
     minimum of separator depths over leaf order and selects the ancestor's
     own depth.  Every entry is thus the same sum of the same floats as a
     walk over the tree gives.  Rows go in chunks of about _CHUNK_ELEMENTS
-    range-table entries.
+    (2^18) range-table entries, m^2 per row.
     """
     batch, m, batched = _tree_batch(trees)
     out = _cophenetic(*_fields(batch, ("position", "depth", "sep")), m)[0]
@@ -415,7 +415,11 @@ def topology_signature(trees):
     """
     batch, m, batched = _tree_batch(trees)
     parent, nodes, labels = _fields(batch, ("parent", "nodes", "labels"))
-    vocabulary, rank = np.unique(labels, return_inverse=True)  # sorted as str compares
+    labels = labels.tolist()
+    vocabulary = sorted(set(labels))  # by str comparison, as np.unique sorts
+    index = {label: k for k, label in enumerate(vocabulary)}
+    rank = np.fromiter(map(index.__getitem__, labels), dtype=np.intp, count=len(labels))
+    vocabulary = np.array(vocabulary, dtype=object)
     width = nodes.max()
     key = np.full((len(batch), width + m), -2)
     key[:, :width][np.arange(width) < nodes[:, None]] = parent
@@ -806,8 +810,22 @@ def load_newick_file(path) -> tuple[list[tuple[int, PhyloTree]], list[tuple[int,
 
 
 # Rows per kernel chunk are chosen so that each temporary holds about this
-# many elements; chunks of 2^17 elements and up run 2-3x slower at m=60.
-_CHUNK_ELEMENTS = 1 << 15
+# many elements (2 MB of floats).  Each chunk repeats an m-step loop (Prim's
+# steps, the middle leaves), so small chunks pay it many times: swept from
+# 2^15 to 2^20 at m = 8, 10, 60 and 100 with n = 50 and 400, the tree-space
+# kernels ran fastest at 2^18 and 2^19, 1.1-3x faster than at 2^15 at m >= 60
+# (within noise of it at m <= 10), and slowed again at 2^20 at m = 60; 2^18
+# has the smaller temporaries.  The largest temporary of a chunk is
+# ultrametric_violation's (m, m, rows) buffer, which holds about 4x this.
+_CHUNK_ELEMENTS = 1 << 18
+# The kernels keep rows last, so numpy's inner loops run along a chunk's rows;
+# at large m a chunk of a few rows runs slower per row than one row, whose
+# loops run along the leaves (at m = 300, the three-point check took 1.9x as
+# long in chunks of 11 rows as in chunks of one, and reconstruct_tree 1.9x in
+# chunks of 2).  So a chunk that would hold fewer rows than this holds one: at
+# the default budget, those of the m^2-per-row kernels at m > 128 and those of
+# the three-point check at m > 257.
+_FEWEST_ROWS = 16
 
 
 def _as_rows(u) -> tuple[np.ndarray, int, bool]:
@@ -819,9 +837,10 @@ def _as_rows(u) -> tuple[np.ndarray, int, bool]:
     return rows, leaf_count_from_dim(rows.shape[1]), u.ndim == 2
 
 
-def _chunks(n: int, row_elements: int):
-    """Row slices covering range(n), each about _CHUNK_ELEMENTS / row_elements rows."""
-    step = max(1, _CHUNK_ELEMENTS // row_elements)
+def _chunks(n: int, row_elements: int, least: int = 1):
+    """Row slices covering range(n) of _CHUNK_ELEMENTS // row_elements rows, or 1 below _FEWEST_ROWS, or least if more."""
+    fit = _CHUNK_ELEMENTS // row_elements
+    step = max(least, fit if fit >= _FEWEST_ROWS else 1)
     return (slice(lo, lo + step) for lo in range(0, n, step))
 
 
@@ -841,8 +860,9 @@ def ultrametric_violation(u):
     The triples i < j < k are taken by middle leaf j: with the rows laid
     out as the upper triangle of an (m, m, rows) array d, the pairs ij, ik
     and jk of all of them are the slices d[:j, j], d[:j, j+1:] and
-    d[j, j+1:].  Rows go in chunks of about _CHUNK_ELEMENTS triples of the
-    largest middle leaf, (m-1)^2/4 of them.
+    d[j, j+1:].  Rows go in chunks of about _CHUNK_ELEMENTS (2^18) triples
+    of the largest middle leaf, (m-1)^2/4 per row, so d holds about four
+    times that many entries.
     """
     rows, m, batched = _as_rows(u)
     iu, ju = np.triu_indices(m, 1)  # the pair order, as row and column indices
@@ -948,7 +968,8 @@ def project_to_treespace(x) -> np.ndarray:
     coordinatewise, fixes ultrametric inputs, minimizes the tropical
     distance to x over tree space, and holds only entries of x.  x is one
     vector or an (n, e) batch, one vector per row, and the result has its
-    shape; rows go in chunks of about _CHUNK_ELEMENTS matrix entries.
+    shape; rows go in chunks of about _CHUNK_ELEMENTS (2^18) matrix
+    entries, m^2 per row.
     """
     rows, m, batched = _as_rows(x)
     if not np.all(np.isfinite(rows)):
@@ -1052,7 +1073,8 @@ def _three_point(rows: np.ndarray, m: int, tol) -> tuple[np.ndarray, list]:
     bit.  A row keeps that maximum where it is within a finite tol; the
     others get ultrametric_violation itself, so every decision and every
     value beyond tol is the exact check's.  prims holds (part, order,
-    joined, step) per chunk of about _CHUNK_ELEMENTS matrix entries.
+    joined, step) per chunk of about _CHUNK_ELEMENTS (2^18) matrix
+    entries, m^2 per row.
     """
     tol = np.broadcast_to(tol, (len(rows),))
     violation = np.empty(len(rows))

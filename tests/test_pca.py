@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import troppca.pca
+import troppca.treespace
 from oracles import (
     broadcast_objective,
     broadcast_projection,
@@ -35,7 +37,21 @@ from troppca.pca import (
     subgradient,
 )
 from troppca.tropical import trop_dist
-from troppca.treespace import _CHUNK_ELEMENTS, project_to_treespace, random_ultrametrics, ultrametric_violation
+from troppca.treespace import project_to_treespace, random_ultrametrics, ultrametric_violation
+
+# A row budget small enough that the batches below span several row chunks of
+# project_to_polytope; at the default budget each of them is one chunk.
+SMALL_CHUNK = 1 << 15
+
+
+def small_chunks():
+    """Patches the row kernels' budget, which project_to_polytope reads from treespace, down to SMALL_CHUNK."""
+    return mock.patch.object(troppca.treespace, "_CHUNK_ELEMENTS", SMALL_CHUNK)
+
+
+def chunk_rows(vertices: np.ndarray) -> int:
+    """Observations per row chunk of project_to_polytope over these vertices, at the budget in force."""
+    return max(troppca.treespace._CHUNK_ELEMENTS // vertices.size, 64)
 
 
 def finite_difference_gradient(sample, vertices, h=1e-6):
@@ -188,10 +204,11 @@ class TestBatchedProjection:
     def test_equal_to_broadcast_formulas(self, instance):
         self.assert_broadcast_match(*instance)
 
+    @small_chunks()
     def test_batch_spanning_several_chunks(self):
         vertices = random_ultrametrics(10, 3, seed=60)
         sample = random_ultrametrics(10, 700, seed=61)
-        assert len(sample) >= 2 * (_CHUNK_ELEMENTS // vertices.size)
+        assert len(sample) >= 2 * chunk_rows(vertices)
         self.assert_rows_match(sample, vertices)
         self.assert_rows_match(np.round(sample, 1), np.round(vertices, 1))
         for tied in (1, 4):  # rounded to a grid, so the min and max selections tie
@@ -461,11 +478,11 @@ class TestPairMajorKernel:
     @given(st.integers(3, 8), st.integers(2, 6), st.integers(0, 2**16), st.booleans(), LAYOUTS)
     def test_projection_across_row_chunks(self, m, s, seed, grid, layout):
         vertices = random_ultrametrics(m, min(s, m * (m - 1) // 2), seed=seed)
-        rows = max(_CHUNK_ELEMENTS // vertices.size, 64)  # observations per chunk
-        sample = random_ultrametrics(m, 2 * rows + 7, seed=seed + 1)
-        if grid:
-            vertices, sample = np.round(8 * vertices) / 8, np.round(8 * sample) / 8
-        w, lam = project_to_polytope(laid_out(sample, layout), TropicalPolytope(vertices))
+        with small_chunks():
+            sample = random_ultrametrics(m, 2 * chunk_rows(vertices) + 7, seed=seed + 1)
+            if grid:
+                vertices, sample = np.round(8 * vertices) / 8, np.round(8 * sample) / 8
+            w, lam = project_to_polytope(laid_out(sample, layout), TropicalPolytope(vertices))
         _, ref_lam, ref_w = row_projection(sample, vertices)
         assert np.array_equal(w, ref_w) and np.array_equal(lam, ref_lam)
 

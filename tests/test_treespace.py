@@ -37,10 +37,9 @@ from oracles import (
 )
 import troppca.treespace
 from troppca.cli import CliError, _load_sample, _positive_representatives
-from troppca.pca import FitConfig, _validate_ultrametric_rows, fit, project_to_polytope
+from troppca.pca import FitConfig, TropicalPolytope, _validate_ultrametric_rows, fit, project_to_polytope
 from troppca.tropical import trop_dist
 from troppca.treespace import (
-    _CHUNK_ELEMENTS,
     _PARSE_CHUNK,
     _checked_vectors,
     _dendrogram_newick,
@@ -62,6 +61,21 @@ from troppca.treespace import (
     topology_signature,
     ultrametric_violation,
 )
+
+
+# A row budget small enough that the batches below span several row chunks;
+# at the default budget each of them is one chunk.
+SMALL_CHUNK = 1 << 15
+
+
+def small_chunks():
+    """Patches the row kernels' budget down to SMALL_CHUNK elements."""
+    return mock.patch.object(troppca.treespace, "_CHUNK_ELEMENTS", SMALL_CHUNK)
+
+
+def chunk_count(n: int, row_elements: int) -> int:
+    """Row chunks of n rows of a kernel whose rows hold row_elements elements each, at the budget in force."""
+    return len(list(troppca.treespace._chunks(n, row_elements)))
 
 
 class TestPairIndexing:
@@ -400,9 +414,10 @@ class TestNewickAgainstRecursiveOracle:
         assert_parses_like_the_oracle(text)
 
     @pytest.mark.parametrize("m,n", [(12, 460), (60, 20)])
+    @small_chunks()
     def test_batches_spanning_several_row_chunks(self, m, n):
         # two row chunks of the kernel at least
-        assert n >= 2 * (_CHUNK_ELEMENTS // (m * m))
+        assert chunk_count(n, m * m) >= 2
         rng = np.random.default_rng(1900 + m)
         texts = [random_newick(rng, m) for _ in range(n)]
         batch = cophenetic_vector([parse_newick(text) for text in texts])
@@ -1006,19 +1021,21 @@ class TestBatchedKernels:
         assert np.array_equal(projected, expected)
 
     @pytest.mark.parametrize("m,n", [(12, 700), (60, 20)])
+    @small_chunks()
     def test_batches_spanning_several_chunks(self, m, n):
         e = m * (m - 1) // 2
         # two row chunks of the projection at least
-        assert n >= 2 * (_CHUNK_ELEMENTS // (m * m))
+        assert chunk_count(n, m * m) >= 2
         rng = np.random.default_rng(1600 + m)
         x = np.round(rng.normal(size=(n, e)), 1) - 0.5
         self.assert_matches_oracles(x)
 
     @pytest.mark.parametrize("m,n", [(12, 1100), (60, 40), (70, 30), (100, 16)])
+    @small_chunks()
     def test_check_spanning_several_row_chunks(self, m, n):
         e = m * (m - 1) // 2
         # two row chunks at least, of the projection and of the three-point check
-        assert n > _CHUNK_ELEMENTS // (m * m) and n > _CHUNK_ELEMENTS // ((m - 1) ** 2 // 4)
+        assert chunk_count(n, m * m) >= 2 and chunk_count(n, (m - 1) ** 2 // 4) >= 2
         rng = np.random.default_rng(1600 + m)
         noise = np.round(rng.normal(size=(n - n // 2, e)), 1) - 0.5
         x = np.vstack([noise, random_ultrametrics(m, n // 2, seed=1660 + m)])
@@ -1042,6 +1059,21 @@ class TestBatchedKernels:
             tracemalloc.stop()
         assert violation == 0.0
         assert peak < 32e6
+
+    def test_check_memory_is_bounded_over_several_rows(self):
+        # 40 rows at m=200 go in two chunks of the default budget, of 26 rows of (m-1)^2/4 = 9,900 triples
+        # and of 14: the (m, m, 26) array takes 8.3 MB and each of three (j, m-j-1, 26) temporaries up to
+        # 2.1 MB, 15 MB in all; one chunk of all 40 rows would peak at 23 MB
+        u = random_ultrametrics(200, 40, seed=1671)
+        assert chunk_count(len(u), 199**2 // 4) == 2
+        tracemalloc.start()
+        try:
+            violation = ultrametric_violation(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(violation == 0.0)
+        assert peak < 18e6
 
     def test_single_row_batch(self):
         x = np.array([[1.0, 3.0, 2.0]])
@@ -1158,9 +1190,10 @@ class TestBatchedReconstruct:
         assert np.array_equal(cophenetic_vector(trees), cophenetic_vector(expected))
 
     @pytest.mark.parametrize("m,n", [(12, 1100), (60, 40)])
+    @small_chunks()
     def test_batches_spanning_several_chunks(self, m, n):
         # two row chunks of the kernel at least
-        assert n >= 2 * (_CHUNK_ELEMENTS // (m * m))
+        assert chunk_count(n, m * m) >= 2
         exact = random_ultrametrics(m, n, seed=1700 + m)
         self.assert_matches_oracle(exact)
         rng = np.random.default_rng(1800 + m)
@@ -1231,6 +1264,7 @@ class TestBatchText:
         assert "".join(_dendrogram_newick(x)) == "".join(walk_newick(tree) + "\n" for tree in reconstruct_tree(x))
         assert_text_matches_walks(reconstruct_tree(x))
 
+    @small_chunks()
     def test_rows_spanning_several_chunks(self):
         x = random_ultrametrics(10, 1000, seed=1)
         assert len(list(_dendrogram_newick(x))) > 1
@@ -1258,6 +1292,37 @@ class TestBatchText:
         groups = topology_signature(trees)
         assert groups == [walk_topology_signature(tree) for tree in trees]
         assert len(set(groups)) < len(trees) / 2
+
+
+class TestChunkIndependence:
+    """Rows are independent in every row kernel: chunks of one row and the default chunks give the same bytes."""
+
+    @staticmethod
+    def results(x, exact):
+        """Each row kernel's result on the rows x, or on the exact ultrametrics exact, as bytes or text."""
+        trees = reconstruct_tree(exact)
+        w, lam = project_to_polytope(x, TropicalPolytope(exact[:3]))
+        return {
+            "project_to_treespace": project_to_treespace(x).tobytes(),
+            "ultrametric_violation": ultrametric_violation(x).tobytes(),
+            "reconstruct_tree": [field.tolist() if field.dtype == object else field.tobytes()
+                                 for field in _joined(trees)],
+            "cophenetic_vector": cophenetic_vector(trees).tobytes(),
+            "project_to_polytope": (w.tobytes(), lam.tobytes()),
+            "_dendrogram_newick": "".join(_dendrogram_newick(exact)),
+        }
+
+    @pytest.mark.parametrize("m,n", [(3, 150), (12, 150), (60, 70)])
+    def test_one_row_chunks_give_the_default_bytes(self, m, n):
+        rng = np.random.default_rng(2100 + m)
+        x = np.round(rng.normal(size=(n, m * (m - 1) // 2)), 1) + 4.0  # ties in every kernel
+        exact = np.vstack([random_ultrametrics(m, n - n // 2, seed=2200 + m),
+                           project_to_treespace(np.round(rng.random((n // 2, x.shape[1])), 1) + 0.5)])
+        assert len(list(_dendrogram_newick(exact))) == 1  # one chunk at the default budget
+        expected = self.results(x, exact)
+        with mock.patch.object(troppca.treespace, "_CHUNK_ELEMENTS", 1):
+            assert len(list(_dendrogram_newick(exact))) == n  # one row per chunk; project_to_polytope's hold 64
+            assert self.results(x, exact) == expected
 
 
 class CheckedRows:
