@@ -163,8 +163,9 @@ def cmd_project(args) -> int:
     dist = trop_dist(vectors, w)
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("id," + ",".join(f"lambda_{k + 1}" for k in range(model.s)) + ",dist\n")
-        for i, (coords, d) in enumerate(zip(lam.tolist(), dist.tolist()), start=1):
-            handle.write(",".join([str(i), *map(_fmt, coords), _fmt(d)]) + "\n")
+        # one '%' format for the whole table; '%.12g' writes each value as _fmt does
+        table = np.column_stack([np.arange(1, len(lam) + 1), lam, dist])
+        handle.write(("%d," + "%.12g," * model.s + "%.12g\n") * len(table) % tuple(table.ravel().tolist()))
     return 0
 
 

@@ -66,6 +66,8 @@ def load_model(path) -> Model:
             doc = json.load(handle)
         except RecursionError:
             raise ValueError("model file nests too deeply") from None
+        except json.JSONDecodeError as err:
+            raise ValueError(f"model file is not valid JSON: {err}") from err
     if not isinstance(doc, dict):
         raise ValueError("model file must hold a JSON object")
     version = doc.get("format_version")

@@ -109,36 +109,44 @@ def _stored(u: np.ndarray) -> np.ndarray:
 def _workspace(s: int, e: int, n: int):
     """evaluate's buffers: lam and d's max, min and spread; float, bool and index rows; (e, n) views of some rows.
 
-    The views, in _kernel_order, are w, a candidate and d, then the j*
-    masks of each vertex, top, bottom and either.  The other rows are the
+    The views, in _kernel_order, are w (then d) and a candidate, then the
+    j* masks of each vertex, top, bottom and either.  The other rows are the
     sparse phase's, filled in a prefix as long as the tied cells (at most
-    e * n): four of scratch, s of ktied, and t, i, jt and ji.
+    e * n): four of scratch, s of ktied, and t, i, jt and ji.  The float and
+    bool rows are one block, most of the workspace: glibc trims a freed heap
+    top past twice the largest mapped block freed, so a fit's workspace then
+    stays in the heap for the process's next call (see CHANGES.md).
     """
     order = _kernel_order(e, n)
-    floats, flags = np.empty((7, e * n)), np.empty((2 * s + 3, e * n), dtype=bool)
-    planes = ([row.reshape(e, n, order=order) for row in rows] for rows in (floats[:3], flags[: s + 3]))
+    block = np.empty((48 + 2 * s + 3) * e * n, dtype=np.uint8)  # six float rows, then 2s + 3 bool rows
+    floats, flags = block[: 48 * e * n].view(float).reshape(6, -1), block[48 * e * n :].reshape(2 * s + 3, -1).view(bool)
+    planes = ([row.reshape(e, n, order=order) for row in rows] for rows in (floats[:2], flags[: s + 3]))
     return np.empty((s + 3, n)), floats, flags, np.empty((4, e * n), dtype=np.intp), *planes
 
 
 def _evaluation_work(sample: np.ndarray, s: int):
     """evaluate's work for an (n, e) sample whose transpose is in _kernel_order: a _workspace and the largest magnitude."""
     buffers = _workspace(s, sample.shape[1], len(sample))
-    return buffers, np.abs(sample.T, out=buffers[4][2]).max()
+    return buffers, np.abs(sample.T, out=buffers[4][1]).max()
 
 
 def _projection(ut: np.ndarray, v: np.ndarray, lam, w, cand, masks=(), tol: float | None = None) -> None:
     """Writes lam and w of the (e, n) columns ut over vertices v: lam[k] = min(ut - D_k), w = max_k(lam[k] + D_k).
 
     cand is (e, n) scratch.  Given tol, vertex k's mask marks where
-    ut - D_k is within tol of lam[k], its tied minimizers j*.
+    ut - D_k is within tol of lam[k], its tied minimizers j*.  Each
+    broadcast is a copy and an in-place ufunc, faster than one out of place.
     """
     for k, vk in enumerate(v[:, :, None]):
-        np.min(np.subtract(ut, vk, out=cand), axis=0, out=lam[k])
+        np.copyto(cand, ut)
+        np.min(np.subtract(cand, vk, out=cand), axis=0, out=lam[k])
         if tol is not None:
             np.less_equal(cand, lam[k] + tol, out=masks[k])
-    np.add(lam[0], v[0, :, None], out=w)
+    np.copyto(w, v[0, :, None])
+    np.add(w, lam[0], out=w)
     for k in range(1, len(v)):
-        np.maximum(w, np.add(lam[k], v[k, :, None], out=cand), out=w)
+        np.copyto(cand, v[k, :, None])
+        np.maximum(w, np.add(cand, lam[k], out=cand), out=w)
 
 
 def project_to_polytope(sample, polytope: TropicalPolytope) -> tuple[np.ndarray, np.ndarray]:
@@ -223,12 +231,12 @@ def evaluate(sample, polytope: TropicalPolytope, work=None) -> tuple[float, np.n
         sample = _stored(_sample_matrix(sample, e))
         work = _evaluation_work(sample, s)
     n, ut = len(sample), sample.T
-    (per_obs, floats, flags, ints, (w, cand, d), masks), largest = work
+    (per_obs, floats, flags, ints, (w, cand), masks), largest = work
     lam, (dmax, dmin, spread) = per_obs[:s], per_obs[s:]
     top, bottom, either = masks[s:]
     tol = TIE_RTOL * max(largest, np.abs(v).max())
     _projection(ut, v, lam, w, cand, masks, tol)
-    np.subtract(w, ut, out=d)
+    d = np.subtract(w, ut, out=w)  # w's own buffer; the k* loop re-forms w where it is needed
     np.max(d, axis=0, out=dmax)
     np.min(d, axis=0, out=dmin)
     # d is the exact negation of objective's u - w, so this sum is its value
@@ -240,14 +248,18 @@ def evaluate(sample, polytope: TropicalPolytope, work=None) -> tuple[float, np.n
     # take's mode="clip" writes straight into out, where "raise" would stage a copy
     cells = np.flatnonzero(flags[s + 2])
     t, i = _decode(cells, e, n, ints[:2])
-    c, x, y, wt = floats[3:, : len(cells)]
+    c, x, y, wt = floats[2:, : len(cells)]
     ktied = flags[s + 3 :, : len(cells)]
     # c: averaged distance gradient at each tied cell (t, i); where it is 0, it adds exact zeros
     for flag, share in ((flags[s], c), (flags[s + 1], y)):
         np.copyto(x, flag.take(cells, out=ktied[0], mode="clip"))  # the cell's flag as 0.0 or 1.0
         np.divide(x, np.bincount(i, x, minlength=n).take(i, out=share, mode="clip"), out=share)
     np.subtract(c, y, out=c)
-    np.subtract(floats[0].take(cells, out=wt, mode="clip"), tol, out=wt)  # w at the cells
+    wt.fill(-np.inf)  # then w at the cells: the max of _projection's sums lam[k] + D_k, in its order
+    for k in range(s):
+        np.add(lam[k].take(i, out=x, mode="clip"), v[k].take(t, out=y, mode="clip"), out=x)
+        np.maximum(wt, x, out=wt)
+    np.subtract(wt, tol, out=wt)
     for k in range(s):
         np.add(lam[k].take(i, out=x, mode="clip"), v[k].take(t, out=y, mode="clip"), out=x)
         np.greater_equal(x, wt, out=ktied[k])
@@ -261,7 +273,7 @@ def evaluate(sample, polytope: TropicalPolytope, work=None) -> tuple[float, np.n
         jcells = np.flatnonzero(flags[k])
         jt, ji = _decode(jcells, e, n, ints[2:])
         routed = np.bincount(i, a, minlength=n) / np.bincount(ji, minlength=n)
-        at_j = routed.take(ji, out=floats[5, : len(jcells)], mode="clip")  # y's row, free once ktied is set
+        at_j = routed.take(ji, out=floats[4, : len(jcells)], mode="clip")  # y's row, free once ktied is set
         g[k] -= np.bincount(jt, at_j, minlength=e)
     return se, g
 

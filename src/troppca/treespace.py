@@ -11,6 +11,7 @@ twice), and such a vector determines its tree uniquely.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
 import re
@@ -48,6 +49,17 @@ def leaf_count_from_dim(e: int) -> int:
     if m < 3 or m * (m - 1) // 2 != e:
         raise ValueError(f"dimension {e} is not m(m-1)/2 for any m >= 3")
     return m
+
+
+@functools.lru_cache(maxsize=16)
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (iu, ju, index) on m leaves: the pair order as leaf indices; index[i, j] = index[j, i], 0 at i = j."""
+    iu, ju = np.triu_indices(m, 1)
+    index = np.zeros((m, m), dtype=np.intp)
+    index[iu, ju] = index[ju, iu] = np.arange(len(iu))
+    for a in (iu, ju, index):
+        a.setflags(write=False)
+    return iu, ju, index
 
 
 def default_leaf_names(m: int) -> list[str]:
@@ -286,7 +298,7 @@ def _cophenetic(position, depth, sep, m: int) -> tuple[np.ndarray, np.ndarray]:
     """cophenetic_vector of trees on m leaves each from their flat _Batch fields: (n, e), and the (n, m) depths."""
     position, depth, sep = position.reshape(-1, m), depth.reshape(-1, m), sep.reshape(-1, m - 1)
     n = len(depth)
-    iu, ju = np.triu_indices(m, 1)  # the pair order, as leaf indices
+    iu, ju, _ = _pairs(m)
     out = np.empty((n, len(iu)))
     for part in _chunks(n, m * m):
         d = depth[part]
@@ -865,7 +877,7 @@ def ultrametric_violation(u):
     times that many entries.
     """
     rows, m, batched = _as_rows(u)
-    iu, ju = np.triu_indices(m, 1)  # the pair order, as row and column indices
+    iu, ju, _ = _pairs(m)
     out = np.zeros(len(rows))
     for part in _chunks(len(rows), (m - 1) ** 2 // 4):
         d = np.empty((m, m, len(rows[part])))  # rows last, so numpy's inner loops run along them
@@ -912,8 +924,8 @@ def _between(position: np.ndarray, gaps: np.ndarray, extreme) -> np.ndarray:
     # one vectorized extreme per position: a running ufunc reduction walks element by element
     for q in range(1, m):
         extreme(table[q - 1, :q], gaps[q - 1], out=table[q, :q])
-    iu, ju = np.triu_indices(m, 1)  # the pair order, as leaf indices
-    a, b = position[:, iu], position[:, ju]
+    iu, ju, _ = _pairs(m)
+    a, b = position.take(iu, axis=1), position.take(ju, axis=1)
     return table.reshape(-1)[(np.maximum(a, b) * m + np.minimum(a, b)) * r + np.arange(r)[:, None]]
 
 
@@ -929,10 +941,8 @@ def _prim(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     already in the tree at inf.
     """
     r = len(x)
-    iu, ju = np.triu_indices(m, 1)  # the pair order, as row and column indices
-    weights = np.empty((r * m, m))
-    dist = weights.reshape(r, m, m)
-    dist[:, iu, ju] = dist[:, ju, iu] = x
+    dist = x.take(_pairs(m)[2], axis=1)  # (r, m, m); no key keeps a diagonal value, as done keys go back to inf
+    weights = dist.reshape(r * m, m)
     base = np.arange(r) * m  # flat index of each row's leaf 0
     key = dist[:, 0].copy()  # lightest edge into the tree, inf once in it
     key[:, 0] = np.inf

@@ -15,15 +15,16 @@ from numpy.testing import assert_array_equal
 import troppca
 import troppca.cli
 import troppca.treespace
-from troppca.cli import _build_parser, _load_sample, main
+from troppca.cli import _build_parser, _fmt, _load_sample, main
 from troppca.model import Model, load_model, save_model
-from troppca.pca import TropicalPolytope, objective
+from troppca.pca import TropicalPolytope, objective, project_to_polytope
 from troppca.treespace import (
     load_newick_file,
     parse_newick,
     random_ultrametrics,
     reconstruct_tree,
 )
+from troppca.tropical import trop_dist
 
 
 # finite lengths whose root-to-leaf sums overflow; the ';' is at offset 35
@@ -506,6 +507,12 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: line 1: non-finite leaf-to-leaf path length at offset 31"]
 
+    def test_model_file_that_is_not_json_is_named(self, tmp_path, sample_file, capsys):
+        capsys.readouterr()
+        assert main(["eval", "--model", str(sample_file), "--input", str(sample_file)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: model file is not valid JSON: Expecting value: line 1 column 1 (char 0)"]
+
     def test_leaf_set_mismatch_names_difference(self, tmp_path, sample_file, capsys):
         model_path, _ = fit_model(tmp_path, sample_file)
         other = tmp_path / "other.nwk"
@@ -533,6 +540,18 @@ class TestProjectCommand:
         assert [r["id"] for r in rows] == ["1", "2", "3"]
         for row in rows:
             assert float(row["dist"]) <= 1e-9
+
+    def test_table_equals_rows_formatted_one_by_one(self, tmp_path, sample_file):
+        """The one-format table writes each row as _fmt and str would."""
+        model_path, _ = fit_model(tmp_path, sample_file)
+        out_csv = tmp_path / "proj.csv"
+        assert main(["project", "--model", str(model_path), "--input", str(sample_file), "--out", str(out_csv)]) == 0
+        model = load_model(model_path)
+        _, _, vectors = _load_sample(sample_file, False, False)
+        w, lam = project_to_polytope(vectors, model.polytope)
+        rows = [",".join([str(i), *map(_fmt, coords), _fmt(d)]) + "\n"
+                for i, (coords, d) in enumerate(zip(lam.tolist(), trop_dist(vectors, w).tolist()), start=1)]
+        assert out_csv.read_text().splitlines(keepends=True)[1:] == rows
 
     def test_row_count_matches_input(self, tmp_path, sample_file):
         model_path, _ = fit_model(tmp_path, sample_file)

@@ -497,6 +497,7 @@ class TestKernelOrders:
     @pytest.mark.parametrize("e,n", [(10, 9), (10, 10), (10, 11), (1770, 12), (1770, 50), (45, 1000)])
     def test_the_longer_axis_is_contiguous(self, e, n):
         _, _, _, _, planes, masks = _workspace(3, e, n)
+        assert len(planes) == 2  # w, whose buffer evaluate reuses for d, and a candidate
         axis = 1 if n >= e else 0
         for plane in (*planes, *masks):
             assert plane.shape == (e, n) and plane.strides[axis] == plane.itemsize
@@ -571,6 +572,21 @@ def test_fit_faults_do_not_grow_with_iterations(m, n):
         return int(run.stdout)
 
     assert faults(100) - faults(10) < 1000
+
+
+def test_fit_builds_the_pair_table_once(monkeypatch):
+    """The tree-space kernels read one cached pair table, so a fit's iterations call np.triu_indices no more."""
+    calls = []
+    triu_indices = np.triu_indices
+    monkeypatch.setattr(np, "triu_indices", lambda *args: calls.append(args) or triu_indices(*args))
+    sample = random_ultrametrics(8, 40, seed=90)
+    counts = []
+    for iters in (1, 100):
+        troppca.treespace._pairs.cache_clear()
+        calls.clear()
+        fit(sample, FitConfig(s=3, max_iters=iters))
+        counts.append(len(calls))
+    assert counts == [1, 1]
 
 
 @pytest.mark.parametrize("function", [evaluate, objective, subgradient, project_to_polytope],

@@ -84,6 +84,20 @@ class TestPairIndexing:
         for m in (3, 4, 7):  # the kernels index pairs by np.triu_indices
             assert tuple(zip(*np.triu_indices(m, 1))) == pair_order(m)
 
+    @pytest.mark.parametrize("m", [3, 4, 7, 10, 60])
+    def test_cached_pair_table(self, m):
+        iu, ju, index = troppca.treespace._pairs(m)
+        expected_iu, expected_ju = np.triu_indices(m, 1)
+        assert_array_equal(iu, expected_iu)
+        assert_array_equal(ju, expected_ju)
+        pairs = np.arange(len(iu))
+        assert_array_equal(index[iu, ju], pairs)
+        assert_array_equal(index[ju, iu], pairs)
+        for a in (iu, ju, index):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a.flat[0] = 1
+
     def test_leaf_count_from_dim(self):
         assert leaf_count_from_dim(3) == 3
         assert leaf_count_from_dim(45) == 10
@@ -1019,6 +1033,16 @@ class TestBatchedKernels:
         mixed = np.any(zero & np.signbit(x), axis=1) & np.any(zero & ~np.signbit(x), axis=1)
         assert projected[~mixed].tobytes() == expected[~mixed].tobytes()
         assert np.array_equal(projected, expected)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [3, 4, 5, 8, 10, 17, 33, 60])
+    def test_few_row_projection_equals_scatter_prim(self, m, r):
+        """The fit's few-row projections, with distinct and with many tied weights, bit for bit."""
+        rng = np.random.default_rng(100 * m + r)
+        e = m * (m - 1) // 2
+        for x in (rng.random((r, e)), rng.integers(1, 5, (r, e)) / 4.0):
+            assert project_to_treespace(x).tobytes() == scatter_prim_projection(x).tobytes()
+            assert project_to_treespace(x[0]).tobytes() == scatter_prim_projection(x[:1]).tobytes()
 
     @pytest.mark.parametrize("m,n", [(12, 700), (60, 20)])
     @small_chunks()
