@@ -134,21 +134,14 @@ class PhyloTree:
         return f"PhyloTree(m={self.m}, height={self.height():.6g})"
 
 
-def _depths(parent: np.ndarray, length: np.ndarray) -> np.ndarray:
+def _depths(parent: np.ndarray, length: np.ndarray, level: np.ndarray) -> np.ndarray:
     """Root-down path weights of a forest: depth[i] = depth[parent[i]] + length[i], 0 at the roots.
 
-    parent (-1 at the roots) indexes the same flat arrays.  Each node's
-    level (its edge count to the root) comes from pointer jumping; then one
-    vectorized sum per level covers every tree at once, so each depth is
-    the same single addition a walk down from the root makes.
+    parent (-1 at the roots) indexes the same flat arrays; level is each node's edge count to its root.  One
+    vectorized sum per level covers every tree, so each depth is the single addition a walk from the root makes.
     """
-    level = (parent >= 0).astype(np.intp)  # edges from each node to up[node]
-    up = parent.copy()
-    live = np.flatnonzero(up >= 0)
-    while live.size:
-        level[live] += level[up[live]]
-        up[live] = up[up[live]]
-        live = live[up[live] >= 0]
+    # in one or two bytes, numpy's stable sort is a radix sort
+    level = level.astype(np.min_scalar_type(level.max(initial=0)))
     order = np.argsort(level, kind="stable")  # nodes level by level
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
@@ -177,12 +170,19 @@ _SLICE = dict(node=lambda a, b, c, d, t: slice(a, b), leaf=lambda a, b, c, d, t:
               tree=lambda a, b, c, d, t: slice(t, t + 1), gap=lambda a, b, c, d, t: slice(c - t, d - t - 1))
 
 
-def _batch(parent, length, leaves, position, nodes, count, labels, names) -> _Batch:
-    """The _Batch of flat records, its depths summed by one _depths call over every tree."""
+def _batch(parent, length, leaves, position, nodes, count, labels, names, level=None) -> _Batch:
+    """The _Batch of flat records, depths summed by one _depths call; level, if not given, by pointer jumping."""
     node_start = np.cumsum(nodes) - nodes
     leaf_start = np.cumsum(count) - count
     up = np.where(parent < 0, -1, parent + np.repeat(node_start, nodes))
-    depth = _depths(up, length)
+    if level is None:
+        level, above = (up >= 0).astype(np.intp), up.copy()  # edges from each node to above[node]
+        live = np.flatnonzero(above >= 0)
+        while live.size:
+            level[live] += level[above[live]]
+            above[live] = above[above[live]]
+            live = live[above[live] >= 0]
+    depth = _depths(up, length, level)
     leaf_node = leaves + np.repeat(node_start, count)
     leaf_depth = depth[leaf_node][position + np.repeat(leaf_start, count)]
     # the node after leaf k in preorder is a child of the node separating leaves k and k+1
@@ -248,7 +248,7 @@ def scale_trees(trees, factors) -> list[PhyloTree]:
 def _label_problem(labels: list[str]) -> str | None:
     """Why labels cannot name the leaves of a tree (duplicates, fewer than 3), or None."""
     if len(set(labels)) != len(labels):
-        dupes = sorted({n for n in labels if labels.count(n) > 1})
+        dupes = sorted(n for n, k in collections.Counter(labels).items() if k > 1)
         return f"duplicate leaf labels: {', '.join(dupes)}"
     if len(labels) < 3:
         return f"need at least 3 leaves, got {len(labels)}"
@@ -467,9 +467,8 @@ def topology_signature(trees):
 # elements separated by ',' then ')' and an optional internal label; either
 # may carry ':' and a branch length; the root element ends in ';'.  Blanks
 # (space, tab) may precede every token and surround the ':'.  Labels are
-# runs of [A-Za-z0-9_.]; a branch length matches
-# [+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)? with \d any Unicode decimal
-# digit, as in a str regex.
+# runs of [A-Za-z0-9_.]; a branch length matches _LENGTH, with \d any
+# Unicode decimal digit, as in a str regex.
 #
 # The texts are parsed together by array operations over their code
 # points, joined by '\n' (each text ends at its separator).  Each
@@ -482,10 +481,17 @@ def topology_signature(trees):
 # parse state before each is set by the token before it, and a table of
 # allowed transitions gives the error, if any, at each token.  Each text's
 # first error is reported; the others become trees.
+#
+# Every word's text comes from one str.split.  A length word of the length
+# alphabet (decimal digits, '.', 'e', 'E', '+', '-') goes to float whole, as
+# float accepts exactly the words over it that _LENGTH matches in full; only
+# the others, and those float rejects, are matched against _LENGTH.
 
 _PAD = 3  # blanks after the text, so that looking ahead past its end stays in bounds
-_PARSE_CHUNK = 1 << 16  # characters per parser chunk; each costs ~150 numpy calls, and 2^17 cost ~5% peak memory
-_BLANK, _LABEL, _DIGIT, _SIGN, _EXP = 1, 2, 4, 8, 16
+_PARSE_CHUNK = 1 << 16  # characters per parser chunk; each costs ~110 numpy calls, and 2^17 cost ~5% peak memory
+_LENGTH = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
+# _ODD: a word character outside the length alphabet ('_' and ASCII letters other than 'e' and 'E')
+_BLANK, _LABEL, _DIGIT, _SIGN, _ODD = 1, 2, 4, 8, 16
 _WORD = _LABEL | _DIGIT | _SIGN
 
 
@@ -500,7 +506,7 @@ _ASCII_FLAGS = _ascii_table(
         | _LABEL * (char.isascii() and (char.isalnum() or char in "_."))
         | _DIGIT * char.isdecimal()
         | _SIGN * (char in "+-")
-        | _EXP * (char in "eE")
+        | _ODD * (char.isascii() and (char.isalpha() and char not in "eE" or char == "_"))
     )
 )
 # token kinds; a word is a _LEAF until it is found to be a length or an internal label
@@ -563,38 +569,18 @@ def _flags(codes: np.ndarray) -> np.ndarray:
     return flags
 
 
-def _texts(codes: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[str]:
-    """The strings codes[lo[k]:hi[k]], none of which holds a newline, decoded in one call."""
-    size = hi - lo + 1  # each string and the character after it, which becomes a newline
-    ends = np.cumsum(size)
-    step = np.ones(ends[-1] if len(ends) else 0, dtype=np.intp)  # from each index into codes to the next
-    step[ends[:-1]] = lo[1:] - hi[:-1]
-    step[:1] = lo[:1]
-    chars = codes[np.cumsum(step)]
-    chars[ends - 1] = 10
-    return chars.tobytes().decode("ascii" if codes.itemsize == 1 else "utf-32-le").split("\n")[:-1]
+def _float_or_nan(word: str) -> float:
+    """float(word), or nan where float rejects it."""
+    try:
+        return float(word)
+    except ValueError:
+        return math.nan
 
 
-def _number_end(codes: np.ndarray, flags: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Where the branch-length pattern, matched at each start, ends; start itself where it does not match."""
-    nondigit = np.append(np.flatnonzero((flags & _DIGIT) == 0), len(codes))  # a run may reach the slice's end
-
-    def digits(at):  # end of the run of digits from at
-        return nondigit[np.searchsorted(nondigit, at)]
-
-    def signed(at):
-        return at + ((flags[at] & _SIGN) != 0)
-
-    lead = signed(start)
-    whole = digits(lead)
-    end = np.where(
-        whole > lead,
-        np.where(codes[whole] == ord("."), digits(whole + 1), whole),
-        np.where((codes[lead] == ord(".")) & ((flags[lead + 1] & _DIGIT) != 0), digits(lead + 1), start),
-    )
-    power = signed(end + 1)
-    exponent = digits(power)
-    return np.where((end > start) & ((flags[end] & _EXP) != 0) & (exponent > power), exponent, end)
+def _exact_length(word: str) -> tuple[float, int]:
+    """The value and size of the _LENGTH match at the start of word; 0 and 0 where none matches."""
+    match = _LENGTH.match(word)
+    return (float(match.group()), match.end()) if match else (0.0, 0)
 
 
 def _after(a: np.ndarray, first) -> np.ndarray:
@@ -603,33 +589,37 @@ def _after(a: np.ndarray, first) -> np.ndarray:
 
 
 def _scan(codes: np.ndarray, flags: np.ndarray, ends: np.ndarray):
-    """Tokens of the texts that end at ends, with the error each one raises.
+    """Tokens of the texts that end at ends, with the errors they raise.
 
     The texts lie end to end from codes[0], each followed by one separator
     character outside every word, at its end; atoms after the last
-    separator are not read.  Returns per token: kind, position, text,
-    the '(' open before it within its text, its branch length (0 without
-    one), where its word ends, and the index into _MESSAGES and the offset
-    of its error (0 when the token is allowed).  Only a text's first error
-    is meaningful: past it, tokens are read as if nothing had failed.
+    separator are not read.  Returns per token: kind, position, text, the
+    '(' open before it within its text, branch length (0 without one) and
+    word (its index in the list of word texts, also returned); then the
+    tokens that fail a check, with the index into _MESSAGES and the offset
+    of the first error of each.  Only a text's first error is meaningful:
+    past it, tokens are read as if nothing had failed.
     """
+    size = ends[-1] + 1
     blank = (flags & _BLANK) != 0
     word = (flags & _WORD) != 0
     opening = word.copy()
     opening[1:] &= ~word[:-1]
     stop = np.zeros(len(codes), dtype=bool)
     stop[ends] = True
-    at = np.flatnonzero((~(blank | word) | opening | stop)[: ends[-1] + 1])
+    at = np.flatnonzero((~(blank | word) | opening | stop)[:size])
     at_end = stop[at]
     line = np.cumsum(at_end) - at_end  # the text of each atom
     kind = _ATOM_KIND[np.minimum(codes[at], 128)]
     kind[word[at]] = _LEAF
     kind[at_end] = _END
     is_word = kind == _LEAF
-    words = np.flatnonzero(is_word)
-    closing = np.flatnonzero(word[:-1] & ~word[1:]) + 1
+    word_id = np.cumsum(is_word) - 1  # the index of each word atom among the words
     word_end = at.copy()
-    word_end[words] = closing[np.searchsorted(closing, at[words])]
+    word_end[is_word] = np.flatnonzero(word[:-1] & ~word[1:])[: word_id[-1] + 1] + 1  # the k-th word ends the k-th run
+    chars = codes[:size].copy()
+    np.putmask(chars, ~word[:size], 32)
+    texts = chars.tobytes().decode("ascii" if codes.itemsize == 1 else "utf-32-le").split()
 
     prev = _after(kind, _END)
     before = _after(prev, _END)
@@ -648,34 +638,45 @@ def _scan(codes: np.ndarray, flags: np.ndarray, ends: np.ndarray):
     has_colon = ((tk == _LEAF) | (tk == _CLOSE)) & attached[colon]
     number = np.minimum(colon + 1, last)  # the atom after a length's ':'
     start = at[number]
-    end = start.copy()
-    has_number = has_colon & value[number]
-    end[has_number] = _number_end(codes, flags, start[has_number])
-    matched = has_number & (end > start)
+    end = start.copy()  # where the length pattern stops
+    read = np.flatnonzero(has_colon & value[number])  # the tokens with a length word
+    end[read] = word_end[number[read]]
+    odd = np.append(np.flatnonzero(flags & _ODD), len(codes))
+    clean = odd[np.searchsorted(odd, start[read])] >= end[read]  # made of the length alphabet
+    words = [texts[k] for k in word_id[number[read]].tolist()]
     length = np.zeros(len(token))
-    length[matched] = np.fromiter(map(float, _texts(codes, start[matched], end[matched])), float)
+    length[read] = math.nan  # float reads no word of the length alphabet as nan
+    try:
+        length[read[clean]] = np.fromiter(map(float, itertools.compress(words, clean)), float, np.count_nonzero(clean))
+    except ValueError:
+        length[read[clean]] = [_float_or_nan(word) for word in itertools.compress(words, clean)]
+    for k in np.flatnonzero(np.isnan(length[read])).tolist():  # only the words float did not read are matched
+        length[read[k]], taken = _exact_length(words[k])
+        end[read[k]] = start[read[k]] + taken
+    matched = end > start
 
     step = (tk == _OPEN).astype(np.intp) - (tk == _CLOSE)
     level = np.cumsum(step) - step
     prev_tk = _after(tk, _END)
     level -= level[np.maximum.accumulate(np.where(prev_tk == _END, np.arange(len(tk)), 0))]
     verdict = _VERDICT[_STATE[prev_tk], tk, (level > 0).astype(np.intp)]
-    stray = np.where(level - (tk == _CLOSE) > 0, 2, 3)  # the error of a bad token right after this element
     # a label ends at its word's first sign or Unicode digit, or with the word
     unlabeled = np.append(np.flatnonzero(word & ((flags & _LABEL) == 0)), len(codes))
     label_stop = np.minimum(unlabeled[np.searchsorted(unlabeled, at[labeled])], word_end[labeled])
-    checks = (  # (failed, message, offset) in the order the token is read
-        (verdict > 0, verdict, pos),
-        (((tk == _LEAF) | named) & (label_stop < word_end[labeled]), stray, label_stop),
-        (has_colon & ~matched, 5, start),
-        (matched & ~np.isfinite(length), 6, start),
-        (matched & (length < 0), 7, start),
-        (matched & (end < word_end[number]), stray, end),
+    failed = (  # the checks in the order the token is read
+        verdict > 0,
+        ((tk == _LEAF) | named) & (label_stop < word_end[labeled]),
+        has_colon & ~matched,
+        matched & ~np.isfinite(length),
+        matched & (length < 0),
+        matched & (end < word_end[number]),
     )
-    failed = [check[0] for check in checks]
-    message = np.select(failed, [check[1] for check in checks], 0)
-    offset = np.select(failed, [check[2] for check in checks], 0)
-    return tk, pos, tline, level, length, word_end[token], message, offset
+    bad = np.flatnonzero(np.logical_or.reduce(failed))
+    stray = np.where(level[bad] - (tk[bad] == _CLOSE) > 0, 2, 3)  # the error of a bad token right after this element
+    first = np.argmax([check[bad] for check in failed], axis=0)  # the first check each of them fails
+    message = np.choose(first, (verdict[bad], stray, 5, 6, 7, stray))
+    offset = np.choose(first, (pos[bad], label_stop[bad], start[bad], start[bad], start[bad], end[bad]))
+    return tk, pos, tline, level, length, texts, word_id[token], (bad, message, offset)
 
 
 def _parse(codes: np.ndarray, flags: np.ndarray, starts: np.ndarray, ends: np.ndarray):
@@ -689,14 +690,10 @@ def _parse(codes: np.ndarray, flags: np.ndarray, starts: np.ndarray, ends: np.nd
     leaf labels, fewer than 3 leaves, or a root-to-leaf depth or
     leaf-to-leaf path length that overflows to infinity fails at its ';'.
     """
-    tk, pos, tline, level, length, word_end, message, offset = _scan(codes, flags, ends)
-    failed = np.flatnonzero(message)
-    failed_lines, first = np.unique(tline[failed], return_index=True)
-    failed = failed[first]
-    errors = dict(zip(
-        failed_lines.tolist(),
-        zip(map(_MESSAGES.__getitem__, message[failed].tolist()), (offset[failed] - starts[failed_lines]).tolist()),
-    ))
+    tk, pos, tline, level, length, texts, word, (bad, message, offset) = _scan(codes, flags, ends)
+    failed_lines, first = np.unique(tline[bad], return_index=True)
+    reasons = zip(map(_MESSAGES.__getitem__, message[first].tolist()), (offset[first] - starts[failed_lines]).tolist())
+    errors = dict(zip(failed_lines.tolist(), reasons))
     ok = np.ones(len(starts), dtype=bool)
     ok[failed_lines] = False
 
@@ -704,7 +701,7 @@ def _parse(codes: np.ndarray, flags: np.ndarray, starts: np.ndarray, ends: np.nd
     semi = ok[tline] & (tk == _SEMI)
     terminator = dict(zip(tline[semi].tolist(), (pos[semi] - starts[tline[semi]]).tolist()))
     leaf = np.flatnonzero(ok[tline] & (tk == _LEAF))
-    labels = _texts(codes, pos[leaf], word_end[leaf])
+    labels = [texts[k] for k in word[leaf].tolist()]
     vocabulary = sorted(set(labels))
     ids = np.fromiter(map(dict(zip(vocabulary, range(len(vocabulary)))).__getitem__, labels), np.intp, len(labels))
     owner = tline[leaf]
@@ -742,7 +739,8 @@ def _parse(codes: np.ndarray, flags: np.ndarray, starts: np.ndarray, ends: np.nd
     leaf_start = np.cumsum(count) - count
     names = np.array(vocabulary, dtype=object)[ids[order]]
     with np.errstate(over="ignore"):
-        batch = _batch(parent, node_length, leaves, order - np.repeat(leaf_start, count), nodes, count, labels, names)
+        batch = _batch(parent, node_length, leaves, order - np.repeat(leaf_start, count), nodes, count, labels, names,
+                       nlevel[is_node])
         deepest = np.maximum.reduceat(batch.depth, leaf_start) if len(nodes) else batch.depth
         # the longest leaf-to-leaf path joins the two deepest leaves, and it can
         # overflow only where twice the deepest depth does

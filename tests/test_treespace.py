@@ -2,6 +2,7 @@ import itertools
 import os
 import re
 import tempfile
+import time
 import tracemalloc
 from unittest import mock
 
@@ -13,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import (
+    _NUMBER_RE,
     Node,
     clade_ray_combination,
     enumerate_extreme_clades,
@@ -36,7 +38,7 @@ from oracles import (
     walk_topology_signature,
 )
 import troppca.treespace
-from troppca.cli import CliError, _load_sample, _positive_representatives
+from troppca.cli import CliError, _load_sample, _positive_representatives, main
 from troppca.pca import FitConfig, TropicalPolytope, _validate_ultrametric_rows, fit, project_to_polytope
 from troppca.tropical import trop_dist
 from troppca.treespace import (
@@ -122,6 +124,16 @@ class TestNewickParsing:
     def test_duplicate_leaf_labels(self):
         with pytest.raises(NewickError, match="duplicate"):
             parse_newick("((a:1,a:1):1,b:2);")
+
+    def test_duplicate_labels_are_found_in_linear_time(self):
+        labels = [f"t{k}" for k in range(40_000)]
+        labels[20_000], labels[-1] = "t7", "t12"
+        text = "(" + ",".join(f"{label}:1" for label in labels) + ");"
+        began = time.perf_counter()
+        with pytest.raises(NewickError) as info:
+            parse_newick(text)
+        assert time.perf_counter() - began < 2.0  # counting each label's copies took 21 s
+        assert str(info.value) == f"duplicate leaf labels: t12, t7 at offset {len(text) - 1}"
 
     def test_too_few_leaves(self):
         with pytest.raises(NewickError, match="3 leaves"):
@@ -400,7 +412,7 @@ class TestNewickAgainstRecursiveOracle:
         text = data.draw(newick_texts(data.draw(LABELS)))
         at = data.draw(st.integers(0, len(text)))
         if data.draw(st.booleans()) or at == len(text):
-            text = text[:at] + data.draw(st.sampled_from("(),:;a1-")) + text[at:]
+            text = text[:at] + data.draw(st.sampled_from("(),:;a1-_.e+\u0663")) + text[at:]
         else:
             text = text[:at] + text[at + 1:]
         assert_parses_like_the_oracle(text)
@@ -422,6 +434,9 @@ class TestNewickAgainstRecursiveOracle:
             "(a,b,c) x;", "(a,b,c)x;", "(a,,b,c);", "(a b,c,d);", "(a:,b,c);", "(a: x,b,c);",
             "(a:-1,b,c);", "(a:-0,b,c);", "(a:+1e3,b:.5,c:1.);", "(a:1e400,b,c);", "(a:1.5.2,b,c);",
             "(a:1e,b,c);", "(a,b,a);", "((a,b)\t:\t2 ,c) :1 ;", "(a,b,c)\n;", "(a,b,(c,d)e:1);",
+            # words float reads but the length pattern does not, and full-width digits, which both read
+            "(a:1_0,b,c);", "(a:inf,b,c);", "(a:nan,b,c);", "(a:Infinity,b,c);", "(a:1e5_0,b,c);",
+            "(a:\uff11.\uff15,b,c);",
         ],
     )
     def test_fixed_cases_parse_like_the_recursive_parser(self, text):
@@ -616,6 +631,53 @@ class TestNewickFileAgainstLineOracle:
         assert np.array_equal(trees[0][1].cophenetic_vector(), expected)
         assert np.array_equal(trees[1][1].cophenetic_vector(), [2.0, 4.0, 4.0])
         assert np.array_equal(cophenetic_vector([trees[0][1], trees[2][1]]), [expected, expected])
+
+
+class TestLengthFastPath:
+    """Length words go to float whole; only the words float rejects, or that hold other characters, are matched."""
+
+    @given(st.text(alphabet="0123456789\u0663\uff11.eE+-", max_size=8))
+    @example("1e\u0663")
+    @example("\uff11.")
+    def test_float_accepts_exactly_the_words_the_pattern_matches(self, word):
+        try:
+            float(word)
+        except ValueError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == (_NUMBER_RE.fullmatch(word) is not None)
+
+    @pytest.fixture
+    def matched(self, monkeypatch):
+        words = []
+        exact = troppca.treespace._exact_length
+
+        def spying(word):
+            words.append(word)
+            return exact(word)
+
+        monkeypatch.setattr(troppca.treespace, "_exact_length", spying)
+        return words
+
+    def test_well_formed_files_never_reach_the_matcher(self, tmp_path, matched):
+        generated = tmp_path / "gen.nwk"
+        assert main(["gen", "--m", "10", "--n", "200", "--seed", "5", "--out", str(generated)]) == 0
+        rng = np.random.default_rng(23)
+        drawn = tmp_path / "drawn.nwk"
+        drawn.write_text("".join(random_newick(rng, m) + "\n" for m in rng.integers(3, 40, 300)))
+        for path, n in ((generated, 200), (drawn, 300)):
+            trees, errors = load_newick_file(path)
+            assert errors == [] and len(trees) == n
+        assert matched == []
+
+    def test_only_the_rejected_words_reach_the_matcher(self, tmp_path, matched):
+        path = tmp_path / "trees.nwk"
+        text = "((a:1,b:2.5):1,c:1e2);\n(a:1.5.2,b:3,c:4);\n(a:x,b:1_0,c:-7);\n(a:+.5,b:1e,c:\u0663);\n"
+        path.write_text(text, encoding="utf-8")
+        trees, errors = load_newick_file(path)
+        assert matched == ["1.5.2", "x", "1_0", "1e"]  # past a text's first error, its tokens are still read
+        assert [number for number, _ in trees] == [1] and [number for number, _ in errors] == [2, 3, 4]
 
 
 def library_sample(path, project_inputs: bool, normalize_height: bool):
