@@ -470,74 +470,81 @@ def topology_signature(trees):
 # runs of [A-Za-z0-9_.]; a branch length matches _LENGTH, with \d any
 # Unicode decimal digit, as in a str regex.
 #
-# The texts are parsed together by array operations over their code
-# points, joined by '\n' (each text ends at its separator).  Each
-# character gets a class; a word is a run of label characters, digits and
-# signs.  Atoms are the non-blank characters outside words, the first
-# character of each word, and the end of each text.  A word right after
-# ':' is a branch length, one right after ')' is that node's internal
-# label, any other is a leaf label; a ':' right after a label or ')' is a
-# length's, any other is a bad token.  What remains are the tokens; the
-# parse state before each is set by the token before it, and a table of
-# allowed transitions gives the error, if any, at each token.  Each text's
-# first error is reported; the others become trees.
+# The texts are parsed together, each ended by a separator character, and
+# the array work runs over their skeleton, not over every character.  One
+# str.translate gives each character its class; a word is a run of label
+# characters, Unicode digits and signs, and one flatnonzero finds the
+# skeleton, all the other characters ('(', ')', ',', ':', ';', blanks,
+# separators, bad ones).  A word ends at each skeleton character that does
+# not follow the one before it.  Atoms are the words and the non-blank
+# skeleton characters.  A word right after ':' is a branch length, one
+# right after ')' is that node's internal label, any other is a leaf label;
+# a ':' right after a label or ')' is a length's, any other is a bad token.
+# What remains are the tokens; the parse state before each is set by the
+# token before it, and a table of allowed transitions gives the error, if
+# any, at each token.  Each text's first error is reported; the others
+# become trees.
 #
-# Every word's text comes from one str.split.  A length word of the length
-# alphabet (decimal digits, '.', 'e', 'E', '+', '-') goes to float whole, as
-# float accepts exactly the words over it that _LENGTH matches in full; only
-# the others, and those float rejects, are matched against _LENGTH.
+# Every word's text comes from one str.split of the texts with their other
+# characters blanked, and each distinct label word is checked once.  A
+# length word goes to float whole: over the length alphabet (decimal
+# digits, '.', 'e', 'E', '+', '-') float accepts exactly the words that
+# _LENGTH matches in full, and beyond it only words with a '_' between
+# digits and forms of inf and nan.  Only those words and the ones float
+# rejects are matched against _LENGTH.
 
-_PAD = 3  # blanks after the text, so that looking ahead past its end stays in bounds
-_PARSE_CHUNK = 1 << 16  # characters per parser chunk; each costs ~110 numpy calls, and 2^17 cost ~5% peak memory
+# Characters per parser chunk, which bounds the temporaries.  Best of 40 interleaved loads of the benchmark's
+# many / gene / wide files (2-core host): 10.7 / 6.8 / 3.2 ms at 2^17, 6-10% more at 2^16 and 28-45% at 2^15 (a
+# chunk costs ~0.3 ms at any size), 2^18 -7% on gene and +11% on many; peak traced memory 4.5 / 4.0 / 3.0 MB.
+_PARSE_CHUNK = 1 << 17
 _LENGTH = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
-# _ODD: a word character outside the length alphabet ('_' and ASCII letters other than 'e' and 'E')
-_BLANK, _LABEL, _DIGIT, _SIGN, _ODD = 1, 2, 4, 8, 16
-_WORD = _LABEL | _DIGIT | _SIGN
+_LABEL = re.compile(r"[A-Za-z0-9_.]*")
 
-
-def _ascii_table(classify) -> np.ndarray:
-    """classify(char) for each ASCII character; entry 128 stands for the others and is 0."""
-    return np.array([classify(chr(code)) for code in range(128)] + [0], dtype=np.uint8)
-
-
-_ASCII_FLAGS = _ascii_table(
-    lambda char: (
-        _BLANK * (char in " \t")
-        | _LABEL * (char.isascii() and (char.isalnum() or char in "_."))
-        | _DIGIT * char.isdecimal()
-        | _SIGN * (char in "+-")
-        | _ODD * (char.isascii() and (char.isalpha() and char not in "eE" or char == "_"))
-    )
-)
 # token kinds; a word is a _LEAF until it is found to be a length or an internal label
 _OPEN, _COMMA, _LEAF, _CLOSE, _SEMI, _BAD, _END, _COLON = range(8)
-_ATOM_KIND = _ascii_table(lambda char: {"(": _OPEN, ",": _COMMA, ")": _CLOSE, ";": _SEMI, ":": _COLON}.get(char, _BAD))
-_ATOM_KIND[128] = _BAD
+# the other character classes: blanks, and the word characters, with '_' apart as float reads it in numbers
+_BLANK, _WORD, _UNDERSCORE = range(8, 11)
+_PUNCTUATION = {"(": _OPEN, ",": _COMMA, ")": _CLOSE, ";": _SEMI, ":": _COLON, " ": _BLANK, "\t": _BLANK,
+                "_": _UNDERSCORE}
 
-_MESSAGES = (
-    None,
-    "expected a leaf label or '('",
-    "expected ',' or ')'",
-    "expected ';'",
-    "trailing characters after ';'",
-    "malformed branch length",
-    "non-finite branch length",
-    "negative branch length",
-)
-# Parse state before a token, by the kind of the token before it: 0 expects
-# an element (at the start, after '(' or ','; after a bad token nothing
-# matters), 1 follows a complete element, 2 follows the terminating ';'.
-_STATE = np.array([0, 0, 1, 1, 2, 0, 0], dtype=np.intp)
+
+def _char_class(char: str) -> int:
+    """The class of a character: the kind of its token, _BLANK, _WORD or _UNDERSCORE."""
+    word = char.isdecimal() or char.isascii() and char.isalpha() or char in ".+-"
+    return _PUNCTUATION.get(char, _WORD if word else _BAD)
+
+
+class _Table(dict):
+    """A str.translate table of entry(char) per code point, made up front for ASCII and on each use beyond it."""
+
+    def __init__(self, entry):
+        super().__init__((code, entry(chr(code))) for code in range(128))
+        self.entry = entry
+
+    def __missing__(self, code):
+        return self.entry(chr(code))
+
+
+_CLASSES = _Table(lambda char: chr(_char_class(char)))
+_WORDS = _Table(lambda char: char if _char_class(char) >= _WORD else " ")  # words kept, the rest blanked
+
+_MESSAGES = (None, "expected a leaf label or '('", "expected ',' or ')'", "expected ';'",
+             "trailing characters after ';'", "malformed branch length", "non-finite branch length",
+             "negative branch length")
+# Parse state before a token, by the kind of the token before it: 0 expects an element (at the start, after '(' or
+# ','; after a bad token or a stray ':' nothing matters), 1 follows a complete element, 2 the terminating ';'.
+_STATE = np.array([0, 0, 1, 1, 2, 0, 0, 0], dtype=np.intp)
 # _VERDICT[state, kind, inside a '('] is 0 for an allowed token, else the index of its error message
 _VERDICT = np.array(
     [
-        # '('     ','     leaf    ')'     ';'     bad     end
-        [[0, 0], [1, 1], [0, 0], [1, 1], [1, 1], [1, 1], [1, 1]],  # expecting an element
-        [[3, 2], [3, 0], [3, 2], [3, 0], [0, 2], [3, 2], [3, 2]],  # after an element
-        [[4, 4], [4, 4], [4, 4], [4, 4], [4, 4], [4, 4], [0, 0]],  # after the final ';'
+        # '('     ','     leaf    ')'     ';'     bad     end     ':'
+        [[0, 0], [1, 1], [0, 0], [1, 1], [1, 1], [1, 1], [1, 1], [1, 1]],  # expecting an element
+        [[3, 2], [3, 0], [3, 2], [3, 0], [0, 2], [3, 2], [3, 2], [3, 2]],  # after an element
+        [[4, 4], [4, 4], [4, 4], [4, 4], [4, 4], [4, 4], [0, 0], [4, 4]],  # after the final ';'
     ],
-    dtype=np.intp,
+    dtype=np.uint8,
 )
+_TRANSITIONS = _VERDICT[_STATE].ravel()  # the verdict by the kind of the token before, flat
 
 
 class NewickError(ValueError):
@@ -546,27 +553,6 @@ class NewickError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} at offset {offset}")
         self.offset = offset
-
-
-def _codes(text: str) -> np.ndarray:
-    """Code points of text and _PAD blanks: one byte each for ASCII text, four otherwise."""
-    text += " " * _PAD
-    if text.isascii():
-        return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    return np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
-
-
-def _flags(codes: np.ndarray) -> np.ndarray:
-    """Character class bits of each code point."""
-    if codes.itemsize == 1:
-        return _ASCII_FLAGS.take(codes)
-    flags = _ASCII_FLAGS.take(np.minimum(codes, 128))
-    wide = np.flatnonzero(codes > 127)
-    if wide.size:  # Unicode digits may write a branch length
-        chars, which = np.unique(codes[wide], return_inverse=True)
-        classes = [_DIGIT * chr(c).isdecimal() for c in chars.tolist()]
-        flags[wide] = np.array(classes, dtype=np.uint8)[which]
-    return flags
 
 
 def _float_or_nan(word: str) -> float:
@@ -588,99 +574,109 @@ def _after(a: np.ndarray, first) -> np.ndarray:
     return np.concatenate((np.full(1, first, dtype=a.dtype), a[:-1]))
 
 
-def _scan(codes: np.ndarray, flags: np.ndarray, ends: np.ndarray):
+def _scan(text: str, ends: np.ndarray):
     """Tokens of the texts that end at ends, with the errors they raise.
 
-    The texts lie end to end from codes[0], each followed by one separator
-    character outside every word, at its end; atoms after the last
-    separator are not read.  Returns per token: kind, position, text, the
-    '(' open before it within its text, branch length (0 without one) and
-    word (its index in the list of word texts, also returned); then the
-    tokens that fail a check, with the index into _MESSAGES and the offset
-    of the first error of each.  Only a text's first error is meaningful:
-    past it, tokens are read as if nothing had failed.
+    The texts lie end to end in text, each followed by one separator
+    character outside every word, which ends the last.  Returns per token:
+    kind, position, text, the '(' open before it within its text, branch
+    length (0 without one) and label (its index in the sorted label words,
+    also returned); then the tokens that fail a check, with the index into
+    _MESSAGES and the offset of the first error of each.  Only a text's
+    first error is meaningful: past it, tokens are read as if nothing had
+    failed.
     """
-    size = ends[-1] + 1
-    blank = (flags & _BLANK) != 0
-    word = (flags & _WORD) != 0
-    opening = word.copy()
-    opening[1:] &= ~word[:-1]
-    stop = np.zeros(len(codes), dtype=bool)
-    stop[ends] = True
-    at = np.flatnonzero((~(blank | word) | opening | stop)[:size])
-    at_end = stop[at]
-    line = np.cumsum(at_end) - at_end  # the text of each atom
-    kind = _ATOM_KIND[np.minimum(codes[at], 128)]
-    kind[word[at]] = _LEAF
-    kind[at_end] = _END
-    is_word = kind == _LEAF
-    word_id = np.cumsum(is_word) - 1  # the index of each word atom among the words
-    word_end = at.copy()
-    word_end[is_word] = np.flatnonzero(word[:-1] & ~word[1:])[: word_id[-1] + 1] + 1  # the k-th word ends the k-th run
-    chars = codes[:size].copy()
-    np.putmask(chars, ~word[:size], 32)
-    texts = chars.tobytes().decode("ascii" if codes.itemsize == 1 else "utf-32-le").split()
+    classes = np.frombuffer(text.translate(_CLASSES).encode("ascii"), dtype=np.uint8)
+    skeleton = np.flatnonzero(classes < _WORD)
+    gap = np.diff(skeleton, prepend=-1)  # above 1 where a word ends at the skeleton character
+    kinds = classes[skeleton]
+    stops = np.searchsorted(skeleton, ends)
+    kinds[stops] = _END
+    line = np.repeat(np.arange(len(ends)), np.diff(stops, prepend=-1))  # the text of each skeleton character
+    word_id = np.cumsum(gap > 1) - 1  # the index among the words of the word that ends at each
+    # the atoms: per skeleton character, the word that ends there, then the character unless it is blank
+    slot = np.flatnonzero(np.column_stack((gap > 1, kinds != _BLANK)))
+    at = np.column_stack((skeleton - gap + 1, skeleton)).ravel().take(slot)
+    kind = np.column_stack((np.full_like(kinds, _LEAF), kinds)).ravel().take(slot)
+    owner = np.right_shift(slot, 1, out=slot)  # the skeleton character of each atom
+    texts = text.translate(_WORDS).split()
+    texts = np.fromiter(texts, dtype=object, count=len(texts))
 
+    is_word = kind == _LEAF
     prev = _after(kind, _END)
     before = _after(prev, _END)
     value = is_word & (prev == _COLON)
-    name = is_word & (prev == _CLOSE) & np.concatenate(([False], at[1:] == at[:-1] + 1))
+    name = is_word & (_after(kinds, _END).take(owner) == _CLOSE)  # right after ')'
     attached = (kind == _COLON) & ((prev == _CLOSE) | ((prev == _LEAF) & (before != _COLON)))
-    # a stray ':', or a word that does not start with a label character, is a bad token
-    kind[(kind == _COLON) | is_word & ((flags[at] & _LABEL) == 0)] = _BAD
+    # each distinct label word is read once: its label stops at its first sign or Unicode digit, or with it
+    labeled_word = np.flatnonzero(is_word & ~value)
+    words = texts.take(word_id.take(owner.take(labeled_word))).tolist()
+    vocabulary = sorted(set(words))
+    ids = np.fromiter(map(dict(zip(vocabulary, itertools.count())).__getitem__, words), np.intp, len(words))
+    label_stop = np.array([_LABEL.match(word).end() for word in vocabulary] + [0], dtype=np.intp)
+    short = label_stop < [len(word) for word in vocabulary] + [0]  # per word, and False past the last
+    label = np.zeros(len(at), dtype=np.intp)
+    label[labeled_word] = ids
+    kind[labeled_word[label_stop[ids] == 0]] = _BAD  # a word that does not start with a label character
 
     token = np.flatnonzero(~(attached | value | name))  # atom index of each token
-    tk, pos, tline = kind[token], at[token], line[token]
+    tk, pos, tline = kind.take(token), at.take(token), line.take(owner.take(token))
     last = len(at) - 1
-    named = (tk == _CLOSE) & name[np.minimum(token + 1, last)]
+    named = (tk == _CLOSE) & name.take(np.minimum(token + 1, last))
     labeled = token + named  # the atom of the token's label
     colon = np.minimum(labeled + 1, last)
-    has_colon = ((tk == _LEAF) | (tk == _CLOSE)) & attached[colon]
-    number = np.minimum(colon + 1, last)  # the atom after a length's ':'
-    start = at[number]
-    end = start.copy()  # where the length pattern stops
-    read = np.flatnonzero(has_colon & value[number])  # the tokens with a length word
-    end[read] = word_end[number[read]]
-    odd = np.append(np.flatnonzero(flags & _ODD), len(codes))
-    clean = odd[np.searchsorted(odd, start[read])] >= end[read]  # made of the length alphabet
-    words = [texts[k] for k in word_id[number[read]].tolist()]
-    length = np.zeros(len(token))
-    length[read] = math.nan  # float reads no word of the length alphabet as nan
+    has_colon = ((tk == _LEAF) | (tk == _CLOSE)) & attached.take(colon)
+    # branch lengths: of the tokens with a ':', those a length word follows
+    hc = np.flatnonzero(has_colon)
+    number = colon.take(hc) + 1  # the atom after the ':', never past the last
+    read = np.flatnonzero(value.take(number))
+    start = at.take(number)  # where the length pattern starts and stops
+    end = start.copy()
+    stop = skeleton.take(owner.take(number))  # where the word after the ':' ends
+    end[read] = stop[read]
+    words = texts.take(word_id.take(owner.take(number[read])))
+    del texts, word_id, line  # the words not kept go here, which lowers a chunk's peak memory
+    length = np.zeros(len(hc))
     try:
-        length[read[clean]] = np.fromiter(map(float, itertools.compress(words, clean)), float, np.count_nonzero(clean))
+        length[read] = words.astype(float)
     except ValueError:
-        length[read[clean]] = [_float_or_nan(word) for word in itertools.compress(words, clean)]
-    for k in np.flatnonzero(np.isnan(length[read])).tolist():  # only the words float did not read are matched
+        length[read] = [_float_or_nan(word) for word in words]
+    under = np.flatnonzero(classes == _UNDERSCORE)
+    holder = np.searchsorted(start[read], under, "right") - 1  # the length word each '_' may be in, or -1
+    odd = np.isnan(length[read])  # rejected by float, or a nan
+    odd[holder[under < np.append(end[read], -1)[holder]]] = True
+    odd[[k for k in np.flatnonzero(np.isinf(length[read])).tolist() if "n" in words[k].lower()]] = True
+    for k in np.flatnonzero(odd).tolist():  # only the words float did not read as a length are matched
         length[read[k]], taken = _exact_length(words[k])
         end[read[k]] = start[read[k]] + taken
+    del words
     matched = end > start
+    failed = np.flatnonzero(~matched | ~np.isfinite(length) | (length < 0) | (end < stop))
+    # per token, the first length check it fails (malformed, non-finite, negative, trailing characters) or -1
+    length_check = np.full(len(token), -1, dtype=np.int8)
+    length_check[hc[failed]] = np.argmax(
+        (~matched[failed], ~np.isfinite(length[failed]), length[failed] < 0, end[failed] < stop[failed]), axis=0)
+    length_offset = np.zeros(len(token), dtype=np.intp)
+    length_offset[hc[failed]] = np.where(length_check[hc[failed]] == 3, end[failed], start[failed])
+    lengths = np.zeros(len(token))
+    lengths[hc] = length
 
-    step = (tk == _OPEN).astype(np.intp) - (tk == _CLOSE)
-    level = np.cumsum(step) - step
-    prev_tk = _after(tk, _END)
-    level -= level[np.maximum.accumulate(np.where(prev_tk == _END, np.arange(len(tk)), 0))]
-    verdict = _VERDICT[_STATE[prev_tk], tk, (level > 0).astype(np.intp)]
-    # a label ends at its word's first sign or Unicode digit, or with the word
-    unlabeled = np.append(np.flatnonzero(word & ((flags & _LABEL) == 0)), len(codes))
-    label_stop = np.minimum(unlabeled[np.searchsorted(unlabeled, at[labeled])], word_end[labeled])
-    failed = (  # the checks in the order the token is read
-        verdict > 0,
-        ((tk == _LEAF) | named) & (label_stop < word_end[labeled]),
-        has_colon & ~matched,
-        matched & ~np.isfinite(length),
-        matched & (length < 0),
-        matched & (end < word_end[number]),
-    )
-    bad = np.flatnonzero(np.logical_or.reduce(failed))
+    step = (tk == _OPEN).view(np.int8) - (tk == _CLOSE).view(np.int8)
+    level = np.cumsum(step, dtype=np.intp) - step
+    level -= level.take(np.append(0, np.flatnonzero(tk == _END)[:-1] + 1)).take(tline)
+    verdict = _TRANSITIONS.take(_after(tk, _END) * len(_STATE) * 2 + tk * 2 + (level > 0))
+    mislabeled = ((tk == _LEAF) | named) & short.take(label.take(labeled))
+    bad = np.flatnonzero((verdict > 0) | mislabeled | (length_check >= 0))
+    # the first check each of them fails, in the order the token is read
+    first = np.argmax((verdict[bad] > 0, mislabeled[bad], np.ones(len(bad), dtype=bool)), axis=0)
     stray = np.where(level[bad] - (tk[bad] == _CLOSE) > 0, 2, 3)  # the error of a bad token right after this element
-    first = np.argmax([check[bad] for check in failed], axis=0)  # the first check each of them fails
-    message = np.choose(first, (verdict[bad], stray, 5, 6, 7, stray))
-    offset = np.choose(first, (pos[bad], label_stop[bad], start[bad], start[bad], start[bad], end[bad]))
-    return tk, pos, tline, level, length, texts, word_id[token], (bad, message, offset)
+    message = np.choose(first, (verdict[bad], stray, np.choose(np.maximum(length_check[bad], 0), (5, 6, 7, stray))))
+    offset = np.choose(first, (pos[bad], at[labeled[bad]] + label_stop[label[labeled[bad]]], length_offset[bad]))
+    return tk, pos, tline, level, lengths, vocabulary, label.take(token), (bad, message, offset)
 
 
-def _parse(codes: np.ndarray, flags: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """Parse the Newick texts codes[starts[k]:ends[k]] together, laid out as _scan reads them.
+def _parse(text: str, starts: np.ndarray, ends: np.ndarray):
+    """Parse the Newick texts text[starts[k]:ends[k]] together, laid out as _scan reads them.
 
     Returns (lines, batch, errors): the k of the texts that parse, in
     increasing order, the _Batch of their trees, and (k, NewickError)
@@ -690,57 +686,61 @@ def _parse(codes: np.ndarray, flags: np.ndarray, starts: np.ndarray, ends: np.nd
     leaf labels, fewer than 3 leaves, or a root-to-leaf depth or
     leaf-to-leaf path length that overflows to infinity fails at its ';'.
     """
-    tk, pos, tline, level, length, texts, word, (bad, message, offset) = _scan(codes, flags, ends)
+    tk, pos, tline, level, length, vocabulary, label, (bad, message, offset) = _scan(text, ends)
     failed_lines, first = np.unique(tline[bad], return_index=True)
     reasons = zip(map(_MESSAGES.__getitem__, message[first].tolist()), (offset[first] - starts[failed_lines]).tolist())
     errors = dict(zip(failed_lines.tolist(), reasons))
     ok = np.ones(len(starts), dtype=bool)
     ok[failed_lines] = False
+    semi = np.flatnonzero(tk == _SEMI)  # a text that parses has one
+    terminator = np.zeros(len(starts), dtype=np.intp)
+    terminator[tline[semi]] = pos[semi] - starts[tline[semi]]
 
     # labels of the texts that parse
-    semi = ok[tline] & (tk == _SEMI)
-    terminator = dict(zip(tline[semi].tolist(), (pos[semi] - starts[tline[semi]]).tolist()))
-    leaf = np.flatnonzero(ok[tline] & (tk == _LEAF))
-    labels = [texts[k] for k in word[leaf].tolist()]
-    vocabulary = sorted(set(labels))
-    ids = np.fromiter(map(dict(zip(vocabulary, range(len(vocabulary)))).__getitem__, labels), np.intp, len(labels))
-    owner = tline[leaf]
+    leaf = np.flatnonzero(ok.take(tline) & (tk == _LEAF))
+    ids = label.take(leaf)
+    vocabulary = np.array(vocabulary, dtype=object)
+    labels = vocabulary.take(ids)
+    owner = tline.take(leaf)
     count = np.bincount(owner, minlength=len(starts))
-    order = np.lexsort((ids, owner))  # leaves by text, then by label
-    twice = owner[order][1:][(np.diff(ids[order]) == 0) & (np.diff(owner[order]) == 0)]
+    key = owner * len(vocabulary) + ids
+    order = np.argsort(key.astype(np.min_scalar_type(key.max(initial=0))), kind="stable")  # by text, label
+    twice = owner.take(order.take(np.flatnonzero(np.diff(key.take(order)) == 0)))
     for k in np.union1d(twice, np.flatnonzero(ok & (count < 3))).tolist():
         lo = int(np.searchsorted(owner, k))
-        errors[k] = (_label_problem(labels[lo:lo + count[k]]), terminator[k])
+        errors[k] = (_label_problem(labels[lo:lo + count[k]].tolist()), int(terminator[k]))
         ok[k] = False
 
-    # records of the texts left: each node's parent is the '(' it sits in, the
-    # last earlier '(' one level up, which is also the '(' a ')' closes
-    keep = ok[owner]
-    order = (np.cumsum(keep) - 1)[order[keep[order]]]
-    labels = np.array(labels, dtype=object)[keep]
-    ids = ids[keep]
-    node = np.flatnonzero(ok[tline] & ((tk == _OPEN) | (tk == _LEAF) | (tk == _CLOSE)))
-    nk, nlevel, npos = tk[node], level[node], pos[node]
-    opens = np.flatnonzero(nk == _OPEN)
-    key = nlevel[opens] * len(codes) + npos[opens]
-    by_key = np.argsort(key)
-    enclosing = opens[by_key][np.searchsorted(key[by_key], (nlevel - 1) * len(codes) + npos) - 1]
-    is_node = nk != _CLOSE
-    index = np.cumsum(is_node) - 1  # node number of each '(' and leaf
-    nodes = np.bincount(tline[node][is_node], minlength=len(starts))[ok]
-    count = count[ok]
-    parent = np.where(nlevel > 0, index[enclosing], -1)[is_node]
+    # records of the texts left, whose nodes are their '('s and leaves in preorder.  Sorted by
+    # level, with each ',' and ')' one level up, every '(' comes right before its ','s and its ')',
+    # and the nodes one level down are the children of these '('s in turn, one more than its ','s
+    keep = np.flatnonzero(ok.take(owner))
+    order = (np.cumsum(ok.take(owner)) - 1).take(order.take(np.flatnonzero(ok.take(owner.take(order)))))
+    labels, ids = labels.take(keep), ids.take(keep)
+    item = np.flatnonzero(ok.take(tline) & (tk <= _CLOSE))  # the '(', ',', leaf and ')' tokens
+    kind = tk.take(item)
+    node = np.flatnonzero((kind == _OPEN) | (kind == _LEAF))
+    rank = level.take(item) - ((kind == _COMMA) | (kind == _CLOSE))
+    by_level = np.argsort(rank.astype(np.min_scalar_type(rank.max(initial=0))), kind="stable")
+    sorted_kind = kind.take(by_level)
+    opens, closes = np.flatnonzero(sorted_kind == _OPEN), np.flatnonzero(sorted_kind == _CLOSE)
+    index = np.zeros(len(item), dtype=np.intp)
+    index[node] = np.arange(len(node))  # node number of each '(' and leaf
+    index = index.take(by_level)
+    parent = np.full(len(node), -1)
+    below = ((sorted_kind == _OPEN) | (sorted_kind == _LEAF)) & (rank.take(by_level) > 0)
+    parent[index.take(np.flatnonzero(below))] = np.repeat(index.take(opens), closes - opens)
+    nodes, count = np.bincount(tline.take(item.take(node)), minlength=len(starts))[ok], count[ok]
     node_start = np.cumsum(nodes) - nodes
-    parent -= np.where(parent >= 0, np.repeat(node_start, nodes), 0)
-    node_length = np.zeros(len(parent))
-    node_length[index[nk == _LEAF]] = length[node[nk == _LEAF]]
-    node_length[index[enclosing[nk == _CLOSE]]] = length[node[nk == _CLOSE]]
-    leaves = index[nk == _LEAF] - np.repeat(node_start, count)
+    parent -= np.repeat(node_start, nodes) * (parent >= 0)
+    item_length = length.take(item)
+    item_length[by_level.take(opens)] = item_length.take(by_level.take(closes))  # a node's length follows its ')'
+    leaves = np.flatnonzero(kind.take(node) == _LEAF)
     leaf_start = np.cumsum(count) - count
-    names = np.array(vocabulary, dtype=object)[ids[order]]
+    names = vocabulary.take(ids.take(order))
     with np.errstate(over="ignore"):
-        batch = _batch(parent, node_length, leaves, order - np.repeat(leaf_start, count), nodes, count, labels, names,
-                       nlevel[is_node])
+        batch = _batch(parent, item_length.take(node), leaves - np.repeat(node_start, count),
+                       order - np.repeat(leaf_start, count), nodes, count, labels, names, rank.take(node))
         deepest = np.maximum.reduceat(batch.depth, leaf_start) if len(nodes) else batch.depth
         # the longest leaf-to-leaf path joins the two deepest leaves, and it can
         # overflow only where twice the deepest depth does
@@ -749,9 +749,9 @@ def _parse(codes: np.ndarray, flags: np.ndarray, starts: np.ndarray, ends: np.nd
     for t in np.flatnonzero(doubled == math.inf).tolist():
         k = int(lines[t])
         if deepest[t] == math.inf:
-            errors[k] = ("non-finite root-to-leaf depth", terminator[k])
+            errors[k] = ("non-finite root-to-leaf depth", int(terminator[k]))
         elif sum(sorted(batch.depth[leaf_start[t]:leaf_start[t] + count[t]].tolist())[-2:]) == math.inf:
-            errors[k] = ("non-finite leaf-to-leaf path length", terminator[k])
+            errors[k] = ("non-finite leaf-to-leaf path length", int(terminator[k]))
     kept = ~np.isin(lines, list(errors))
     return lines[kept].tolist(), _take(batch, kept), [(k, NewickError(*errors[k])) for k in sorted(errors)]
 
@@ -767,8 +767,7 @@ def parse_newick(text: str) -> PhyloTree:
     infinity.  The whole-file parser run on one text, so nesting depth is
     unlimited.
     """
-    codes = _codes(text)
-    _, batch, errors = _parse(codes, _flags(codes), np.array([0]), np.array([len(text)]))
+    _, batch, errors = _parse(text + "\n", np.array([0]), np.array([len(text)]))
     if errors:
         raise errors[0][1]
     return _trees(batch)[0]
@@ -787,28 +786,29 @@ def load_newick_file(path) -> tuple[list[tuple[int, PhyloTree]], list[tuple[int,
     Returns (trees, errors), each a list of (line_number, value) pairs with
     1-based line numbers.  The file is UTF-8, and a leading byte-order mark
     is skipped.  Lines end at '\n', '\r\n' or '\r' and are stripped by
-    str.strip(); the lines kept are joined by '\n' and parsed by one _parse
-    call per chunk of about _PARSE_CHUNK characters into one flat _Batch,
-    which the trees are views of, in order, so _joined gives it back
-    without a copy.
+    str.strip(); the lines kept, each ended by '\n', are parsed by one
+    _parse call per chunk of about _PARSE_CHUNK characters into one flat
+    _Batch, which the trees are views of, in order, so _joined gives it
+    back without a copy.
     """
     with open(path, "rb") as handle:
         text = handle.read().decode("utf-8").removeprefix("\ufeff")
-    stripped = [line.strip() for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n")]
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    stripped = [line.strip() for line in text.split("\n")]
     numbers = [k for k, line in enumerate(stripped, 1) if line and not line.startswith("#")]
     lines = [stripped[k - 1] for k in numbers]
     size = np.array([len(line) for line in lines], dtype=np.intp)
-    ends = np.cumsum(size + 1) - 1  # the lines joined by '\n'; each ends at its separator
+    ends = np.cumsum(size + 1) - 1  # each line ends at its '\n'
     starts = ends - size
-    codes = _codes("\n".join(lines))
-    flags = _flags(codes)
+    text = "\n".join([*lines, ""])
     tree_numbers, batches, errors = [], [], []
     # lines go in chunks of about _PARSE_CHUNK characters, which bounds the parser's temporaries
-    cuts = np.unique(np.searchsorted(starts, np.arange(0, len(codes), _PARSE_CHUNK)))
+    cuts = np.unique(np.searchsorted(starts, np.arange(0, len(text), _PARSE_CHUNK)))
     bounds = np.append(cuts[cuts < len(starts)], len(starts)).tolist()
     for lo, hi in zip(bounds, bounds[1:]):
-        a, b = starts[lo], ends[hi - 1] + _PAD
-        chunk_lines, batch, chunk_errors = _parse(codes[a:b], flags[a:b], starts[lo:hi] - a, ends[lo:hi] - a)
+        a, b = starts[lo], ends[hi - 1] + 1
+        chunk_lines, batch, chunk_errors = _parse(text[a:b], starts[lo:hi] - a, ends[lo:hi] - a)
         tree_numbers += [numbers[lo + k] for k in chunk_lines]
         batches.append(batch)
         errors += [(numbers[lo + k], err) for k, err in chunk_errors]

@@ -437,6 +437,8 @@ class TestNewickAgainstRecursiveOracle:
             # words float reads but the length pattern does not, and full-width digits, which both read
             "(a:1_0,b,c);", "(a:inf,b,c);", "(a:nan,b,c);", "(a:Infinity,b,c);", "(a:1e5_0,b,c);",
             "(a:\uff11.\uff15,b,c);",
+            # a lone surrogate, as a leaf, inside a label and after the ';', is a bad character
+            "(a,b,\ud800);", "(a\udfffb,c,d);", "(a,b,c);\ud800",
         ],
     )
     def test_fixed_cases_parse_like_the_recursive_parser(self, text):
@@ -463,7 +465,7 @@ class TestNewickAgainstRecursiveOracle:
 
 @st.composite
 def newick_files(draw, shared: bool = False) -> str:
-    r"""Text of a Newick file: trees, one-character edits of them, comments and blanks.
+    r"""Text of a Newick file: trees, one or two one-character edits of them, comments and blanks.
 
     Line ends are '\n', '\r\n' or '\r', and lines may end in whitespace
     that str.strip() removes but the grammar does not allow.  With shared,
@@ -479,7 +481,7 @@ def newick_files(draw, shared: bool = False) -> str:
             line = draw(st.sampled_from(["", " ", "\t", "\x0c", "\xa0"]))
         else:
             line = draw(newick_texts(labels or draw(LABELS)))
-            if shape == "edit":
+            for _ in range(draw(st.integers(1, 2)) if shape == "edit" else 0):
                 at = draw(st.integers(0, len(line)))
                 if draw(st.booleans()) or at == len(line):
                     line = line[:at] + draw(st.sampled_from("(),:;a1-.e\t\xe9\u00df\u0663\xa0")) + line[at:]
