@@ -10,6 +10,7 @@ keeping every iterate a valid ultrametric.
 from __future__ import annotations
 
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,8 @@ __all__ = [
 
 # Relative tolerance under which evaluate's tie rule treats two selections as tied.
 TIE_RTOL = 1e-9
+# numpy's ufunc buffer, in elements, while evaluate and project_to_polytope run (see _projection).
+_UFUNC_BUFFER = 1024
 
 
 class TropicalPolytope:
@@ -134,19 +137,19 @@ def _projection(ut: np.ndarray, v: np.ndarray, lam, w, cand, masks=(), tol: floa
     """Writes lam and w of the (e, n) columns ut over vertices v: lam[k] = min(ut - D_k), w = max_k(lam[k] + D_k).
 
     cand is (e, n) scratch.  Given tol, vertex k's mask marks where
-    ut - D_k is within tol of lam[k], its tied minimizers j*.  Each
-    broadcast is a copy and an in-place ufunc, faster than one out of place.
+    ut - D_k is within tol of lam[k], its tied minimizers j*.  Callers set
+    numpy's ufunc buffer to _UFUNC_BUFFER elements, at which these broadcasts
+    ran 2-4x faster than at numpy's default 8192 (CHANGES.md).  Every
+    result is elementwise or a min or max, which returns one of its operands
+    in any order, so the bits do not depend on the buffer (a zero's sign aside).
     """
     for k, vk in enumerate(v[:, :, None]):
-        np.copyto(cand, ut)
-        np.min(np.subtract(cand, vk, out=cand), axis=0, out=lam[k])
+        np.min(np.subtract(ut, vk, out=cand), axis=0, out=lam[k])
         if tol is not None:
             np.less_equal(cand, lam[k] + tol, out=masks[k])
-    np.copyto(w, v[0, :, None])
-    np.add(w, lam[0], out=w)
+    np.add(v[0, :, None], lam[0], out=w)
     for k in range(1, len(v)):
-        np.copyto(cand, v[k, :, None])
-        np.maximum(w, np.add(cand, lam[k], out=cand), out=w)
+        np.maximum(w, np.add(v[k, :, None], lam[k], out=cand), out=w)
 
 
 def project_to_polytope(sample, polytope: TropicalPolytope) -> tuple[np.ndarray, np.ndarray]:
@@ -162,21 +165,24 @@ def project_to_polytope(sample, polytope: TropicalPolytope) -> tuple[np.ndarray,
     chunk's (e, rows) transpose in _kernel_order for the chunk's shape:
     observation-major, the transpose of C-ordered rows is used as it is and
     w is written straight into the result; pair-major, the chunk is copied
-    into its transpose and w is transposed back.
+    into its transpose and w is transposed back.  The call runs at the ufunc
+    buffer _projection asks for and gives the caller's size back on every exit.
     """
-    v = polytope.vertices
-    rows = _sample_matrix(sample, polytope.e)
-    lam, w = np.empty((len(rows), polytope.s)), np.empty(rows.shape)
-    for part in _chunks(len(rows), v.size, 64):
-        ut = _stored(rows[part]).T
-        pair_major = _kernel_order(*ut.shape) == "C"
-        lam_t, cand = np.empty((len(v), ut.shape[1])), np.empty_like(ut)
-        w_t = np.empty_like(ut) if pair_major else w[part].T
-        _projection(ut, v, lam_t, w_t, cand)
-        lam[part] = lam_t.T
-        if pair_major:
-            w[part] = w_t.T
-    return (w, lam) if np.ndim(sample) == 2 else (w[0], lam[0])
+    with ExitStack() as restore:
+        restore.callback(np.setbufsize, np.setbufsize(_UFUNC_BUFFER))  # the caller's size returns on any exit
+        v = polytope.vertices
+        rows = _sample_matrix(sample, polytope.e)
+        lam, w = np.empty((len(rows), polytope.s)), np.empty(rows.shape)
+        for part in _chunks(len(rows), v.size, 64):
+            ut = _stored(rows[part]).T
+            pair_major = _kernel_order(*ut.shape) == "C"
+            lam_t, cand = np.empty((len(v), ut.shape[1])), np.empty_like(ut)
+            w_t = np.empty_like(ut) if pair_major else w[part].T
+            _projection(ut, v, lam_t, w_t, cand)
+            lam[part] = lam_t.T
+            if pair_major:
+                w[part] = w_t.T
+        return (w, lam) if np.ndim(sample) == 2 else (w[0], lam[0])
 
 
 def _decode(cells: np.ndarray, e: int, n: int, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,59 +229,63 @@ def evaluate(sample, polytope: TropicalPolytope, work=None) -> tuple[float, np.n
     observation-major, and decoded by one divmod.  In both orders each
     bincount bin, keyed by t or by i, receives its terms in increasing
     order of the other index, as a sequential sum does: g is exact to the
-    bit, and the same in both orders.
+    bit, and the same in both orders.  Like project_to_polytope, the call
+    runs at the ufunc buffer _projection asks for and gives the caller's size
+    back on every exit, so other numpy work in the process keeps its own.
     """
-    v = polytope.vertices
-    s, e = v.shape
-    if work is None:
-        sample = _stored(_sample_matrix(sample, e))
-        work = _evaluation_work(sample, s)
-    n, ut = len(sample), sample.T
-    (per_obs, floats, flags, ints, (w, cand), masks), largest = work
-    lam, (dmax, dmin, spread) = per_obs[:s], per_obs[s:]
-    top, bottom, either = masks[s:]
-    tol = TIE_RTOL * max(largest, np.abs(v).max())
-    _projection(ut, v, lam, w, cand, masks, tol)
-    d = np.subtract(w, ut, out=w)  # w's own buffer; the k* loop re-forms w where it is needed
-    np.max(d, axis=0, out=dmax)
-    np.min(d, axis=0, out=dmin)
-    # d is the exact negation of objective's u - w, so this sum is its value
-    se = float(np.sum(np.subtract(dmax, dmin, out=spread)))
-    np.greater_equal(d, np.subtract(dmax, tol, out=dmax), out=top)
-    np.less_equal(d, np.add(dmin, tol, out=dmin), out=bottom)
-    np.logical_or(top, bottom, out=either)
-    # the sparse phase writes each per-cell array into a prefix of a workspace row;
-    # take's mode="clip" writes straight into out, where "raise" would stage a copy
-    cells = np.flatnonzero(flags[s + 2])
-    t, i = _decode(cells, e, n, ints[:2])
-    c, x, y, wt = floats[2:, : len(cells)]
-    ktied = flags[s + 3 :, : len(cells)]
-    # c: averaged distance gradient at each tied cell (t, i); where it is 0, it adds exact zeros
-    for flag, share in ((flags[s], c), (flags[s + 1], y)):
-        np.copyto(x, flag.take(cells, out=ktied[0], mode="clip"))  # the cell's flag as 0.0 or 1.0
-        np.divide(x, np.bincount(i, x, minlength=n).take(i, out=share, mode="clip"), out=share)
-    np.subtract(c, y, out=c)
-    wt.fill(-np.inf)  # then w at the cells: the max of _projection's sums lam[k] + D_k, in its order
-    for k in range(s):
-        np.add(lam[k].take(i, out=x, mode="clip"), v[k].take(t, out=y, mode="clip"), out=x)
-        np.maximum(wt, x, out=wt)
-    np.subtract(wt, tol, out=wt)
-    for k in range(s):
-        np.add(lam[k].take(i, out=x, mode="clip"), v[k].take(t, out=y, mode="clip"), out=x)
-        np.greater_equal(x, wt, out=ktied[k])
-    np.divide(c, np.add.reduce(ktied, axis=0, out=x), out=c)  # each tied winning vertex's share
-    g = np.empty_like(v)
-    for k in range(s):
-        a = np.multiply(ktied[k], c, out=x)
-        g[k] = np.bincount(t, a, minlength=e)
-        # the -1 at j* is spread over the tied minimizers; when t itself is j*
-        # the two entries cancel, so that cell needs no special case
-        jcells = np.flatnonzero(flags[k])
-        jt, ji = _decode(jcells, e, n, ints[2:])
-        routed = np.bincount(i, a, minlength=n) / np.bincount(ji, minlength=n)
-        at_j = routed.take(ji, out=floats[4, : len(jcells)], mode="clip")  # y's row, free once ktied is set
-        g[k] -= np.bincount(jt, at_j, minlength=e)
-    return se, g
+    with ExitStack() as restore:
+        restore.callback(np.setbufsize, np.setbufsize(_UFUNC_BUFFER))  # the caller's size returns on any exit
+        v = polytope.vertices
+        s, e = v.shape
+        if work is None:
+            sample = _stored(_sample_matrix(sample, e))
+            work = _evaluation_work(sample, s)
+        n, ut = len(sample), sample.T
+        (per_obs, floats, flags, ints, (w, cand), masks), largest = work
+        lam, (dmax, dmin, spread) = per_obs[:s], per_obs[s:]
+        top, bottom, either = masks[s:]
+        tol = TIE_RTOL * max(largest, np.abs(v).max())
+        _projection(ut, v, lam, w, cand, masks, tol)
+        d = np.subtract(w, ut, out=w)  # w's own buffer; the k* loop re-forms w where it is needed
+        np.max(d, axis=0, out=dmax)
+        np.min(d, axis=0, out=dmin)
+        # d is the exact negation of objective's u - w, so this sum is its value
+        se = float(np.sum(np.subtract(dmax, dmin, out=spread)))
+        np.greater_equal(d, np.subtract(dmax, tol, out=dmax), out=top)
+        np.less_equal(d, np.add(dmin, tol, out=dmin), out=bottom)
+        np.logical_or(top, bottom, out=either)
+        # the sparse phase writes each per-cell array into a prefix of a workspace row;
+        # take's mode="clip" writes straight into out, where "raise" would stage a copy
+        cells = np.flatnonzero(flags[s + 2])
+        t, i = _decode(cells, e, n, ints[:2])
+        c, x, y, wt = floats[2:, : len(cells)]
+        ktied = flags[s + 3 :, : len(cells)]
+        # c: averaged distance gradient at each tied cell (t, i); where it is 0, it adds exact zeros
+        for flag, share in ((flags[s], c), (flags[s + 1], y)):
+            np.copyto(x, flag.take(cells, out=ktied[0], mode="clip"))  # the cell's flag as 0.0 or 1.0
+            np.divide(x, np.bincount(i, x, minlength=n).take(i, out=share, mode="clip"), out=share)
+        np.subtract(c, y, out=c)
+        wt.fill(-np.inf)  # then w at the cells: the max of _projection's sums lam[k] + D_k, in its order
+        for k in range(s):
+            np.add(lam[k].take(i, out=x, mode="clip"), v[k].take(t, out=y, mode="clip"), out=x)
+            np.maximum(wt, x, out=wt)
+        np.subtract(wt, tol, out=wt)
+        for k in range(s):
+            np.add(lam[k].take(i, out=x, mode="clip"), v[k].take(t, out=y, mode="clip"), out=x)
+            np.greater_equal(x, wt, out=ktied[k])
+        np.divide(c, np.add.reduce(ktied, axis=0, out=x), out=c)  # each tied winning vertex's share
+        g = np.empty_like(v)
+        for k in range(s):
+            a = np.multiply(ktied[k], c, out=x)
+            g[k] = np.bincount(t, a, minlength=e)
+            # the -1 at j* is spread over the tied minimizers; when t itself is j*
+            # the two entries cancel, so that cell needs no special case
+            jcells = np.flatnonzero(flags[k])
+            jt, ji = _decode(jcells, e, n, ints[2:])
+            routed = np.bincount(i, a, minlength=n) / np.bincount(ji, minlength=n)
+            at_j = routed.take(ji, out=floats[4, : len(jcells)], mode="clip")  # y's row, free once ktied is set
+            g[k] -= np.bincount(jt, at_j, minlength=e)
+        return se, g
 
 
 def subgradient(sample, polytope: TropicalPolytope) -> np.ndarray:

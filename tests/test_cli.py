@@ -608,6 +608,21 @@ class TestPlot:
         assert "requires s = 3" in capsys.readouterr().err
 
 
+def test_commands_give_the_caller_buffer_back(tmp_path, sample_file, caller_buffer, capsys):
+    """fit, eval, project and plot, run in process, leave numpy's ufunc buffer at the caller's size, also on an error."""
+    model_path, _ = fit_model(tmp_path, sample_file)
+    assert np.getbufsize() == caller_buffer
+    files = ["--model", str(model_path), "--input", str(sample_file)]
+    for argv in (["eval", *files], ["project", *files, "--out", str(tmp_path / "p.csv")],
+                 ["plot", *files, "--out", str(tmp_path / "p.svg")]):
+        assert main(argv) == 0
+        assert np.getbufsize() == caller_buffer
+    capsys.readouterr()
+    assert main(["fit", "--input", str(sample_file), "--s", "3", "--lr0", "1e308", "--out", str(tmp_path / "m.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: iteration 0 overflows")
+    assert np.getbufsize() == caller_buffer
+
+
 class TestModelFile:
     def test_save_load_round_trip_is_exact(self, tmp_path):
         vertices = random_ultrametrics(5, 3, seed=50)

@@ -487,8 +487,9 @@ class TestPairMajorKernel:
         assert np.array_equal(w, ref_w) and np.array_equal(lam, ref_lam)
 
 
-# n = e - 1, e and e + 1 at e = 10, then wide rows with few observations
-ORDER_SHAPES = [(5, 9), (5, 10), (5, 11), (60, 12), (60, 50)]
+# n = e - 1, e and e + 1 at e = 10, then wide rows with few observations, then
+# an n and an e (45 and 1770) longer than the kernel's ufunc buffer
+ORDER_SHAPES = [(5, 9), (5, 10), (5, 11), (60, 12), (60, 50), (10, 3000)]
 
 
 class TestKernelOrders:
@@ -503,6 +504,11 @@ class TestKernelOrders:
             assert plane.shape == (e, n) and plane.strides[axis] == plane.itemsize
         assert _stored(np.zeros((n, e))).T.strides[axis] == 8
 
+    @pytest.fixture(params=[troppca.pca._UFUNC_BUFFER, 8192, 16], ids=lambda size: f"buffer{size}")
+    def kernel_buffer(self, request, monkeypatch):
+        """The kernel's ufunc buffer: its own, numpy's default, and 16, shorter than all but the smallest shapes."""
+        monkeypatch.setattr(troppca.pca, "_UFUNC_BUFFER", request.param)
+
     @staticmethod
     def instance(m, n, seed, grid):
         vertices, sample = random_ultrametrics(m, 3, seed=seed), random_ultrametrics(m, n, seed=seed + 1)
@@ -512,7 +518,7 @@ class TestKernelOrders:
 
     @pytest.mark.parametrize("grid", [False, True])
     @pytest.mark.parametrize("m,n", ORDER_SHAPES)
-    def test_evaluate_over_one_workspace(self, m, n, grid):
+    def test_evaluate_over_one_workspace(self, m, n, grid, kernel_buffer):
         sample, vertices = self.instance(m, n, 80, grid)
         stored = _stored(sample)
         work = _evaluation_work(stored, len(vertices))
@@ -525,7 +531,7 @@ class TestKernelOrders:
 
     @pytest.mark.parametrize("grid", [False, True])
     @pytest.mark.parametrize("m,n", ORDER_SHAPES)
-    def test_projection(self, m, n, grid):
+    def test_projection(self, m, n, grid, kernel_buffer):
         sample, vertices = self.instance(m, n, 82, grid)
         for layout in ("C", "F"):
             w, lam = project_to_polytope(laid_out(sample, layout), TropicalPolytope(vertices))
@@ -533,7 +539,7 @@ class TestKernelOrders:
             assert np.array_equal(w, ref_w) and np.array_equal(lam, ref_lam)
 
     @pytest.mark.parametrize("m,n", ORDER_SHAPES)
-    def test_short_fit(self, m, n):
+    def test_short_fit(self, m, n, kernel_buffer):
         sample, _ = self.instance(m, n, 84, False)
         cfg = FitConfig(s=3, max_iters=4, lr0=0.05, seed=11)
         _, trace = fit(sample, cfg)
@@ -547,6 +553,38 @@ class TestKernelOrders:
             expected.append(se)
             alpha *= cfg.decay
         assert trace.se == expected
+
+
+class TestCallerBuffer:
+    """evaluate and project_to_polytope, and so objective and fit, give the caller's ufunc buffer size back on every exit.
+
+    bench/hostspeed.py times its reference kernel in the benchmark's process
+    between stages, so a size left behind would rescale every nominal time.
+    """
+
+    def test_after_each_call(self, caller_buffer):
+        sample = random_ultrametrics(5, 30, seed=90)
+        p = TropicalPolytope(random_ultrametrics(5, 3, seed=91))
+        for call in (evaluate, project_to_polytope, objective):
+            call(sample, p)
+            assert np.getbufsize() == caller_buffer
+        fit(sample, FitConfig(s=3, max_iters=5))
+        assert np.getbufsize() == caller_buffer
+
+    @pytest.mark.parametrize("function", [evaluate, project_to_polytope, objective], ids=lambda f: f.__name__)
+    def test_after_an_overflow_in_the_kernel(self, caller_buffer, function):
+        # u - D_k = 1e308 + 1e308 overflows in _projection; numpy >= 2 resets
+        # the size when errstate exits, so it is read inside the block
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                function(np.full((2, 3), 1e308), TropicalPolytope(np.full((2, 3), -1e308)))
+            assert np.getbufsize() == caller_buffer
+
+    def test_after_a_fit_that_overflows(self, caller_buffer):
+        sample = random_ultrametrics(5, 40, seed=3)
+        with pytest.raises(ValueError, match="^iteration 0 overflows: lr0=1e\\+308 is too large$"):
+            fit(sample, FitConfig(s=3, lr0=1e308))
+        assert np.getbufsize() == caller_buffer
 
 
 @pytest.mark.parametrize("m,n", [(10, 1000), (8, 800), (5, 3000), (60, 50)])
@@ -591,7 +629,7 @@ def test_fit_builds_the_pair_table_once(monkeypatch):
 
 @pytest.mark.parametrize("function", [evaluate, objective, subgradient, project_to_polytope],
                          ids=lambda function: function.__name__)
-def test_non_finite_sample_is_one_error(function):
+def test_non_finite_sample_is_one_error(function, caller_buffer):
     p = TropicalPolytope(random_ultrametrics(4, 2, seed=70))
     sample = random_ultrametrics(4, 5, seed=71)
     for bad in (np.nan, np.inf, -np.inf):
@@ -600,6 +638,7 @@ def test_non_finite_sample_is_one_error(function):
         for arg in (u, u[2]):  # a batch and one vector
             with pytest.raises(ValueError, match="^sample coordinates must be finite$"):
                 function(arg, p)
+            assert np.getbufsize() == caller_buffer
 
 
 def test_non_finite_vertices_are_one_error():
@@ -755,11 +794,12 @@ class TestFit:
         with pytest.raises(ValueError, match="three-point"):
             fit(sample, FitConfig(s=2, max_iters=5, seed=9))
 
-    def test_rejects_non_finite_sample(self):
+    def test_rejects_non_finite_sample(self, caller_buffer):
         sample = random_ultrametrics(5, 5, seed=45).copy()
         sample[3, 1] = np.nan
         with pytest.raises(ValueError, match="^sample coordinates must be finite$"):
             fit(sample, FitConfig(s=2, max_iters=5, seed=9))
+        assert np.getbufsize() == caller_buffer
 
     def test_rejects_non_finite_initial_vertices(self):
         sample = random_ultrametrics(4, 5, seed=45)
