@@ -13,11 +13,11 @@ from .svgplot import scatter_svg
 from .treespace import (
     _checked_vectors,
     _dendrogram_newick,
+    _fields,
     _joined,
     _scaled,
     cophenetic_vector,
     default_tolerance,
-    leaf_depths,
     load_newick_file,
     project_to_treespace,
     random_ultrametrics,
@@ -207,9 +207,9 @@ def cmd_check(args) -> int:
     n_equidistant = 0
     n_ultrametric = 0
     for m in sorted({tree.m for _, tree in trees}):  # one batch per leaf count
-        lines, batch = zip(*[(ln, tree) for ln, tree in trees if tree.m == m])
-        depths = leaf_depths(batch)
-        vectors = cophenetic_vector(batch)
+        lines, views = zip(*[(ln, tree) for ln, tree in trees if tree.m == m])
+        depths = _fields(views, ("depth",))[0].reshape(-1, m)
+        vectors = cophenetic_vector(views)
         heights = depths.max(axis=1)
         gaps = heights - depths.min(axis=1)
         violations = ultrametric_violation(vectors)

@@ -25,8 +25,6 @@ __all__ = [
     "parse_newick",
     "load_newick_file",
     "cophenetic_vector",
-    "leaf_depths",
-    "scale_trees",
     "leaf_count_from_dim",
     "default_leaf_names",
     "is_ultrametric",
@@ -76,7 +74,7 @@ class PhyloTree:
 
     A tree is a view of one tree of a _Batch, the flat records of many
     trees that parse_newick, load_newick_file, reconstruct_tree and
-    scale_trees build and _trees cuts up; making one copies nothing.  Its
+    scaled build and _trees cuts up; making one copies nothing.  Its
     record, sliced from the batch when read, is flat and in preorder: per
     node, the index of its parent (-1 at the root) and the length of the
     edge to it; the node and the label of each leaf, in leaf
@@ -116,15 +114,12 @@ class PhyloTree:
         """Pairwise leaf-to-leaf path weights in the fixed pair order."""
         return cophenetic_vector(self)
 
-    def clades(self) -> list[frozenset[str]]:
-        """Leaf-label set below each internal node, root included, in preorder."""
-        labels = self._labels.tolist()
-        _, lo, hi = _clade_ranges(self._parent, np.array([len(self._parent)]))
-        return [frozenset(labels[a:b]) for a, b in zip(lo.tolist(), hi.tolist())]
-
     def scaled(self, factor: float) -> "PhyloTree":
-        """Copy of the tree with every branch length multiplied by factor."""
-        return scale_trees([self], [factor])[0]
+        """Copy of the tree with every branch length multiplied by factor, which must be finite and nonnegative."""
+        factor = float(factor)
+        if not 0.0 <= factor < math.inf:
+            raise ValueError(f"scale factor must be finite and nonnegative, got {factor}")
+        return _trees(_scaled(_joined([self]), np.array([factor])))[0]
 
     def to_newick(self) -> str:
         """Newick text with branch lengths at 12 significant digits."""
@@ -200,7 +195,7 @@ def _trees(batch: _Batch) -> list[PhyloTree]:
 def _fields(trees, names) -> list[np.ndarray]:
     """The named _Batch fields of trees: their batch's own arrays if they are its trees in order, else a copy.
 
-    load_newick_file, reconstruct_tree and scale_trees return whole batches.
+    load_newick_file and reconstruct_tree return whole batches.
     """
     batch = trees[0]._batch
     if len(trees) == len(batch.count) and all(tree._span[4] == t and tree._batch is batch for t, tree in enumerate(trees)):
@@ -228,23 +223,6 @@ def _scaled(batch: _Batch, factors: np.ndarray) -> _Batch:
         return _batch(batch.parent, batch.length * np.repeat(factors, batch.nodes), *batch[2:8])
 
 
-def scale_trees(trees, factors) -> list[PhyloTree]:
-    """Copies of trees with each tree's branch lengths multiplied by its factor, one per tree.
-
-    The copies' depths are summed root-down from the scaled lengths, for
-    all trees at once.
-    """
-    factors = np.asarray(factors, dtype=float)
-    if factors.size != len(trees):
-        raise ValueError(f"got {factors.size} scale factors for {len(trees)} trees")
-    bad = np.flatnonzero(~(factors >= 0))
-    if bad.size:
-        raise ValueError(f"scale factor must be nonnegative, got {factors[bad[0]]}")
-    if not trees:
-        return []
-    return _trees(_scaled(_joined(trees), factors))
-
-
 def _label_problem(labels: list[str]) -> str | None:
     """Why labels cannot name the leaves of a tree (duplicates, fewer than 3), or None."""
     if len(set(labels)) != len(labels):
@@ -265,13 +243,6 @@ def _tree_batch(trees) -> tuple[list[PhyloTree], int, bool]:
     if any(tree.m != m for tree in batch):
         raise ValueError("every tree of a batch must have the same number of leaves")
     return batch, m, batched
-
-
-def leaf_depths(trees) -> np.ndarray:
-    """Root-to-leaf path weights by leaf index: an (m,) vector for one tree, (n, m) for a sequence."""
-    batch, m, batched = _tree_batch(trees)
-    out = _fields(batch, ("depth",))[0].reshape(-1, m).copy()  # not a view of the trees' own depths
-    return out if batched else out[0]
 
 
 def cophenetic_vector(trees) -> np.ndarray:
@@ -1100,7 +1071,7 @@ def _three_point(rows: np.ndarray, m: int, tol) -> tuple[np.ndarray, list]:
 
 def _check_labels(names: list[str]) -> None:
     """Raise ValueError naming the first name that the Newick parser would not read back as a leaf label."""
-    bad = [name for name in names if not re.fullmatch(r"[A-Za-z0-9_.]+", name)]
+    bad = [name for name in names if not (name and _LABEL.fullmatch(name))]
     if bad:
         raise ValueError(f"leaf label {bad[0]!r} is not a run of [A-Za-z0-9_.], as Newick labels are")
 

@@ -22,10 +22,11 @@ the pieces that subgradient chains together.  The tropical linear
 combination, computed as one stacked max instead of a running maximum
 over the vertices, is the reference for the projection's w.  The nested
 ``Node`` view, its flattening into a ``PhyloTree``, the equidistance
-helpers, the pair order, torus equality and hyperplane sectors serve the
-tests alone.  The Newick writer, clade lists and topology signatures walk
-one tree node by node, with a stack of open nodes and per-node leaf counts, as
-the references for the batch text of the records.
+helpers (leaf depths summed down the record node by node), the pair
+order, torus equality and hyperplane sectors serve the tests alone.
+The Newick writer, clade lists and topology signatures walk one tree
+node by node, with a stack of open nodes and per-node leaf counts, as the
+references for the batch text of the records.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from troppca.treespace import (
     default_leaf_names,
     default_tolerance,
     leaf_count_from_dim,
-    leaf_depths,
     ultrametric_violation,
 )
 
@@ -136,9 +136,19 @@ def node_view(tree: PhyloTree) -> Node:
     return nodes[0]
 
 
+def walk_leaf_depths(tree: PhyloTree) -> np.ndarray:
+    """Root-to-leaf path weights by leaf index, summed down the preorder record one node at a time."""
+    parent, length = tree._parent.tolist(), tree._length.tolist()
+    depth = [0.0] * len(parent)
+    for i in range(1, len(parent)):
+        depth[i] = depth[parent[i]] + length[i]
+    by_label = {label: depth[leaf] for label, leaf in zip(tree._labels, tree._leaves.tolist())}
+    return np.array([by_label[name] for name in tree.leaf_names])
+
+
 def equidistance_gap(tree: PhyloTree) -> float:
     """Spread of the root-to-leaf path weights (0 for an equidistant tree)."""
-    d = leaf_depths(tree)
+    d = walk_leaf_depths(tree)
     return float(d.max() - d.min())
 
 
@@ -190,7 +200,7 @@ def walk_topology_signature(tree: PhyloTree) -> str:
 
 def is_equidistant(tree: PhyloTree, tol: float | None = None) -> bool:
     if tol is None:
-        tol = default_tolerance(leaf_depths(tree))
+        tol = default_tolerance(walk_leaf_depths(tree))
     return equidistance_gap(tree) <= tol
 
 

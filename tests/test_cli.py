@@ -14,6 +14,7 @@ from numpy.testing import assert_array_equal
 
 import troppca
 import troppca.cli
+import troppca.pca
 import troppca.treespace
 from troppca.cli import _build_parser, _fmt, _load_sample, main
 from troppca.model import Model, load_model, save_model
@@ -742,6 +743,15 @@ PUBLIC_NAMES = [
     "project_to_treespace", "random_ultrametrics", "reconstruct_tree", "save_model",
     "subgradient", "topology_signature", "trop_dist", "ultrametric_violation",
 ]
+TREESPACE_NAMES = [
+    "NewickError", "PhyloTree", "cophenetic_vector", "default_leaf_names", "default_tolerance",
+    "is_ultrametric", "leaf_count_from_dim", "load_newick_file", "parse_newick", "project_to_treespace",
+    "random_ultrametrics", "reconstruct_tree", "topology_signature", "ultrametric_violation",
+]
+PCA_NAMES = [
+    "FitConfig", "FitTrace", "TropicalPolytope", "baseline_random_search", "evaluate", "fit", "objective",
+    "project_to_polytope", "subgradient",
+]
 
 
 def run_python(*args):
@@ -758,8 +768,10 @@ class TestModuleEntryPoint:
         assert result.stdout.startswith("usage: troppca")
 
     def test_public_surface(self):
-        assert sorted(troppca.__all__) == PUBLIC_NAMES
-        assert all(hasattr(troppca, name) for name in troppca.__all__)
+        for module, names in [(troppca, PUBLIC_NAMES), (troppca.treespace, TREESPACE_NAMES),
+                              (troppca.pca, PCA_NAMES)]:
+            assert sorted(module.__all__) == names, module.__name__
+            assert all(hasattr(module, name) for name in module.__all__), module.__name__
 
     def test_cli_loads_numpy_alone(self):
         # modules a site hook loaded before the import do not count

@@ -34,6 +34,7 @@ from oracles import (
     tree_from_nodes,
     union_find_reconstruct_tree,
     walk_clades,
+    walk_leaf_depths,
     walk_newick,
     walk_topology_signature,
 )
@@ -47,19 +48,19 @@ from troppca.treespace import (
     _dendrogram_newick,
     _joined,
     _newick,
+    _scaled,
+    _trees,
     NewickError,
     cophenetic_vector,
     default_leaf_names,
     default_tolerance,
     is_ultrametric,
     leaf_count_from_dim,
-    leaf_depths,
     load_newick_file,
     parse_newick,
     project_to_treespace,
     random_ultrametrics,
     reconstruct_tree,
-    scale_trees,
     topology_signature,
     ultrametric_violation,
 )
@@ -246,7 +247,7 @@ class TestDeepTrees:
         text = "(" * 1500 + "((a:1,b:1):1,c:2)" + ")" * 1500 + ";"
         tree = parse_newick(text)
         assert_array_equal(tree.cophenetic_vector(), [2.0, 4.0, 4.0])
-        assert len(tree.clades()) == 1502
+        assert topology_signature(tree) == walk_topology_signature(tree)  # 1502 clades, one per internal node
         assert tree.scaled(0.5).height() == 1.0
         assert parse_newick(tree.to_newick()).to_newick() == tree.to_newick()
         assert node_view(tree).children[0].children[0].length == 0.0
@@ -398,7 +399,7 @@ class TestNewickAgainstRecursiveOracle:
         for tree, text, factor in zip(trees, texts, factors):
             names, expected = oracle_vector(text)
             assert tree.leaf_names == names
-            assert sorted(tuple(sorted(c)) for c in tree.clades()) == nested_clades(recursive_parse_newick(text)[0])
+            assert sorted(tuple(sorted(c)) for c in walk_clades(tree)) == nested_clades(recursive_parse_newick(text)[0])
             assert np.array_equal(tree.cophenetic_vector(), expected)
             assert np.array_equal(cophenetic_vector(tree.scaled(factor)), oracle_vector(text, factor)[1])
         batch = cophenetic_vector(trees)
@@ -685,7 +686,7 @@ class TestLengthFastPath:
 def library_sample(path, project_inputs: bool, normalize_height: bool):
     """_load_sample by the public tree API, PhyloTree by PhyloTree, with the CLI's error texts.
 
-    load_newick_file, then scale_trees to height 1 if asked, then
+    load_newick_file, then PhyloTree.scaled to height 1 if asked, then
     cophenetic_vector, then project_to_treespace of the rows that fail the
     exact three-point check at the default tolerance.  Scaling and vectors
     go one tree at a time, so no tree hands over its whole batch's arrays.
@@ -708,7 +709,7 @@ def library_sample(path, project_inputs: bool, normalize_height: bool):
         for (ln, _), height, factor in zip(trees, heights, factors):
             if not np.isfinite(factor):
                 raise CliError(f"line {ln}: cannot normalize a tree of height {height:.3g}")
-        batch = [scale_trees([tree], [factor])[0] for tree, factor in zip(batch, factors)]
+        batch = [tree.scaled(factor) for tree, factor in zip(batch, factors)]
     vectors = np.stack([cophenetic_vector(tree) for tree in batch])
     bad = ~is_ultrametric(vectors)
     if bad.any():
@@ -766,16 +767,12 @@ class TestTreeViews:
         other = parse_newick("(((x:1,y:1):1,z:2):1,(u:2,v:2,w:2):1);")
         for sequence in (trees, trees[::-1], trees[1:], [trees[3], trees[3]], [*trees[:5], other], [other]):
             assert np.array_equal(cophenetic_vector(sequence), np.stack([tree.cophenetic_vector() for tree in sequence]))
-            assert np.array_equal(leaf_depths(sequence), np.stack([leaf_depths(tree) for tree in sequence]))
+            depths = _joined(sequence).depth.reshape(len(sequence), -1)
+            assert np.array_equal(depths, np.stack([walk_leaf_depths(tree) for tree in sequence]))
             assert topology_signature(sequence) == [topology_signature(tree) for tree in sequence]
-            scaled = scale_trees(sequence, np.arange(len(sequence)) + 0.5)
+            scaled = _trees(_scaled(_joined(sequence), np.arange(len(sequence)) + 0.5))
             assert [tree.to_newick() for tree in scaled] == [tree.scaled(k + 0.5).to_newick()
                                                              for k, tree in enumerate(sequence)]
-
-    def test_leaf_depths_are_a_copy(self, trees):
-        heights = [tree.height() for tree in trees]
-        leaf_depths(trees)[:] = -1.0
-        assert [tree.height() for tree in trees] == heights
 
 
 class TestIsUltrametric:
@@ -1021,13 +1018,10 @@ class TestTreeScaling:
         assert unit.height() == 1.0
         assert_array_equal(unit.cophenetic_vector(), [1.0, 2.0, 2.0])
 
-    def test_empty_batch_is_an_empty_list(self):
-        assert scale_trees([], []) == []
-
-    def test_factor_count_must_match_tree_count(self):
-        tree = parse_newick("((1:1,2:1):1,3:2);")
-        with pytest.raises(ValueError, match="^got 2 scale factors for 1 trees$"):
-            scale_trees([tree], [1.0, 2.0])
+    def test_rejects_an_infinite_factor(self):
+        # 0 * inf would be nan: ((a:inf,b:nan):inf,c:inf); of height nan
+        with pytest.raises(ValueError, match=r"^scale factor must be finite and nonnegative, got inf$"):
+            parse_newick("((a:1,b:0):1,c:2);").scaled(float("inf"))
 
 
 @st.composite
@@ -1239,7 +1233,7 @@ class TestBatchedReconstruct:
         assert isinstance(trees, list) and len(trees) == len(x)
         expected = [union_find_reconstruct_tree(row, tol=tol) for row in x]
         assert [t.to_newick() for t in trees] == [t.to_newick() for t in expected]
-        assert [t.clades() for t in trees] == [t.clades() for t in expected]
+        assert [walk_clades(t) for t in trees] == [walk_clades(t) for t in expected]
         assert np.array_equal(cophenetic_vector(trees), cophenetic_vector(expected))
         single = reconstruct_tree(x[-1], tol=tol)
         assert single.to_newick() == expected[-1].to_newick()
@@ -1274,7 +1268,7 @@ class TestBatchedReconstruct:
         assert np.all(ultrametric_violation(x) <= default_tolerance(x))
         trees = reconstruct_tree(x)
         expected = [union_find_reconstruct_tree(row) for row in x]
-        assert [set(t.clades()) for t in trees] == [set(t.clades()) for t in expected]
+        assert [set(walk_clades(t)) for t in trees] == [set(walk_clades(t)) for t in expected]
         assert np.array_equal(cophenetic_vector(trees), cophenetic_vector(expected))
 
     @pytest.mark.parametrize("m,n", [(12, 1100), (60, 40)])
@@ -1318,7 +1312,7 @@ SUBNORMAL_LENGTHS = st.one_of(LENGTHS, st.sampled_from([5e-324, 1e-310, 2.225073
 
 
 def assert_text_matches_walks(trees) -> None:
-    """The batch Newick lines, clades and signatures of trees equal the per-tree walks'."""
+    """The batch Newick lines and signatures of trees equal the per-tree walks'."""
     parent = np.concatenate([tree._parent for tree in trees])
     length = np.concatenate([tree._length for tree in trees])
     nodes = np.array([len(tree._parent) for tree in trees])
@@ -1326,7 +1320,6 @@ def assert_text_matches_walks(trees) -> None:
     expected = [walk_newick(tree) for tree in trees]
     assert _newick(parent, length, nodes, labels) == "".join(text + "\n" for text in expected)
     assert [tree.to_newick() for tree in trees] == expected
-    assert [tree.clades() for tree in trees] == [walk_clades(tree) for tree in trees]
     signatures = [walk_topology_signature(tree) for tree in trees]
     assert [topology_signature(tree) for tree in trees] == signatures
     assert topology_signature(trees) == signatures
@@ -1474,9 +1467,13 @@ def near_ultrametric_trees(draw) -> list:
         texts.append(text)
     trees = [parse_newick(text) for text in texts]
     scale = draw(st.sampled_from([None, "height", 1e-7, 3.0]))
+    if scale is None:
+        return trees
     if scale == "height":  # as --normalize-height
-        return scale_trees(trees, [1.0 / tree.height() for tree in trees])
-    return trees if scale is None else scale_trees(trees, [scale] * len(trees))
+        factors = np.array([1.0 / tree.height() for tree in trees])
+    else:
+        factors = np.full(len(trees), scale)
+    return _trees(_scaled(_joined(trees), factors))
 
 
 @st.composite
@@ -1502,7 +1499,7 @@ class TestScreenedChecks:
     @settings(max_examples=150, deadline=None)
     @given(near_ultrametric_trees())
     @example([parse_newick("((a:1,b:1):1,c:5);")])  # leaf depths 3 apart, violation 0
-    @example(scale_trees([parse_newick("((a:2,b:1):0.1,c:0.5);")], [1e308]))  # u = (inf, inf, 1.6e308)
+    @example([parse_newick("((a:2,b:1):0.1,c:0.5);").scaled(1e308)])  # u = (inf, inf, 1.6e308)
     def test_depth_screen_decides_like_the_check(self, trees):
         with np.errstate(invalid="ignore"):  # inf - inf in the check of overflowed rows
             with CheckedRows() as spy:
