@@ -10,7 +10,6 @@ keeping every iterate a valid ultrametric.
 from __future__ import annotations
 
 import time
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +18,7 @@ from .treespace import (
     _chunks,
     _seed,
     _three_point,
+    _ufunc_buffer,
     default_tolerance,
     leaf_count_from_dim,
     project_to_treespace,
@@ -39,8 +39,6 @@ __all__ = [
 
 # Relative tolerance under which evaluate's tie rule treats two selections as tied.
 TIE_RTOL = 1e-9
-# numpy's ufunc buffer, in elements, while evaluate and project_to_polytope run (see _projection).
-_UFUNC_BUFFER = 1024
 
 
 class TropicalPolytope:
@@ -137,8 +135,8 @@ def _projection(ut: np.ndarray, v: np.ndarray, lam, w, cand, masks=(), tol: floa
     """Writes lam and w of the (e, n) columns ut over vertices v: lam[k] = min(ut - D_k), w = max_k(lam[k] + D_k).
 
     cand is (e, n) scratch.  Given tol, vertex k's mask marks where
-    ut - D_k is within tol of lam[k], its tied minimizers j*.  Callers set
-    numpy's ufunc buffer to _UFUNC_BUFFER elements, at which these broadcasts
+    ut - D_k is within tol of lam[k], its tied minimizers j*.  Callers run
+    it inside treespace._ufunc_buffer, at whose 1024 elements these broadcasts
     ran 2-4x faster than at numpy's default 8192 (CHANGES.md).  Every
     result is elementwise or a min or max, which returns one of its operands
     in any order, so the bits do not depend on the buffer (a zero's sign aside).
@@ -165,11 +163,9 @@ def project_to_polytope(sample, polytope: TropicalPolytope) -> tuple[np.ndarray,
     chunk's (e, rows) transpose in _kernel_order for the chunk's shape:
     observation-major, the transpose of C-ordered rows is used as it is and
     w is written straight into the result; pair-major, the chunk is copied
-    into its transpose and w is transposed back.  The call runs at the ufunc
-    buffer _projection asks for and gives the caller's size back on every exit.
+    into its transpose and w is transposed back, all inside _ufunc_buffer.
     """
-    with ExitStack() as restore:
-        restore.callback(np.setbufsize, np.setbufsize(_UFUNC_BUFFER))  # the caller's size returns on any exit
+    with _ufunc_buffer():
         v = polytope.vertices
         rows = _sample_matrix(sample, polytope.e)
         lam, w = np.empty((len(rows), polytope.s)), np.empty(rows.shape)
@@ -229,12 +225,9 @@ def evaluate(sample, polytope: TropicalPolytope, work=None) -> tuple[float, np.n
     observation-major, and decoded by one divmod.  In both orders each
     bincount bin, keyed by t or by i, receives its terms in increasing
     order of the other index, as a sequential sum does: g is exact to the
-    bit, and the same in both orders.  Like project_to_polytope, the call
-    runs at the ufunc buffer _projection asks for and gives the caller's size
-    back on every exit, so other numpy work in the process keeps its own.
+    bit, and the same in both orders.  It runs inside _ufunc_buffer.
     """
-    with ExitStack() as restore:
-        restore.callback(np.setbufsize, np.setbufsize(_UFUNC_BUFFER))  # the caller's size returns on any exit
+    with _ufunc_buffer():
         v = polytope.vertices
         s, e = v.shape
         if work is None:
@@ -342,7 +335,7 @@ class FitTrace:
 def _validate_ultrametric_rows(u: np.ndarray, what: str) -> None:
     tol = default_tolerance(u)
     violation, _ = _three_point(u, leaf_count_from_dim(u.shape[1]), tol)
-    bad = np.flatnonzero(~(violation <= tol))  # as ~is_ultrametric(u)
+    bad = np.flatnonzero(~((violation <= tol) & (tol < np.inf)))  # as ~is_ultrametric(u)
     if bad.size:
         shown = ", ".join(map(str, bad[:10]))
         more = "" if len(bad) <= 10 else f" (+{len(bad) - 10} more)"

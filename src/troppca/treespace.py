@@ -11,6 +11,7 @@ twice), and such a vector determines its tree uniquely.
 from __future__ import annotations
 
 import collections
+import contextlib
 import functools
 import itertools
 import math
@@ -304,7 +305,7 @@ def _checked_vectors(batch: _Batch) -> tuple[np.ndarray, np.ndarray]:
     ok = (bound <= tol) & (tol < math.inf)
     rest = np.flatnonzero(~ok)
     if rest.size:
-        ok[rest] = is_ultrametric(vectors[rest], tol[rest])
+        ok[rest] = is_ultrametric(vectors[rest])
     return vectors, ok
 
 
@@ -807,6 +808,19 @@ _CHUNK_ELEMENTS = 1 << 18
 # the default budget, those of the m^2-per-row kernels at m > 128 and those of
 # the three-point check at m > 257.
 _FEWEST_ROWS = 16
+# numpy's ufunc buffer inside _ufunc_buffer (try/finally: np.errstate gives it back only on numpy >= 2), at which
+# pca._projection ran 2-4x and ultrametric_violation 1.2-1.4x faster than at numpy's default 8192 (CHANGES.md)
+_UFUNC_BUFFER = 1024
+
+
+@contextlib.contextmanager
+def _ufunc_buffer():
+    """Runs the block at numpy's ufunc buffer _UFUNC_BUFFER and gives the caller's size back on any exit, errors included."""
+    previous = np.setbufsize(_UFUNC_BUFFER)
+    try:
+        yield
+    finally:
+        np.setbufsize(previous)
 
 
 def _as_rows(u) -> tuple[np.ndarray, int, bool]:
@@ -843,35 +857,37 @@ def ultrametric_violation(u):
     and jk of all of them are the slices d[:j, j], d[:j, j+1:] and
     d[j, j+1:].  Rows go in chunks of about _CHUNK_ELEMENTS (2^18) triples
     of the largest middle leaf, (m-1)^2/4 per row, so d holds about four
-    times that many entries.
+    times that many entries.  It runs inside _ufunc_buffer; every result is
+    elementwise or a max, so its bits do not depend on the buffer.
     """
     rows, m, batched = _as_rows(u)
     iu, ju, _ = _pairs(m)
     out = np.zeros(len(rows))
-    for part in _chunks(len(rows), (m - 1) ** 2 // 4):
-        d = np.empty((m, m, len(rows[part])))  # rows last, so numpy's inner loops run along them
-        d[iu, ju] = rows[part].T
-        worst = out[part]
-        for j in range(1, m - 1):
-            a, b, c = d[:j, j, None], d[:j, j + 1:], d[None, j, j + 1:]
-            top = np.maximum(a, b)
-            middle = np.minimum(top, c)
-            np.maximum(top, c, out=top)  # max(max(a, b), c)
-            np.maximum(np.minimum(a, b), middle, out=middle)  # max(min(a, b), min(max(a, b), c))
-            np.subtract(top, middle, out=top)
-            np.maximum(worst, np.max(top, axis=(0, 1)), out=worst)
+    with _ufunc_buffer():
+        for part in _chunks(len(rows), (m - 1) ** 2 // 4):
+            d = np.empty((m, m, len(rows[part])))  # rows last, so numpy's inner loops run along them
+            d[iu, ju] = rows[part].T
+            worst = out[part]
+            for j in range(1, m - 1):
+                a, b, c = d[:j, j, None], d[:j, j + 1:], d[None, j, j + 1:]
+                top = np.maximum(a, b)
+                middle = np.minimum(top, c)
+                np.maximum(top, c, out=top)  # max(max(a, b), c)
+                np.maximum(np.minimum(a, b), middle, out=middle)  # max(min(a, b), min(max(a, b), c))
+                np.subtract(top, middle, out=top)
+                np.maximum(worst, np.max(top, axis=(0, 1)), out=worst)
     return out if batched else float(out[0])
 
 
 def is_ultrametric(u, tol=None):
     """Three-point condition check: the top two of every triple agree within tol.
 
-    tol=None uses the scale-aware default; pass 0 for an exact check.  For
-    an (n, e) batch the result is one boolean per row.
+    tol=None uses the scale-aware default, under which a row whose default
+    is not finite (it holds an inf) is not ultrametric; pass 0 for an exact
+    check.  For an (n, e) batch the result is one boolean per row.
     """
-    if tol is None:
-        tol = default_tolerance(u)
-    return ultrametric_violation(u) <= tol
+    bound = default_tolerance(u) if tol is None else tol
+    return (ultrametric_violation(u) <= bound) & (tol is not None or bound < math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -610,11 +610,13 @@ class TestPlot:
 
 
 def test_commands_give_the_caller_buffer_back(tmp_path, sample_file, caller_buffer, capsys):
-    """fit, eval, project and plot, run in process, leave numpy's ufunc buffer at the caller's size, also on an error."""
+    """gen, check, fit, eval, project and plot, run in process, leave numpy's ufunc buffer at the caller's size, also on an error."""
     model_path, _ = fit_model(tmp_path, sample_file)
     assert np.getbufsize() == caller_buffer
     files = ["--model", str(model_path), "--input", str(sample_file)]
-    for argv in (["eval", *files], ["project", *files, "--out", str(tmp_path / "p.csv")],
+    for argv in (["gen", "--m", "6", "--n", "20", "--seed", "3", "--out", str(tmp_path / "g.nwk")],
+                 ["check", "--input", str(sample_file)], ["eval", *files],
+                 ["project", *files, "--out", str(tmp_path / "p.csv")],
                  ["plot", *files, "--out", str(tmp_path / "p.svg")]):
         assert main(argv) == 0
         assert np.getbufsize() == caller_buffer

@@ -37,7 +37,7 @@ from troppca.pca import (
     subgradient,
 )
 from troppca.tropical import trop_dist
-from troppca.treespace import project_to_treespace, random_ultrametrics, ultrametric_violation
+from troppca.treespace import is_ultrametric, project_to_treespace, random_ultrametrics, ultrametric_violation
 
 # A row budget small enough that the batches below span several row chunks of
 # project_to_polytope; at the default budget each of them is one chunk.
@@ -504,10 +504,10 @@ class TestKernelOrders:
             assert plane.shape == (e, n) and plane.strides[axis] == plane.itemsize
         assert _stored(np.zeros((n, e))).T.strides[axis] == 8
 
-    @pytest.fixture(params=[troppca.pca._UFUNC_BUFFER, 8192, 16], ids=lambda size: f"buffer{size}")
+    @pytest.fixture(params=[troppca.treespace._UFUNC_BUFFER, 8192, 16], ids=lambda size: f"buffer{size}")
     def kernel_buffer(self, request, monkeypatch):
         """The kernel's ufunc buffer: its own, numpy's default, and 16, shorter than all but the smallest shapes."""
-        monkeypatch.setattr(troppca.pca, "_UFUNC_BUFFER", request.param)
+        monkeypatch.setattr(troppca.treespace, "_UFUNC_BUFFER", request.param)
 
     @staticmethod
     def instance(m, n, seed, grid):
@@ -556,7 +556,10 @@ class TestKernelOrders:
 
 
 class TestCallerBuffer:
-    """evaluate and project_to_polytope, and so objective and fit, give the caller's ufunc buffer size back on every exit.
+    """The kernels that run inside _ufunc_buffer give the caller's ufunc buffer size back on every exit.
+
+    They are evaluate, project_to_polytope and ultrametric_violation, and so
+    objective, fit and is_ultrametric.
 
     bench/hostspeed.py times its reference kernel in the benchmark's process
     between stages, so a size left behind would rescale every nominal time.
@@ -568,6 +571,10 @@ class TestCallerBuffer:
         for call in (evaluate, project_to_polytope, objective):
             call(sample, p)
             assert np.getbufsize() == caller_buffer
+        for check in (ultrametric_violation, is_ultrametric):
+            for u in (sample, sample[0]):
+                check(u)
+                assert np.getbufsize() == caller_buffer
         fit(sample, FitConfig(s=3, max_iters=5))
         assert np.getbufsize() == caller_buffer
 
@@ -579,6 +586,23 @@ class TestCallerBuffer:
             with pytest.raises(FloatingPointError):
                 function(np.full((2, 3), 1e308), TropicalPolytope(np.full((2, 3), -1e308)))
             assert np.getbufsize() == caller_buffer
+
+    @pytest.mark.parametrize("function", [project_to_polytope, ultrametric_violation, is_ultrametric],
+                             ids=lambda f: f.__name__)
+    def test_after_an_error_inside_the_helper(self, caller_buffer, function, monkeypatch):
+        sizes = []
+
+        def failing_chunks(*args):
+            sizes.append(np.getbufsize())
+            raise MemoryError
+
+        sample = random_ultrametrics(5, 30, seed=93)
+        args = (sample, TropicalPolytope(sample[:3])) if function is project_to_polytope else (sample,)
+        for module in (troppca.treespace, troppca.pca):  # pca imports _chunks by name
+            monkeypatch.setattr(module, "_chunks", failing_chunks)
+        with pytest.raises(MemoryError):
+            function(*args)
+        assert sizes == [troppca.treespace._UFUNC_BUFFER] and np.getbufsize() == caller_buffer
 
     def test_after_a_fit_that_overflows(self, caller_buffer):
         sample = random_ultrametrics(5, 40, seed=3)

@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import os
+import pathlib
 import re
 import tempfile
 import time
@@ -793,6 +795,16 @@ class TestIsUltrametric:
         assert ultrametric_violation([1, 2, 3]) == 1.0
         assert ultrametric_violation([1, 2, 2]) == 0.0
 
+    def test_an_infinite_vector_is_not_ultrametric_at_the_default_tolerance(self):
+        # its default tolerance is inf, and so is its violation
+        assert not is_ultrametric([1.0, 2.0, np.inf])
+        assert is_ultrametric([1.0, 2.0, np.inf], tol=np.inf)  # a given tol keeps its meaning
+        x = random_ultrametrics(5, 4, seed=12)
+        x[2, 3] = np.inf
+        assert_array_equal(is_ultrametric(x), [True, True, False, True])
+        assert_array_equal(is_ultrametric(x, tol=np.inf), [True] * 4)
+        assert_array_equal(is_ultrametric(np.array([[1.0, 2.0, 2.0], [1.0, 2.0, np.inf]])), [True, False])
+
     def test_shift_invariant(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
@@ -1404,6 +1416,48 @@ class TestChunkIndependence:
         with mock.patch.object(troppca.treespace, "_CHUNK_ELEMENTS", 1):
             assert len(list(_dendrogram_newick(exact))) == n  # one row per chunk; project_to_polytope's hold 64
             assert self.results(x, exact) == expected
+
+
+class TestViolationBuffer:
+    """ultrametric_violation runs inside _ufunc_buffer and gives the same bits at buffers 16, 1024 and 8192."""
+
+    @pytest.fixture(params=[troppca.treespace._UFUNC_BUFFER, 8192, 16], ids=lambda size: f"buffer{size}")
+    def kernel_buffer(self, request, monkeypatch):
+        """The kernel's ufunc buffer: its own, numpy's default, and 16, shorter than all but the smallest shapes."""
+        monkeypatch.setattr(troppca.treespace, "_UFUNC_BUFFER", request.param)
+
+    @staticmethod
+    def rows(m: int, n: int, seed: int) -> np.ndarray:
+        """Exact ultrametrics, rows on a coarse grid (many exact ties), arbitrary rows, and rows holding inf or nan."""
+        rng = np.random.default_rng(seed)
+        e, q = m * (m - 1) // 2, n // 4
+        special = np.round(4 * rng.random((q, e))) / 4
+        special[0::3, 0] = np.inf
+        special[1::3, [0, e - 1]] = np.inf  # pairs 01 and (m-2)(m-1), in no common triple at m >= 4
+        special[2::3, e // 2] = np.nan
+        rows = np.vstack([random_ultrametrics(m, q, seed), np.round(4 * rng.random((q, e))) / 4,
+                          rng.normal(size=(n - 3 * q, e)), special])
+        return rows[rng.permutation(n)]
+
+    @pytest.mark.parametrize("m,n,budget", [(5, 600, 1 << 10), (10, 300, 1 << 12), (60, 80, 1 << 15)])
+    def test_several_chunks_against_the_sorting_oracle(self, m, n, budget, kernel_buffer):
+        rows = self.rows(m, n, 2300 + m)
+        expected = [sorted_triple_violation(row) for row in rows]  # at numpy's buffer, whatever the kernel's
+        with mock.patch.object(troppca.treespace, "_CHUNK_ELEMENTS", budget):
+            assert chunk_count(n, (m - 1) ** 2 // 4) > 1
+            got = ultrametric_violation(rows)
+        assert np.isnan(got).any() and np.isinf(got).any() and (got == 0).any()
+        assert_array_equal(got, expected)  # nan where expected is nan
+
+
+def test_only_the_buffer_helper_sets_the_buffer():
+    """Every setbufsize in the package lies inside treespace._ufunc_buffer, which gives the caller's size back."""
+    lines, start = inspect.getsourcelines(troppca.treespace._ufunc_buffer.__wrapped__)
+    helper = range(start, start + len(lines))
+    package = pathlib.Path(troppca.treespace.__file__).parent
+    found = [(path.name, number) for path in sorted(package.glob("*.py"))
+             for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if "setbufsize" in line]
+    assert found and all(name == "treespace.py" and number in helper for name, number in found), found
 
 
 class CheckedRows:
