@@ -16,8 +16,8 @@ from .treespace import (
     _fields,
     _joined,
     _scaled,
+    _verdict,
     cophenetic_vector,
-    default_tolerance,
     load_newick_file,
     project_to_treespace,
     random_ultrametrics,
@@ -213,8 +213,8 @@ def cmd_check(args) -> int:
         heights = depths.max(axis=1)
         gaps = heights - depths.min(axis=1)
         violations = ultrametric_violation(vectors)
-        equidistant = gaps <= (default_tolerance(depths) if args.tol is None else args.tol)
-        ultrametric = violations <= (default_tolerance(vectors) if args.tol is None else args.tol)
+        equidistant = _verdict(gaps, depths, args.tol)
+        ultrametric = _verdict(violations, vectors, args.tol)
         n_equidistant += int(equidistant.sum())
         n_ultrametric += int(ultrametric.sum())
         rows = zip(lines, heights.tolist(), gaps.tolist(), equidistant.tolist(),

@@ -98,13 +98,11 @@ def load_model(path) -> Model:
         raise ValueError("vertex array does not match the declared s")
     if leaf_count_from_dim(vertices.shape[1]) != m:
         raise ValueError("vertex dimension does not match the declared m")
-    if not np.all(np.isfinite(vertices)):
-        raise ValueError("vertex coordinates must be finite")
-    violation, _ = _three_point(vertices, m, LOAD_TOLERANCE)
-    bad = np.flatnonzero(~(violation <= LOAD_TOLERANCE))
+    polytope = TropicalPolytope(vertices)  # finite before the three-point check
+    bad = np.flatnonzero(~_three_point(polytope.vertices, m, LOAD_TOLERANCE)[0])
     if bad.size:
         raise ValueError(f"vertex {bad[0] + 1} fails the three-point condition")
     config, summary = doc.get("config", {}), doc.get("trace_summary", {})
     if not (isinstance(config, dict) and isinstance(summary, dict)):
         raise ValueError("model fields 'config' and 'trace_summary' must be JSON objects")
-    return Model(leaf_labels=list(labels), polytope=TropicalPolytope(vertices), config=config, trace_summary=summary)
+    return Model(leaf_labels=list(labels), polytope=polytope, config=config, trace_summary=summary)

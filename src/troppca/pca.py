@@ -19,7 +19,6 @@ from .treespace import (
     _seed,
     _three_point,
     _ufunc_buffer,
-    default_tolerance,
     leaf_count_from_dim,
     project_to_treespace,
 )
@@ -107,28 +106,26 @@ def _stored(u: np.ndarray) -> np.ndarray:
     return np.asarray(u.T, order=_kernel_order(*u.T.shape)).T
 
 
-def _workspace(s: int, e: int, n: int):
-    """evaluate's buffers: lam and d's max, min and spread; float, bool and index rows; (e, n) views of some rows.
+def _workspace(sample: np.ndarray, s: int):
+    """evaluate's work at s vertices for an (n, e) sample whose transpose is in _kernel_order.
 
-    The views, in _kernel_order, are w (then d) and a candidate, then the
-    j* masks of each vertex, top, bottom and either.  The other rows are the
-    sparse phase's, filled in a prefix as long as the tied cells (at most
-    e * n): four of scratch, s of ktied, and t, i, jt and ji.  The float and
-    bool rows are one block, most of the workspace: glibc trims a freed heap
-    top past twice the largest mapped block freed, so a fit's workspace then
+    lam and d's max, min and spread; float, bool and index rows; (e, n)
+    views of some rows; the sample's largest magnitude.  The views, in
+    _kernel_order, are w (then d) and a candidate, then the j* masks of
+    each vertex, top, bottom and either.  The other rows are the sparse
+    phase's, filled in a prefix as long as the tied cells (at most e * n):
+    four of scratch, s of ktied, and t, i, jt and ji.  The float and bool
+    rows are one block, most of the workspace: glibc trims a freed heap top
+    past twice the largest mapped block freed, so a fit's workspace then
     stays in the heap for the process's next call (see CHANGES.md).
     """
+    n, e = sample.shape
     order = _kernel_order(e, n)
     block = np.empty((48 + 2 * s + 3) * e * n, dtype=np.uint8)  # six float rows, then 2s + 3 bool rows
     floats, flags = block[: 48 * e * n].view(float).reshape(6, -1), block[48 * e * n :].reshape(2 * s + 3, -1).view(bool)
-    planes = ([row.reshape(e, n, order=order) for row in rows] for rows in (floats[:2], flags[: s + 3]))
-    return np.empty((s + 3, n)), floats, flags, np.empty((4, e * n), dtype=np.intp), *planes
-
-
-def _evaluation_work(sample: np.ndarray, s: int):
-    """evaluate's work for an (n, e) sample whose transpose is in _kernel_order: a _workspace and the largest magnitude."""
-    buffers = _workspace(s, sample.shape[1], len(sample))
-    return buffers, np.abs(sample.T, out=buffers[4][1]).max()
+    planes, masks = ([row.reshape(e, n, order=order) for row in rows] for rows in (floats[:2], flags[: s + 3]))
+    largest = np.abs(sample.T, out=planes[1]).max()
+    return np.empty((s + 3, n)), floats, flags, np.empty((4, e * n), dtype=np.intp), planes, masks, largest
 
 
 def _projection(ut: np.ndarray, v: np.ndarray, lam, w, cand, masks=(), tol: float | None = None) -> None:
@@ -217,10 +214,10 @@ def evaluate(sample, polytope: TropicalPolytope, work=None) -> tuple[float, np.n
     gradient, up to rounding.  Deterministic.
 
     The pass reads the sample as its (e, n) transpose in _kernel_order and
-    puts its array temporaries in work, a _workspace and the sample's
-    largest magnitude (_evaluation_work), which fit makes once and passes
-    with its checked sample _stored to match; a call without work checks,
-    copies, allocates and measures those itself.  Tied cells are taken by
+    puts its array temporaries in work, a _workspace that also holds the
+    sample's largest magnitude, which fit makes once and passes with its
+    checked sample _stored to match; a call without work checks, copies,
+    allocates and measures those itself.  Tied cells are taken by
     flat index in memory order, (t, i) pair-major and (i, t)
     observation-major, and decoded by one divmod.  In both orders each
     bincount bin, keyed by t or by i, receives its terms in increasing
@@ -232,9 +229,9 @@ def evaluate(sample, polytope: TropicalPolytope, work=None) -> tuple[float, np.n
         s, e = v.shape
         if work is None:
             sample = _stored(_sample_matrix(sample, e))
-            work = _evaluation_work(sample, s)
+            work = _workspace(sample, s)
         n, ut = len(sample), sample.T
-        (per_obs, floats, flags, ints, (w, cand), masks), largest = work
+        per_obs, floats, flags, ints, (w, cand), masks, largest = work
         lam, (dmax, dmin, spread) = per_obs[:s], per_obs[s:]
         top, bottom, either = masks[s:]
         tol = TIE_RTOL * max(largest, np.abs(v).max())
@@ -333,9 +330,7 @@ class FitTrace:
 
 
 def _validate_ultrametric_rows(u: np.ndarray, what: str) -> None:
-    tol = default_tolerance(u)
-    violation, _ = _three_point(u, leaf_count_from_dim(u.shape[1]), tol)
-    bad = np.flatnonzero(~((violation <= tol) & (tol < np.inf)))  # as ~is_ultrametric(u)
+    bad = np.flatnonzero(~_three_point(u, leaf_count_from_dim(u.shape[1]))[0])
     if bad.size:
         shown = ", ".join(map(str, bad[:10]))
         more = "" if len(bad) <= 10 else f" (+{len(bad) - 10} more)"
@@ -357,12 +352,10 @@ def fit(sample, cfg: FitConfig) -> tuple[TropicalPolytope, FitTrace]:
     step or evaluation overflows raises ValueError naming it and lr0.  The
     sample is _stored once, so that its transpose is in _kernel_order, and
     every evaluation writes its per-pair and per-cell arrays into one
-    _workspace allocated here, not per iteration, and reads the sample's
-    largest magnitude measured here.
+    _workspace allocated here, not per iteration.
     """
     u = _stored(_sample_matrix(sample))
     n, e = u.shape
-    leaf_count_from_dim(e)
     if cfg.s > n:
         raise ValueError(f"need at least s observations (s={cfg.s}, n={n})")
     _validate_ultrametric_rows(u, "sample vectors")
@@ -378,7 +371,7 @@ def fit(sample, cfg: FitConfig) -> tuple[TropicalPolytope, FitTrace]:
         polytope = TropicalPolytope(vertices)  # finite before the three-point check
         _validate_ultrametric_rows(polytope.vertices, "initial vertices")
 
-    work = _evaluation_work(u, cfg.s)
+    work = _workspace(u, cfg.s)
     best_se, g = evaluate(u, polytope, work)
     best_vertices = polytope.vertices.copy()
     trace = FitTrace(initial_se=best_se, best_se=best_se, best_iteration=-1)

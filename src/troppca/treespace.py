@@ -167,17 +167,13 @@ _SLICE = dict(node=lambda a, b, c, d, t: slice(a, b), leaf=lambda a, b, c, d, t:
 
 
 def _batch(parent, length, leaves, position, nodes, count, labels, names, level=None) -> _Batch:
-    """The _Batch of flat records, depths summed by one _depths call; level, if not given, by pointer jumping."""
+    """The _Batch of flat records, depths summed by one _depths call; level, if not given, from _spans."""
     node_start = np.cumsum(nodes) - nodes
     leaf_start = np.cumsum(count) - count
     up = np.where(parent < 0, -1, parent + np.repeat(node_start, nodes))
-    if level is None:
-        level, above = (up >= 0).astype(np.intp), up.copy()  # edges from each node to above[node]
-        live = np.flatnonzero(above >= 0)
-        while live.size:
-            level[live] += level[above[live]]
-            above[live] = above[above[live]]
-            live = live[above[live] >= 0]
+    if level is None:  # a node's ancestors: the nodes before it whose subtree runs do not end before it
+        last = _spans(parent, nodes)[1]
+        level = np.arange(len(up)) - np.cumsum(np.bincount(last + 1, minlength=len(up) + 1))[:-1]
     depth = _depths(up, length, level)
     leaf_node = leaves + np.repeat(node_start, count)
     leaf_depth = depth[leaf_node][position + np.repeat(leaf_start, count)]
@@ -299,10 +295,9 @@ def _checked_vectors(batch: _Batch) -> tuple[np.ndarray, np.ndarray]:
     depths are those the vectors were summed from.
     """
     vectors, depth = _cophenetic(batch.position, batch.depth, batch.sep, batch.count[0])
-    tol = default_tolerance(vectors)
     top = depth.max(axis=1)
     bound = (top - depth.min(axis=1)) * (1 + 2.0**-50) + top * 2.0**-49
-    ok = (bound <= tol) & (tol < math.inf)
+    ok = _verdict(bound, vectors)
     rest = np.flatnonzero(~ok)
     if rest.size:
         ok[rest] = is_ultrametric(vectors[rest])
@@ -858,12 +853,13 @@ def ultrametric_violation(u):
     d[j, j+1:].  Rows go in chunks of about _CHUNK_ELEMENTS (2^18) triples
     of the largest middle leaf, (m-1)^2/4 per row, so d holds about four
     times that many entries.  It runs inside _ufunc_buffer; every result is
-    elementwise or a max, so its bits do not depend on the buffer.
+    elementwise or a max, so its bits do not depend on the buffer.  Where
+    a triple's top two are inf the defect is nan, which no tol passes.
     """
     rows, m, batched = _as_rows(u)
     iu, ju, _ = _pairs(m)
     out = np.zeros(len(rows))
-    with _ufunc_buffer():
+    with _ufunc_buffer(), np.errstate(invalid="ignore"):  # inf - inf: a nan defect
         for part in _chunks(len(rows), (m - 1) ** 2 // 4):
             d = np.empty((m, m, len(rows[part])))  # rows last, so numpy's inner loops run along them
             d[iu, ju] = rows[part].T
@@ -886,8 +882,13 @@ def is_ultrametric(u, tol=None):
     is not finite (it holds an inf) is not ultrametric; pass 0 for an exact
     check.  For an (n, e) batch the result is one boolean per row.
     """
+    return _verdict(ultrametric_violation(u), u, tol)
+
+
+def _verdict(defect, u, tol=None):
+    """Whether each defect of u is within tol, or within u's default_tolerance where finite: is_ultrametric's rule."""
     bound = default_tolerance(u) if tol is None else tol
-    return (ultrametric_violation(u) <= bound) & (tol is not None or bound < math.inf)
+    return (defect <= bound) & (tol is not None or bound < math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -1056,22 +1057,22 @@ def _single_linkage(prims: list, m: int, half_tol: np.ndarray):
         yield parent[listed], length[listed], count, index[:, :m], order.T, step
 
 
-def _three_point(rows: np.ndarray, m: int, tol) -> tuple[np.ndarray, list]:
-    """Per row, a value within tol exactly where ultrametric_violation is, and _prim of each row chunk.
+def _three_point(rows: np.ndarray, m: int, tol=None) -> tuple[np.ndarray, np.ndarray, list]:
+    """(ok, violation, prims): per row is_ultrametric(rows, tol) and a defect, and _prim of each row chunk.
 
-    tol is a scalar or one value per row.  _prim's _between maximum of
-    join weights is sub, the subdominant ultrametric (see
-    project_to_treespace): sub <= u and sub is exactly ultrametric.  So in
-    a triple whose largest entry a sits at pair P and whose middle entry
-    is b, sub_P is at most the larger sub of the two other pairs, at most
-    b, and the defect fl(a - b) <= fl(a - sub_P) <= max(u - sub), bit for
-    bit.  A row keeps that maximum where it is within a finite tol; the
-    others get ultrametric_violation itself, so every decision and every
-    value beyond tol is the exact check's.  prims holds (part, order,
-    joined, step) per chunk of about _CHUNK_ELEMENTS (2^18) matrix
-    entries, m^2 per row.
+    tol is None (default_tolerance per row), a finite scalar or one finite
+    value per row.  A defect is within tol exactly where
+    ultrametric_violation is.  _prim's _between maximum of join weights is
+    sub, the subdominant ultrametric (see project_to_treespace): sub <= u
+    and sub is exactly ultrametric.  So in a triple whose largest entry a
+    sits at pair P and whose middle entry is b, sub_P is at most the larger
+    sub of the two other pairs, at most b, and the defect fl(a - b) <=
+    fl(a - sub_P) <= max(u - sub), bit for bit.  A row keeps that maximum
+    where _verdict passes it; the others get ultrametric_violation itself,
+    so every verdict and every value beyond tol is the exact check's.
+    prims holds (part, order, joined, step) per chunk of about
+    _CHUNK_ELEMENTS (2^18) matrix entries, m^2 per row.
     """
-    tol = np.broadcast_to(tol, (len(rows),))
     violation = np.empty(len(rows))
     prims = []
     with np.errstate(invalid="ignore"):  # inf - inf in rows that are not finite, which the exact check decides
@@ -1079,10 +1080,10 @@ def _three_point(rows: np.ndarray, m: int, tol) -> tuple[np.ndarray, list]:
             order, joined, step = _prim(rows[part], m)
             np.max(rows[part] - _between(step, joined[1:], np.maximum), axis=1, out=violation[part])
             prims.append((part, order, joined, step))
-    rest = np.flatnonzero(~((violation <= tol) & (tol < math.inf)))
+    rest = np.flatnonzero(~_verdict(violation, rows, tol))
     if rest.size:
         violation[rest] = ultrametric_violation(rows[rest])
-    return violation, prims
+    return _verdict(violation, rows, tol), violation, prims
 
 
 def _check_labels(names: list[str]) -> None:
@@ -1100,12 +1101,12 @@ def _linkage(u, names, tol):
     if tol is not None and not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be nonnegative and finite, got {tol}")
     tol = default_tolerance(rows) if tol is None else np.full(len(rows), float(tol))
-    violation, prims = _three_point(rows, m, tol)
-    bad = np.flatnonzero((violation > tol) | (rows.min(axis=1) <= 0))
+    ok, violation, prims = _three_point(rows, m, tol)
+    bad = np.flatnonzero(~ok | (rows.min(axis=1) <= 0))
     if bad.size:
         r = bad[0]
         where = f"row {r}: " if batched else ""
-        if violation[r] > tol[r]:
+        if not ok[r]:
             raise ValueError(
                 f"{where}not ultrametric: worst three-point violation {violation[r]:.3g}"
                 f" exceeds tolerance {tol[r]:.3g}"

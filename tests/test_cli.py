@@ -1,12 +1,15 @@
+import ast
 import csv
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
 import time
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -661,6 +664,22 @@ class TestModelFile:
         with pytest.raises(ValueError, match="three-point"):
             load_model(path)
 
+    @pytest.mark.parametrize("s,value,message", [
+        (2, float("inf"), "vertex coordinates must be finite"),
+        (2, float("nan"), "vertex coordinates must be finite"),
+        (4, float("nan"), "more vertices than coordinates: s=4 > e=3"),  # the shape is checked first
+    ])
+    def test_vertices_checked_by_the_polytope_before_the_three_point_check(self, tmp_path, s, value, message):
+        vertices = random_ultrametrics(3, s, seed=53)
+        path = tmp_path / "model.json"
+        save_model(Model(leaf_labels=["1", "2", "3"], polytope=TropicalPolytope(vertices[:1])), path)
+        doc = json.loads(path.read_text())
+        doc["s"], doc["vertices"] = s, vertices.tolist()
+        doc["vertices"][-1][0] = value
+        path.write_text(json.dumps(doc))  # as Infinity or NaN, which json reads back
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_model(path)
+
     @pytest.mark.parametrize("name", ["a,b", "a b", "", "x(y"])
     def test_label_that_is_not_a_newick_label_ends_in_one_line_error(self, tmp_path, sample_file, capsys, name):
         model_path, _ = fit_model(tmp_path, sample_file)
@@ -774,6 +793,19 @@ class TestModuleEntryPoint:
                               (troppca.pca, PCA_NAMES)]:
             assert sorted(module.__all__) == names, module.__name__
             assert all(hasattr(module, name) for name in module.__all__), module.__name__
+
+    def test_every_import_of_the_package_is_used_or_exported(self):
+        # catches what a deletion leaves behind, such as a helper no longer called
+        for path in sorted(Path(troppca.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            imported = {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+                        for alias in node.names}
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            exported = {value for node in tree.body if isinstance(node, ast.Assign)
+                        and any(isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets)
+                        for value in ast.literal_eval(node.value)}
+            assert sorted(imported - used - exported) == [], path.name
 
     def test_cli_loads_numpy_alone(self):
         # modules a site hook loaded before the import do not count

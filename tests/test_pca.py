@@ -26,7 +26,6 @@ from troppca.pca import (
     TIE_RTOL,
     FitConfig,
     TropicalPolytope,
-    _evaluation_work,
     _stored,
     _workspace,
     baseline_random_search,
@@ -460,7 +459,7 @@ class TestPairMajorKernel:
     def test_one_workspace_over_several_polytopes(self, instance, seed):
         # as in fit: an F-ordered sample and one workspace for every evaluation
         sample, vertices = instance
-        work = _evaluation_work(np.asfortranarray(sample), len(vertices))
+        work = _workspace(np.asfortranarray(sample), len(vertices))
         rng = np.random.default_rng(seed)
         for _ in range(3):
             p = TropicalPolytope(vertices)
@@ -497,7 +496,7 @@ class TestKernelOrders:
 
     @pytest.mark.parametrize("e,n", [(10, 9), (10, 10), (10, 11), (1770, 12), (1770, 50), (45, 1000)])
     def test_the_longer_axis_is_contiguous(self, e, n):
-        _, _, _, _, planes, masks = _workspace(3, e, n)
+        _, _, _, _, planes, masks, _ = _workspace(np.zeros((n, e)), 3)
         assert len(planes) == 2  # w, whose buffer evaluate reuses for d, and a candidate
         axis = 1 if n >= e else 0
         for plane in (*planes, *masks):
@@ -521,7 +520,7 @@ class TestKernelOrders:
     def test_evaluate_over_one_workspace(self, m, n, grid, kernel_buffer):
         sample, vertices = self.instance(m, n, 80, grid)
         stored = _stored(sample)
-        work = _evaluation_work(stored, len(vertices))
+        work = _workspace(stored, len(vertices))
         rng = np.random.default_rng(81)
         for _ in range(3):
             p = TropicalPolytope(vertices)

@@ -44,13 +44,16 @@ import troppca.treespace
 from troppca.cli import CliError, _load_sample, _positive_representatives, main
 from troppca.pca import FitConfig, TropicalPolytope, _validate_ultrametric_rows, fit, project_to_polytope
 from troppca.tropical import trop_dist
+from troppca.model import LOAD_TOLERANCE
 from troppca.treespace import (
     _PARSE_CHUNK,
+    _batch,
     _checked_vectors,
     _dendrogram_newick,
     _joined,
     _newick,
     _scaled,
+    _three_point,
     _trees,
     NewickError,
     cophenetic_vector,
@@ -224,6 +227,7 @@ class TestDeepTrees:
     """Trees nested far beyond the interpreter's recursion limit."""
 
     M = 1500
+    UNARY_CHAIN = "(" * 1500 + "((a:1,b:1):1,c:2)" + ")" * 1500 + ";"
 
     def caterpillar(self) -> str:
         """(((t0000:1,t0001:1):1,t0002:2):1,...): leaf k joins at height k, so it is equidistant."""
@@ -246,13 +250,23 @@ class TestDeepTrees:
         assert signature.startswith("{t0000,t0001}|{t0000,t0001,t0002}|")
 
     def test_unary_chain(self):
-        text = "(" * 1500 + "((a:1,b:1):1,c:2)" + ")" * 1500 + ";"
-        tree = parse_newick(text)
+        tree = parse_newick(self.UNARY_CHAIN)
         assert_array_equal(tree.cophenetic_vector(), [2.0, 4.0, 4.0])
         assert topology_signature(tree) == walk_topology_signature(tree)  # 1502 clades, one per internal node
         assert tree.scaled(0.5).height() == 1.0
         assert parse_newick(tree.to_newick()).to_newick() == tree.to_newick()
         assert node_view(tree).children[0].children[0].length == 0.0
+
+    def test_a_batch_rebuilt_without_its_levels_is_the_parsers(self, tmp_path):
+        # the levels from _spans' subtree runs, against those the parser counts from its brackets
+        rng = np.random.default_rng(28)
+        lines = [self.UNARY_CHAIN, self.caterpillar(), "(a,b,c);", *(random_newick(rng, m) for m in (3, 4, 7, 12, 30))]
+        path = tmp_path / "trees.nwk"
+        path.write_text("\n".join([*lines, self.UNARY_CHAIN]) + "\n")
+        batch = _joined([tree for _, tree in load_newick_file(path)[0]])
+        assert len(batch.nodes) == len(lines) + 1
+        for name, parsed, rebuilt in zip(batch._fields, batch, _batch(*batch[:8])):
+            assert parsed.dtype == rebuilt.dtype and parsed.tobytes() == rebuilt.tobytes(), name
 
 
 class TestPhyloTreeFromNodes:
@@ -794,6 +808,13 @@ class TestIsUltrametric:
     def test_violation_value(self):
         assert ultrametric_violation([1, 2, 3]) == 1.0
         assert ultrametric_violation([1, 2, 2]) == 0.0
+
+    def test_two_infs_give_a_nan_violation_that_no_tolerance_passes(self):
+        # inf - inf in the defect, with no RuntimeWarning, which this suite turns into an error
+        row = [1.0, np.inf, np.inf]
+        assert np.isnan(ultrametric_violation(row))
+        assert not is_ultrametric(row) and not is_ultrametric(row, tol=np.inf)
+        assert_array_equal(is_ultrametric(np.array([row, [1.0, 1.0, 1.0]])), [False, True])
 
     def test_an_infinite_vector_is_not_ultrametric_at_the_default_tolerance(self):
         # its default tolerance is inf, and so is its violation
@@ -1555,11 +1576,10 @@ class TestScreenedChecks:
     @example([parse_newick("((a:1,b:1):1,c:5);")])  # leaf depths 3 apart, violation 0
     @example([parse_newick("((a:2,b:1):0.1,c:0.5);").scaled(1e308)])  # u = (inf, inf, 1.6e308)
     def test_depth_screen_decides_like_the_check(self, trees):
-        with np.errstate(invalid="ignore"):  # inf - inf in the check of overflowed rows
-            with CheckedRows() as spy:
-                vectors, ok = _checked_vectors(_joined(trees))
-            assert np.array_equal(ok, is_ultrametric(vectors))
-            spy.assert_checked(vectors)
+        with CheckedRows() as spy:
+            vectors, ok = _checked_vectors(_joined(trees))
+        assert np.array_equal(ok, is_ultrametric(vectors))
+        spy.assert_checked(vectors)
         assert np.array_equal(vectors, cophenetic_vector(trees), equal_nan=True)
 
     def test_depth_screen_passes_depths_far_apart_through_the_check(self):
@@ -1597,9 +1617,11 @@ class TestScreenedChecks:
     @example(np.array([[1.0, 1.0, np.inf], [1.0, np.nan, 1.0], [2.0, 4.0, 4.0]]))
     @example(np.array([[np.inf, np.inf, 1.0, 1.0, 1.0, 1.0]]))
     def test_prim_screen_decides_fit_checks_like_the_check(self, rows):
-        with np.errstate(invalid="ignore"):  # inf - inf in the exact check of rows that are not finite
-            bad = np.flatnonzero(~is_ultrametric(rows))
-        with np.errstate(invalid="ignore"), CheckedRows() as spy:
+        bad = np.flatnonzero(~is_ultrametric(rows))
+        m = leaf_count_from_dim(rows.shape[1])
+        assert np.array_equal(_three_point(rows, m)[0], is_ultrametric(rows))
+        assert np.array_equal(_three_point(rows, m, LOAD_TOLERANCE)[0], is_ultrametric(rows, LOAD_TOLERANCE))
+        with CheckedRows() as spy:
             if bad.size:
                 shown = ", ".join(map(str, bad[:10])) + ("" if len(bad) <= 10 else f" (+{len(bad) - 10} more)")
                 with pytest.raises(ValueError, match=f"^rows at indices {re.escape(shown)} fail the three-point"):
